@@ -20,6 +20,7 @@ from .errors import ConfigError, FormatError, NumericError
 from .losses import RtlResult, adaptive_margins, hardest_negatives, infonce_per_pair
 from .selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY, ObjectiveParts,
                         Partition, SplWeights, optimal_weight, regularizer)
+from .similarity import local_similarity_units
 
 NORM_EPS = 1e-12
 RRSP_MAGIC = b"RRSP"
@@ -208,13 +209,9 @@ def forward(heads: ProjectionHeads, batch: PairBatch) -> PairBatch:
     )
 
 
-def _local_similarity_from_units(p: _Projected, b: int):
-    """Sl plus the intermediates reused by backward."""
-    G = p.Uil @ p.Utl.T                                    # (b*d1, b*d2) local cosines
-    sq = (G * G).reshape(b, p.d1, b, p.d2)
-    norms = np.sqrt(sq.sum(axis=(1, 3)))                   # Frobenius norm per (i, j)
-    Sl = norms / np.sqrt(p.d1 * p.d2)
-    return Sl, G, norms
+def _local_similarity(p: _Projected, b: int):
+    """Sl of the projected local blocks and its backward (see local_similarity_units)."""
+    return local_similarity_units(p.Uil.reshape(b, p.d1, -1), p.Utl.reshape(b, p.d2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,7 @@ def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     l_g = infonce_per_pair(Sg, hyper.tau)
     l_l = None
     if variant.use_local:
-        Sl, _, _ = _local_similarity_from_units(p, b)
+        Sl, _ = _local_similarity(p, b)
         l_l = infonce_per_pair(Sl, hyper.tau)
         l_total = l_g + l_l
     else:
@@ -395,7 +392,7 @@ def objective_with_frozen(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper
     Sg = p.Uig @ p.Utg.T
     l_g = infonce_per_pair(Sg, hyper.tau)
     if plan.variant.use_local:
-        Sl, _, _ = _local_similarity_from_units(p, b)
+        Sl, _ = _local_similarity(p, b)
         l_total = l_g + infonce_per_pair(Sl, hyper.tau)
     else:
         l_total = l_g
@@ -443,9 +440,9 @@ def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     dim = heads.dim_in
     Sg = p.Uig @ p.Utg.T
     l_g = infonce_per_pair(Sg, hyper.tau)
-    Sl = G_loc = norms = l_l = None
+    Sl = local_backward = l_l = None
     if variant.use_local:
-        Sl, G_loc, norms = _local_similarity_from_units(p, b)
+        Sl, local_backward = _local_similarity(p, b)
         l_l = infonce_per_pair(Sl, hyper.tau)
         l_total = l_g + l_l
     else:
@@ -491,14 +488,9 @@ def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     dUtg = Gg.T @ p.Uig
 
     if variant.use_local:
-        Gl = _infonce_grad(Sl, c, hyper.tau)
-        # Sl = ||M||_F / sqrt(d1 d2) per (i, j): dM = Gl * M / (||M||_F sqrt(d1 d2))
-        denom = np.maximum(norms, NORM_EPS) * np.sqrt(p.d1 * p.d2)
-        W4 = Gl / denom
-        dGflat = (G_loc.reshape(b, p.d1, b, p.d2) * W4[:, None, :, None]
-                  ).reshape(b * p.d1, b * p.d2)
-        dUil = dGflat @ p.Utl
-        dUtl = dGflat.T @ p.Uil
+        dUil, dUtl = local_backward(_infonce_grad(Sl, c, hyper.tau))
+        dUil = dUil.reshape(p.Uil.shape)
+        dUtl = dUtl.reshape(p.Utl.shape)
     else:
         dUil = np.zeros_like(p.Uil)
         dUtl = np.zeros_like(p.Utl)

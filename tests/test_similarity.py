@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrsitr.errors import ConfigError, NumericError
-from rrsitr.similarity import (fused_similarity, global_similarity,
-                               local_similarity, similarity_bundle)
+from rrsitr.similarity import (_direct_kernel, _gram_chosen, _gram_kernel, fused_similarity,
+                               global_similarity, local_similarity, local_similarity_units,
+                               similarity_bundle)
 
 
 def _unit(v):
@@ -87,19 +90,21 @@ def _local_oracle(a, b):
 
 def test_local_matches_scalar_oracle():
     rng = np.random.default_rng(42)
-    for trial in range(5):
-        b, d = rng.integers(2, 5), rng.integers(1, 4)
+    shapes = [(rng.integers(2, 5), rng.integers(1, 4)) for _ in range(5)] + [(4, 4)]
+    for b, d in shapes:
         a = rng.normal(size=(b, d, 5))
         t = rng.normal(size=(b, d, 5))
         got = local_similarity(a, t)
         want = _local_oracle(a, t)
         assert np.max(np.abs(got - want)) < 1e-10
+    assert _gram_chosen(4, 4, 4, 4, 5)  # the last shape runs the Gram kernel
 
 
 def test_local_blocking_bit_identical():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(13, 3, 6))
     b = rng.normal(size=(9, 2, 6))
+    assert not _gram_chosen(13, 9, 3, 2, 6)  # block_rows bounds the direct kernel only
     full = local_similarity(a, b, block_rows=13)
     for block in (1, 2, 5):
         assert np.array_equal(local_similarity(a, b, block_rows=block), full)
@@ -110,6 +115,79 @@ def test_local_role_swap_symmetry():
     a = rng.normal(size=(4, 3, 5))
     b = rng.normal(size=(6, 2, 5))
     assert np.allclose(local_similarity(a, b), local_similarity(b, a).T, atol=1e-12)
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _unit_blocks(rng, n, d, dim):
+    return _unit_rows(rng.normal(size=(n, d, dim)))
+
+
+@pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),    # desk batch
+                                           (6, 5, 36, 16, 256)])    # small paper-like
+def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
+    rng = np.random.default_rng(7)
+    A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
+    W = rng.normal(size=(n, m))
+    norms_g, back_g = _gram_kernel(A, B)
+    norms_d, back_d = _direct_kernel(A, B, None, grad=True)
+    assert np.max(np.abs(norms_g - norms_d)) <= 1e-12
+    for got, want in zip(back_g(W), back_d(W)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_local_dispatch_by_shape():
+    assert _gram_chosen(100, 100, 8, 8, 32)        # desk batch
+    assert _gram_chosen(500, 500, 8, 8, 32)        # desk validation
+    assert _gram_chosen(1000, 1000, 8, 8, 32)      # desk evaluation
+    assert not _gram_chosen(100, 100, 36, 16, 256)  # paper batch
+    assert not _gram_chosen(300, 300, 36, 16, 256)  # paper held-out evaluation
+
+
+GRAM_NEAR_ZERO_TOL = 1e-7  # |Sl_gram - Sl_direct| where rounding leaves sqrt(eps)-sized terms
+
+
+def test_local_gram_orthogonal_blocks_finite():
+    # image blocks span half of a rotated basis, text blocks the other half, so
+    # P_A . P_B cancels to about +-1e-17 and its sqrt would be NaN unclamped;
+    # half the texts are nudged to near-orthogonal
+    rng = np.random.default_rng(3)
+    n, d, dim = 8, 4, 6
+    assert _gram_chosen(n, n, d, d, dim)
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    a = rng.normal(size=(n, d, dim // 2)) @ Q[:, :dim // 2].T
+    b = rng.normal(size=(n, d, dim // 2)) @ Q[:, dim // 2:].T
+    b[n // 2:] += 1e-9 * rng.normal(size=b[n // 2:].shape)
+    S = local_similarity(a, b)
+    assert np.all(np.isfinite(S)) and np.all(S >= 0.0)
+    A, B = _unit_rows(a), _unit_rows(b)
+    direct, _ = _direct_kernel(A, B, None, grad=False)
+    assert np.max(np.abs(S - direct / np.sqrt(d * d))) <= GRAM_NEAR_ZERO_TOL
+    Sl, backward = local_similarity_units(A, B)
+    assert np.array_equal(Sl, S)
+    dA, dB = backward(np.ones((n, n)))
+    assert np.all(np.isfinite(dA)) and np.all(np.isfinite(dB))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_local_kernels_property(n, m, d1, d2, dim, seed):
+    rng = np.random.default_rng(seed)
+    A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
+    scale = np.sqrt(d1 * d2)
+    S_gram = _gram_kernel(A, B)[0] / scale
+    S_direct = _direct_kernel(A, B, None, grad=False)[0] / scale
+    # the Gram form is exact to rounding in Sl^2; its sqrt magnifies that near 0
+    assert np.max(np.abs(S_gram ** 2 - S_direct ** 2)) <= 1e-12
+    assert np.max(np.abs(S_gram - S_direct)) <= GRAM_NEAR_ZERO_TOL
+    S = local_similarity(A, B)
+    assert np.all(S >= 0.0) and np.all(S <= 1.0 + 1e-12)
+    p, q = rng.permutation(n), rng.permutation(m)
+    assert np.allclose(local_similarity(A[p], B[q]), S[p][:, q], rtol=0.0, atol=1e-12)
 
 
 def test_local_unknown_aggregation():

@@ -4,6 +4,7 @@ import pytest
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, FormatError, NumericError
 from rrsitr.selfpaced import overall_objective
+from rrsitr.similarity import _gram_chosen
 from rrsitr.trainer import (VARIANTS, Adam, Hyper, ProjectionHeads, ablate,
                             batch_objective, clip_gradients, forward, gradients,
                             init_heads, load_heads, lr_at, objective_with_frozen,
@@ -90,11 +91,16 @@ def _fd_check(heads, batch, hyper, variant, n_coords=15, h=1e-5, tol=1e-6, rng_s
     return state
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_gradients_match_finite_differences(variant):
-    ds = _small_problem()
+# the default shape runs the direct Sl kernel, dim=6 with 4x4 locals the Gram kernel
+@pytest.mark.parametrize("variant,shape", [
+    *(pytest.param(v, {}, id=v) for v in sorted(VARIANTS)),
+    *(pytest.param(v, dict(dim=6, d1=4, d2=4), id=f"{v}-gram") for v in sorted(VARIANTS)),
+])
+def test_gradients_match_finite_differences(variant, shape):
+    ds = _small_problem(**shape)
     hyper = _hyper()
     batch = next(batch_iter(ds, 10, epoch_seed=2))
+    assert _gram_chosen(10, 10, ds.d1, ds.d2, ds.dim) == bool(shape)
     heads = init_heads(ds.dim, seed=5, noise_std=0.05)
     state = _fd_check(heads, batch, hyper, VARIANTS[variant])
     assert np.isfinite(state.loss)
@@ -122,7 +128,8 @@ def test_gradients_reduce_to_plain_infonce():
     grads, state = gradients(heads, batch, hyper, VARIANTS["no_spl"])
 
     # independent reference: differentiate mean InfoNCE directly by softmax identities
-    from rrsitr.trainer import _project_batch, _local_similarity_from_units, _renorm_backward
+    from rrsitr.similarity import local_similarity_units
+    from rrsitr.trainer import _project_batch, _renorm_backward
 
     p = _project_batch(heads, batch)
     b = batch.size
@@ -139,14 +146,12 @@ def test_gradients_reduce_to_plain_infonce():
         return G / tau
 
     Sg = p.Uig @ p.Utg.T
-    Sl, G_loc, norms = _local_similarity_from_units(p, b)
+    Sl, local_backward = local_similarity_units(p.Uil.reshape(b, p.d1, -1),
+                                                p.Utl.reshape(b, p.d2, -1))
     Gg = ref_grad_S(Sg)
     Gl = ref_grad_S(Sl)
     dUig = Gg @ p.Utg
-    dUtg = Gg.T @ p.Uig
-    W4 = Gl / (np.maximum(norms, 1e-12) * np.sqrt(p.d1 * p.d2))
-    dGflat = (G_loc.reshape(b, p.d1, b, p.d2) * W4[:, None, :, None]).reshape(b * p.d1, b * p.d2)
-    dUil = dGflat @ p.Utl
+    dUil = local_backward(Gl)[0].reshape(p.Uil.shape)
     dZig = _renorm_backward(dUig, p.Uig, p.rig)
     dZil = _renorm_backward(dUil, p.Uil, p.ril)
     want_W_img = dZig.T @ batch.image_global + dZil.T @ batch.image_local.reshape(b * p.d1, -1)
