@@ -11,15 +11,12 @@ from .data import (Dataset, NoiseSpec, PairBatch, batch_iter, generate_synthetic
 from .errors import (ConfigError, DataError, FormatError, NumericError, RrsitrError)
 from .evaluation import (DetectionReport, RetrievalReport, detection_metrics,
                          evaluate, recall_at_k)
-from .losses import (PerPairLoss, RtlResult, adaptive_margins, hardest_negatives,
-                     infonce_batch, infonce_per_pair, per_pair_losses,
-                     robust_triplet_loss)
+from .losses import (RtlResult, adaptive_margins, hardest_negatives, infonce_per_pair,
+                     robust_triplet_loss, triplet_hinges)
 from .selfpaced import (Partition, SplWeights, compute_weights, optimal_weight,
-                        optimal_weight_oracle, overall_objective, partition,
-                        regularizer, weighted_spl_loss)
-from .similarity import (SimilarityBundle, fused_similarity, global_similarity,
-                         local_similarity, similarity_bundle)
-from .trainer import (Adam, Hyper, ProjectionHeads, TrainLog, VARIANTS, ablate,
+                        optimal_weight_oracle, partition, regularizer)
+from .similarity import fused_similarity, global_similarity, local_similarity
+from .trainer import (Adam, Hyper, ProjectionHeads, TrainLog, VARIANTS, batch_objective,
                       forward, gradients, init_heads, load_heads, lr_at,
                       save_heads, train)
 

@@ -234,12 +234,13 @@ def cmd_eval(args) -> int:
 
 
 def _parse_epoch_list(spec: str | None) -> list[int]:
-    if not spec:
-        return []
-    try:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise SystemExit(2)
+    from .errors import ConfigError
+
+    tokens = [tok.strip() for tok in (spec or "").split(",") if tok.strip()]
+    for tok in tokens:
+        if not tok.isdecimal():
+            raise ConfigError(f"epoch list {spec!r}: {tok!r} is not a non-negative integer")
+    return [int(tok) for tok in tokens]
 
 
 def cmd_trace(args) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -47,6 +47,9 @@ class Dataset:
             raise ConfigError("local feature dim mismatch")
         if self.y.shape != (n,):
             raise ConfigError("y must be (n,)")
+        bad = self.y[(self.y != 0) & (self.y != 1)]
+        if bad.size:
+            raise DataError(f"y must be 0 or 1, found {sorted(set(bad.tolist()))[:5]}")
         for name in ("image_global", "image_local", "text_global", "text_local"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} contains non-finite values")
@@ -199,22 +202,6 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     return ds
 
 
-def split_dataset(dataset: Dataset, n_val: int, n_test: int, seed: int
-                  ) -> tuple[Dataset, Dataset, Dataset]:
-    """Shuffle and carve one generated dataset into train/val/test pieces.
-
-    Val and test must be held out from the same generated world as the train
-    split (a fresh generator seed would produce different latent structure).
-    """
-    n = dataset.n_pairs
-    if n_val < 0 or n_test < 0 or n_val + n_test >= n:
-        raise ConfigError(f"cannot carve val={n_val} + test={n_test} out of {n} pairs")
-    order = np.random.default_rng(seed).permutation(n)
-    return (dataset.subset(order[n_val + n_test:]),
-            dataset.subset(order[:n_val]),
-            dataset.subset(order[n_val:n_val + n_test]))
-
-
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
     """Random permutation of range(k) with no fixed points (identity if k == 1)."""
     if k <= 1:
@@ -285,6 +272,12 @@ def _read_exact(f, nbytes: int, section: str) -> bytes:
     return buf
 
 
+def expect_eof(f) -> None:
+    """Raise FormatError if the file has bytes after its last section."""
+    if f.read(1):
+        raise FormatError(f"trailing bytes after the last section at byte offset {f.tell() - 1}")
+
+
 def read_dataset(path: str) -> Dataset:
     """Read an RRSE file; embeddings come back as float64 (exact float32 upcast)."""
     with open(path, "rb") as f:
@@ -315,6 +308,7 @@ def read_dataset(path: str) -> Dataset:
             class_id = np.frombuffer(_read_exact(f, 4 * n, "class_id"), dtype="<u4").copy()
         elif flag != 0:
             raise FormatError(f"bad class_id presence flag {flag} at byte offset {f.tell() - 1}")
+        expect_eof(f)
     return Dataset(image_global, image_local, text_global, text_local, y, class_id)
 
 

@@ -1,21 +1,12 @@
 """Symmetric InfoNCE contrastive losses and the adaptive-margin robust triplet loss."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class PerPairLoss:
-    """Per-pair contrastive losses; l_total drives the self-paced partition."""
-
-    l_g: np.ndarray       # (b,) global contrastive loss per pair
-    l_l: np.ndarray       # (b,) local contrastive loss per pair
-    l_total: np.ndarray   # l_g + l_l
 
 
 @dataclass(frozen=True)
@@ -52,19 +43,6 @@ def infonce_per_pair(S: np.ndarray, tau: float) -> np.ndarray:
     return -(lr + lc)
 
 
-def infonce_batch(Sg: np.ndarray, Sl: np.ndarray, tau: float) -> Tuple[float, float, float]:
-    """Batch losses (L_g, L_l, L_g + L_l) as means of the per-pair terms."""
-    L_g = float(infonce_per_pair(Sg, tau).mean())
-    L_l = float(infonce_per_pair(Sl, tau).mean())
-    return L_g, L_l, L_g + L_l
-
-
-def per_pair_losses(Sg: np.ndarray, Sl: np.ndarray, tau: float) -> PerPairLoss:
-    l_g = infonce_per_pair(Sg, tau)
-    l_l = infonce_per_pair(Sl, tau)
-    return PerPairLoss(l_g=l_g, l_l=l_l, l_total=l_g + l_l)
-
-
 def hardest_negatives(Sg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Most-similar non-matching text per image and image per text.
 
@@ -93,6 +71,23 @@ def adaptive_margins(Sg: np.ndarray, hard_txt_idx: np.ndarray, hard_img_idx: np.
     return mu_hat, zeta_hat
 
 
+def triplet_hinges(Sg: np.ndarray, rtl: RtlResult, include: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-anchor hinges at the margins and negatives held in rtl.
+
+    h1_i = [mu_i - pos_i + Sg[i, hard_txt_i]]_+, h2_i = [zeta_i - pos_i + Sg[hard_img_i, i]]_+;
+    anchors outside the boolean mask `include` contribute zero.
+    """
+    rows = np.arange(Sg.shape[0])
+    pos = Sg[rows, rows]
+    h1 = np.maximum(0.0, rtl.mu_hat - pos + Sg[rows, rtl.hard_txt_idx])
+    h2 = np.maximum(0.0, rtl.zeta_hat - pos + Sg[rtl.hard_img_idx, rows])
+    if include is not None:
+        h1 = h1 * include
+        h2 = h2 * include
+    return h1, h2
+
+
 def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
                         include: Optional[np.ndarray] = None) -> RtlResult:
     """Hinge loss against the hardest in-batch negatives with soft margins.
@@ -115,15 +110,10 @@ def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
             raise ConfigError(f"sigma must be > 0, got {sigma}")
         mu_hat = np.full(b, sigma)
         zeta_hat = np.full(b, sigma)
-    rows = np.arange(b)
-    pos = Sg[rows, rows]
-    h1 = np.maximum(0.0, mu_hat - pos + Sg[rows, ht])
-    h2 = np.maximum(0.0, zeta_hat - pos + Sg[hi, rows])
     if include is not None:
-        mask = np.asarray(include, dtype=bool)
-        if mask.shape != (b,):
+        include = np.asarray(include, dtype=bool)
+        if include.shape != (b,):
             raise ConfigError("include mask must be (b,)")
-        h1 = h1 * mask
-        h2 = h2 * mask
-    return RtlResult(loss=float((h1 + h2).sum() / b), mu_hat=mu_hat, zeta_hat=zeta_hat,
-                     hard_txt_idx=ht, hard_img_idx=hi)
+    rtl = RtlResult(loss=0.0, mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht, hard_img_idx=hi)
+    h1, h2 = triplet_hinges(Sg, rtl, include)
+    return replace(rtl, loss=float((h1 + h2).sum() / b))

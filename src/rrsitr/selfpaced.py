@@ -1,9 +1,10 @@
 """Loss-based clean/ambiguous/noisy partition, the self-paced regularizer with its
-closed-form optimal weights, and the assembled training objective."""
+closed-form optimal weights, and the per-pair weighting of the two self-paced terms
+L_S1 (clean bucket) and L_S2 (ambiguous bucket) of the training objective."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,10 +36,22 @@ class Partition:
 
 @dataclass(frozen=True)
 class SplWeights:
-    """Per-pair importance weights and the threshold that produced each."""
+    """Per-pair importance weights, the threshold that produced each, and the
+    coefficients of the self-paced terms: L_S1 = (1/b) sum_i w1_i*l_i + r1_i and
+    L_S2 likewise with w2, r2 (both zero outside the term's scope)."""
 
     w: np.ndarray           # (b,) in [0, 1]; 0 for the noisy bucket
     gamma_used: np.ndarray  # (b,) gamma1 for clean, gamma2 otherwise
+    w1: np.ndarray
+    r1: np.ndarray          # regularizer values R(w1_i, gamma1), constants
+    w2: np.ndarray
+    r2: np.ndarray
+
+    def spl_losses(self, l_total: np.ndarray) -> Tuple[float, float]:
+        """(L_S1, L_S2) at per-pair losses l_total with these weights held fixed."""
+        b = len(l_total)
+        return (float((self.w1 * l_total + self.r1).sum() / b),
+                float((self.w2 * l_total + self.r2).sum() / b))
 
 
 def _check_gammas(gamma1: float, gamma2: float) -> None:
@@ -90,63 +103,49 @@ def optimal_weight_oracle(l: float, gamma: float, grid_steps: int = 100_000) -> 
     return float(grid[int(np.argmin(objective))])
 
 
-def weighted_spl_loss(l_total: np.ndarray, weights: np.ndarray, bucket: np.ndarray,
-                      gamma: float) -> float:
-    """(1/b) * sum over the bucket of w_i*l_i + R(w_i, gamma); b is the full batch size."""
-    l = np.asarray(l_total, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != l.shape:
-        raise ValueError(f"weights shape {w.shape} does not match losses {l.shape}")
-    b = len(l)
-    if len(bucket) == 0:
-        return 0.0
-    lb, wb = l[bucket], w[bucket]
-    return float((wb * lb + regularizer(wb, gamma, lb)).sum() / b)
-
-
-def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float
+def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
+                    weighting: str = "spl", merge_ambiguous: bool = False,
+                    sum_over_all: bool = False, rng: Optional[np.random.Generator] = None
                     ) -> Tuple[Partition, SplWeights]:
-    """Partition the batch and assign each pair its closed-form weight.
+    """Partition the batch and assign each pair its weight.
 
-    Clean pairs use gamma1, ambiguous pairs gamma2, noisy pairs get w=0.
+    spl: clean pairs get the closed-form weight under gamma1, ambiguous pairs
+    under gamma2, noisy pairs w=0. hard_to_easy uses 1 - that weight below each
+    threshold; uniform gives every pair w1=1 and no regularizer; random draws
+    w1 ~ U[0, 1) from rng. merge_ambiguous moves the ambiguous bucket into the
+    noisy one; sum_over_all lets L_S2 cover every pair below gamma2.
     """
-    part = partition(l_total, gamma1, gamma2)
     l = np.asarray(l_total, dtype=np.float64)
-    w = np.zeros_like(l)
-    gamma_used = np.full_like(l, gamma2)
-    w[part.clean_idx] = optimal_weight(l[part.clean_idx], gamma1)
-    gamma_used[part.clean_idx] = gamma1
-    w[part.ambiguous_idx] = optimal_weight(l[part.ambiguous_idx], gamma2)
-    return part, SplWeights(w=w, gamma_used=gamma_used)
-
-
-@dataclass(frozen=True)
-class ObjectiveParts:
-    L_S1: float
-    L_S2: float
-    L_soft: float
-
-
-def assemble_objective(l_total: np.ndarray, rtl_loss: float, lambda1: float, lambda2: float,
-                       gamma1: float, gamma2: float
-                       ) -> Tuple[float, ObjectiveParts, Partition, SplWeights]:
-    """L = L_S1 + lambda1*L_S2 + lambda2*L_soft with closed-form weights per bucket."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ConfigError("lambda1 and lambda2 must be >= 0")
-    part, weights = compute_weights(l_total, gamma1, gamma2)
-    L_S1 = weighted_spl_loss(l_total, weights.w, part.clean_idx, gamma1)
-    L_S2 = weighted_spl_loss(l_total, weights.w, part.ambiguous_idx, gamma2)
-    total = L_S1 + lambda1 * L_S2 + lambda2 * rtl_loss
-    return total, ObjectiveParts(L_S1, L_S2, rtl_loss), part, weights
-
-
-def overall_objective(batch, heads, hyper):
-    """Full per-batch objective for projected embeddings.
-
-    Returns (L_overall, ObjectiveParts, Partition, SplWeights). Thin wrapper
-    over the trainer's forward pass plus assemble_objective.
-    """
-    from .trainer import batch_objective  # local import: trainer depends on this module
-
-    state = batch_objective(heads, batch, hyper)
-    return state.loss, state.parts, state.partition, state.weights
+    b = len(l)
+    part = partition(l, gamma1, gamma2)
+    if merge_ambiguous:
+        part = Partition(part.clean_idx, np.empty(0, dtype=np.int64),
+                         np.sort(np.concatenate([part.ambiguous_idx, part.noisy_idx])),
+                         gamma1, gamma2)
+    codes = part.bucket_codes(b)
+    clean, ambiguous = codes == BUCKET_CLEAN, codes == BUCKET_AMBIGUOUS
+    zeros = np.zeros(b)
+    if weighting == "uniform":
+        w = w1 = np.ones(b)
+        r1 = w2 = r2 = zeros
+    elif weighting == "random":
+        if rng is None:
+            raise ConfigError("random weighting needs an RNG")
+        w = w1 = rng.uniform(size=b)
+        r1 = w2 = r2 = zeros
+    elif weighting in ("spl", "hard_to_easy"):
+        wc = np.asarray(optimal_weight(l, gamma1))
+        wa = np.asarray(optimal_weight(l, gamma2))
+        if weighting == "hard_to_easy":
+            wc = np.where(l < gamma1, 1.0 - wc, 0.0)
+            wa = np.where(l < gamma2, 1.0 - wa, 0.0)
+        w1 = np.where(clean, wc, 0.0)
+        r1 = np.where(clean, regularizer(np.clip(w1, 0, 1), gamma1, l), 0.0)
+        scope2 = (l < gamma2) if sum_over_all and not merge_ambiguous else ambiguous
+        w2 = np.where(scope2, wa, 0.0)
+        r2 = np.where(scope2, regularizer(np.clip(w2, 0, 1), gamma2, l), 0.0)
+        w = np.where(clean, w1, np.where(ambiguous, wa, 0.0))
+    else:
+        raise ConfigError(f"unknown weighting {weighting!r}")
+    return part, SplWeights(w=w, gamma_used=np.where(clean, gamma1, gamma2),
+                            w1=w1, r1=r1, w2=w2, r2=r2)

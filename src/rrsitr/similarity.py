@@ -1,24 +1,12 @@
 """Global (cosine), local (normalized-Frobenius aggregate), and fused similarity."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
 NORM_EPS = 1e-12  # guard against division by zero without disturbing unit rows
 DIRECT_BLOCK_BYTES = 64e6  # budget for the direct kernel's (rows*d1, m*d2) intermediate
-
-
-@dataclass(frozen=True)
-class SimilarityBundle:
-    """Global, local, and alpha-fused similarity matrices for one batch."""
-
-    Sg: np.ndarray
-    Sl: np.ndarray
-    Sf: np.ndarray
-    alpha: float
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -153,10 +141,3 @@ def fused_similarity(Sg: np.ndarray, Sl: np.ndarray, alpha: float) -> np.ndarray
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * Sg + (1.0 - alpha) * Sl
 
-
-def similarity_bundle(img_globals, txt_globals, img_locals, txt_locals,
-                      alpha: float) -> SimilarityBundle:
-    """Compute all three matrices for a batch."""
-    Sg = global_similarity(img_globals, txt_globals)
-    Sl = local_similarity(img_locals, txt_locals)
-    return SimilarityBundle(Sg=Sg, Sl=Sl, Sf=fused_similarity(Sg, Sl, alpha), alpha=alpha)

@@ -1,9 +1,13 @@
-"""Trainable projection heads over precomputed embeddings, analytic gradients of the
-full objective, Adam with warmup+cosine schedule, and the alternating training loop.
+"""Trainable projection heads over precomputed embeddings, the objective
+L = L_S1 + lambda1*L_S2 + lambda2*L_soft with its analytic gradients, Adam with a
+warmup+cosine schedule, and the alternating training loop.
 
-Per step the per-pair losses are computed without gradient, the closed-form weights
-(and triplet margins / mined negatives) are frozen, and one gradient step is taken
-on the resulting objective. Everything is float64 and deterministic per seed.
+The objective is built in one place, `_objective`: projection, Sg and Sl, per-pair
+InfoNCE losses, the frozen plan (partition and weights from
+`selfpaced.compute_weights`, margins and negatives from `losses.robust_triplet_loss`),
+the value, and the backward. Per step the plan is frozen from the current losses
+and one gradient step is taken on the resulting objective. Everything is float64
+and deterministic per seed.
 """
 from __future__ import annotations
 
@@ -15,11 +19,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import selfpaced
-from .data import Dataset, PairBatch, batch_iter
+from .data import Dataset, PairBatch, batch_iter, expect_eof
 from .errors import ConfigError, FormatError, NumericError
-from .losses import RtlResult, adaptive_margins, hardest_negatives, infonce_per_pair
-from .selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY, ObjectiveParts,
-                        Partition, SplWeights, optimal_weight, regularizer)
+from .losses import RtlResult, infonce_per_pair, robust_triplet_loss, triplet_hinges
+from .selfpaced import BUCKET_NOISY, Partition, SplWeights
 from .similarity import local_similarity_units
 
 NORM_EPS = 1e-12
@@ -209,93 +212,26 @@ def forward(heads: ProjectionHeads, batch: PairBatch) -> PairBatch:
     )
 
 
-def _local_similarity(p: _Projected, b: int):
-    """Sl of the projected local blocks and its backward (see local_similarity_units)."""
-    return local_similarity_units(p.Uil.reshape(b, p.d1, -1), p.Utl.reshape(b, p.d2, -1))
-
-
 # ---------------------------------------------------------------------------
-# objective with frozen weights / margins
+# the objective: value and analytic gradients
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenPlan:
-    """Everything held constant during the parameter-update step.
+    """Everything held constant during the parameter-update step: the partition,
+    the per-pair weights (w1/r1, w2/r2 enter L_S1/L_S2), and the triplet margins
+    and mined negatives (None when the triplet term is off)."""
 
-    w1/w2 are the effective per-pair weights entering L_S1/L_S2 (zero outside
-    their scope); r1/r2 are the corresponding regularizer values (constants).
-    """
-
-    w1: np.ndarray
-    r1: np.ndarray
-    w2: np.ndarray
-    r2: np.ndarray
-    mu_hat: Optional[np.ndarray]
-    zeta_hat: Optional[np.ndarray]
-    hard_txt_idx: Optional[np.ndarray]
-    hard_img_idx: Optional[np.ndarray]
+    partition: Partition
+    weights: SplWeights
+    rtl: Optional[RtlResult]
     rtl_mask: Optional[np.ndarray]    # boolean anchor mask or None for all
-    variant: VariantSpec
 
 
-def _build_plan(l_total: np.ndarray, hyper: Hyper, variant: VariantSpec,
-                gamma2: float, weight_rng: Optional[np.random.Generator]
-                ) -> Tuple[FrozenPlan, Partition, SplWeights]:
-    b = len(l_total)
-    g1 = hyper.gamma1
-    part = selfpaced.partition(l_total, g1, gamma2)
-    zeros = np.zeros(b)
-
-    if variant.merge_ambiguous:
-        # single threshold: former ambiguous pairs are treated as noisy
-        part = Partition(part.clean_idx,
-                         np.empty(0, dtype=np.int64),
-                         np.sort(np.concatenate([part.ambiguous_idx, part.noisy_idx])),
-                         g1, gamma2)
-
-    clean_mask = np.zeros(b, dtype=bool)
-    clean_mask[part.clean_idx] = True
-    amb_mask = np.zeros(b, dtype=bool)
-    amb_mask[part.ambiguous_idx] = True
-
-    if variant.weighting == "uniform":
-        w1, r1, w2, r2 = np.ones(b), zeros, zeros, zeros
-        w_report = np.ones(b)
-    elif variant.weighting == "random":
-        if weight_rng is None:
-            raise ConfigError("random weighting needs an RNG")
-        w1 = weight_rng.uniform(size=b)
-        r1, w2, r2 = zeros, zeros, zeros
-        w_report = w1
-    else:
-        reverse = variant.weighting == "hard_to_easy"
-        if variant.weighting not in ("spl", "hard_to_easy"):
-            raise ConfigError(f"unknown weighting {variant.weighting!r}")
-        wc = np.asarray(optimal_weight(l_total, g1))
-        wa = np.asarray(optimal_weight(l_total, gamma2))
-        if reverse:
-            wc = np.where(l_total < g1, 1.0 - wc, 0.0)
-            wa = np.where(l_total < gamma2, 1.0 - wa, 0.0)
-        w1 = np.where(clean_mask, wc, 0.0)
-        r1 = np.where(clean_mask, regularizer(np.clip(w1, 0, 1), g1, l_total), 0.0)
-        scope2 = (l_total < gamma2) if hyper.spl_sum_over_all else amb_mask
-        if variant.merge_ambiguous:
-            scope2 = np.zeros(b, dtype=bool)
-        w2 = np.where(scope2, wa, 0.0)
-        r2 = np.where(scope2, regularizer(np.clip(w2, 0, 1), gamma2, l_total), 0.0)
-        w_report = np.where(clean_mask, w1, np.where(amb_mask, wa, 0.0))
-
-    gamma_used = np.where(clean_mask, g1, gamma2)
-    weights = SplWeights(w=w_report, gamma_used=gamma_used)
-
-    rtl_mask = None
-    if variant.use_rtl and hyper.rtl_noisy_only:
-        rtl_mask = np.zeros(b, dtype=bool)
-        rtl_mask[part.noisy_idx] = True
-
-    plan = FrozenPlan(w1=w1, r1=r1, w2=w2, r2=r2, mu_hat=None, zeta_hat=None,
-                      hard_txt_idx=None, hard_img_idx=None, rtl_mask=rtl_mask,
-                      variant=variant)
-    return plan, part, weights
+@dataclass(frozen=True)
+class ObjectiveParts:
+    L_S1: float
+    L_S2: float
+    L_soft: float
 
 
 @dataclass
@@ -304,104 +240,24 @@ class BatchState:
 
     loss: float
     parts: ObjectiveParts
-    partition: Partition
-    weights: SplWeights
     l_total: np.ndarray
     l_g: np.ndarray
     l_l: Optional[np.ndarray]
-    rtl: Optional[RtlResult]
     plan: FrozenPlan
-    gamma2_effective: float
 
+    @property
+    def partition(self) -> Partition:
+        return self.plan.partition
 
-def _frozen_rtl_terms(Sg: np.ndarray, plan: FrozenPlan):
-    b = Sg.shape[0]
-    rows = np.arange(b)
-    pos = Sg[rows, rows]
-    h1 = np.maximum(0.0, plan.mu_hat - pos + Sg[rows, plan.hard_txt_idx])
-    h2 = np.maximum(0.0, plan.zeta_hat - pos + Sg[plan.hard_img_idx, rows])
-    if plan.rtl_mask is not None:
-        h1 = h1 * plan.rtl_mask
-        h2 = h2 * plan.rtl_mask
-    return h1, h2
+    @property
+    def weights(self) -> SplWeights:
+        return self.plan.weights
 
+    @property
+    def rtl(self) -> Optional[RtlResult]:
+        """The plan's margins and negatives; rtl.loss is L_soft where the plan was frozen."""
+        return self.plan.rtl
 
-def _objective_value(l_total: np.ndarray, Sg: np.ndarray, plan: FrozenPlan,
-                     hyper: Hyper) -> Tuple[float, float, float, float]:
-    b = len(l_total)
-    L_S1 = float((plan.w1 * l_total + plan.r1).sum() / b)
-    L_S2 = float((plan.w2 * l_total + plan.r2).sum() / b)
-    if plan.variant.use_rtl and hyper.lambda2 > 0:
-        h1, h2 = _frozen_rtl_terms(Sg, plan)
-        L_soft = float((h1 + h2).sum() / b)
-    else:
-        L_soft = 0.0
-    total = L_S1 + hyper.lambda1 * L_S2 + hyper.lambda2 * L_soft
-    return total, L_S1, L_S2, L_soft
-
-
-def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
-                    variant: VariantSpec = VARIANTS["full"],
-                    weight_rng: Optional[np.random.Generator] = None,
-                    gamma2: Optional[float] = None) -> BatchState:
-    """Forward pass: per-pair losses, partition, frozen weights, objective value."""
-    g2 = hyper.gamma2 if gamma2 is None else gamma2
-    p = _project_batch(heads, batch)
-    b = batch.size
-    Sg = p.Uig @ p.Utg.T
-    l_g = infonce_per_pair(Sg, hyper.tau)
-    l_l = None
-    if variant.use_local:
-        Sl, _ = _local_similarity(p, b)
-        l_l = infonce_per_pair(Sl, hyper.tau)
-        l_total = l_g + l_l
-    else:
-        l_total = l_g.copy()
-
-    plan, part, weights = _build_plan(l_total, hyper, variant, g2, weight_rng)
-
-    rtl = None
-    if variant.use_rtl and hyper.lambda2 > 0:
-        ht, hi = hardest_negatives(Sg)
-        if variant.adaptive_margin:
-            mu, zeta = adaptive_margins(Sg, ht, hi, hyper.sigma)
-        else:
-            mu = np.full(b, hyper.sigma)
-            zeta = np.full(b, hyper.sigma)
-        plan.mu_hat, plan.zeta_hat = mu, zeta
-        plan.hard_txt_idx, plan.hard_img_idx = ht, hi
-
-    total, L_S1, L_S2, L_soft = _objective_value(l_total, Sg, plan, hyper)
-    if variant.use_rtl and hyper.lambda2 > 0:
-        rtl = RtlResult(loss=L_soft, mu_hat=plan.mu_hat, zeta_hat=plan.zeta_hat,
-                        hard_txt_idx=plan.hard_txt_idx, hard_img_idx=plan.hard_img_idx)
-    return BatchState(loss=total, parts=ObjectiveParts(L_S1, L_S2, L_soft),
-                      partition=part, weights=weights, l_total=l_total, l_g=l_g,
-                      l_l=l_l, rtl=rtl, plan=plan, gamma2_effective=g2)
-
-
-def objective_with_frozen(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
-                          plan: FrozenPlan) -> float:
-    """Objective value at the current parameters with an externally frozen plan.
-
-    This is the function the gradient step actually descends; finite-difference
-    checks must perturb parameters through this, not through batch_objective.
-    """
-    p = _project_batch(heads, batch)
-    b = batch.size
-    Sg = p.Uig @ p.Utg.T
-    l_g = infonce_per_pair(Sg, hyper.tau)
-    if plan.variant.use_local:
-        Sl, _ = _local_similarity(p, b)
-        l_total = l_g + infonce_per_pair(Sl, hyper.tau)
-    else:
-        l_total = l_g
-    total, _, _, _ = _objective_value(l_total, Sg, plan, hyper)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     e = np.exp(z - z.max(axis=axis, keepdims=True))
@@ -424,64 +280,64 @@ def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray
     return (dU - (dU * U).sum(axis=1, keepdims=True) * U) / r
 
 
-def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
-              variant: VariantSpec = VARIANTS["full"],
-              weight_rng: Optional[np.random.Generator] = None,
-              gamma2: Optional[float] = None
-              ) -> Tuple[Dict[str, np.ndarray], BatchState]:
-    """Analytic gradients of the objective w.r.t. all head parameters.
-
-    Weights, margins, mined negatives, and the partition are treated as
-    constants (they are recomputed from the current parameters, then frozen).
-    """
-    g2 = hyper.gamma2 if gamma2 is None else gamma2
+def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
+               variant: VariantSpec, weight_rng: Optional[np.random.Generator],
+               gamma2: Optional[float], plan: Optional[FrozenPlan], grad: bool
+               ) -> Tuple[Optional[Dict[str, np.ndarray]], BatchState]:
+    """Per-pair losses, the plan (frozen from them unless given), the objective
+    value and, if grad, its analytic gradients w.r.t. all head parameters."""
     p = _project_batch(heads, batch)
     b = batch.size
-    dim = heads.dim_in
     Sg = p.Uig @ p.Utg.T
     l_g = infonce_per_pair(Sg, hyper.tau)
-    Sl = local_backward = l_l = None
+    l_l = None
     if variant.use_local:
-        Sl, local_backward = _local_similarity(p, b)
+        Sl, local_backward = local_similarity_units(p.Uil.reshape(b, p.d1, -1),
+                                                    p.Utl.reshape(b, p.d2, -1))
         l_l = infonce_per_pair(Sl, hyper.tau)
         l_total = l_g + l_l
     else:
         l_total = l_g.copy()
 
-    plan, part, weights = _build_plan(l_total, hyper, variant, g2, weight_rng)
+    if plan is None:
+        part, weights = selfpaced.compute_weights(
+            l_total, hyper.gamma1, hyper.gamma2 if gamma2 is None else gamma2,
+            variant.weighting, variant.merge_ambiguous, hyper.spl_sum_over_all, weight_rng)
+        rtl = rtl_mask = None
+        if variant.use_rtl and hyper.lambda2 > 0:
+            if hyper.rtl_noisy_only:
+                rtl_mask = part.bucket_codes(b) == BUCKET_NOISY
+            rtl = robust_triplet_loss(Sg, hyper.sigma, variant.adaptive_margin, rtl_mask)
+        plan = FrozenPlan(part, weights, rtl, rtl_mask)
+    elif len(plan.weights.w) != b:
+        raise ConfigError(f"plan was frozen for {len(plan.weights.w)} pairs, batch has {b}")
 
-    rtl = None
-    if variant.use_rtl and hyper.lambda2 > 0:
-        ht, hi = hardest_negatives(Sg)
-        if variant.adaptive_margin:
-            mu, zeta = adaptive_margins(Sg, ht, hi, hyper.sigma)
-        else:
-            mu = np.full(b, hyper.sigma)
-            zeta = np.full(b, hyper.sigma)
-        plan.mu_hat, plan.zeta_hat = mu, zeta
-        plan.hard_txt_idx, plan.hard_img_idx = ht, hi
-
-    total, L_S1, L_S2, L_soft = _objective_value(l_total, Sg, plan, hyper)
+    L_S1, L_S2 = plan.weights.spl_losses(l_total)
+    L_soft = 0.0
+    if plan.rtl is not None:
+        h1, h2 = triplet_hinges(Sg, plan.rtl, plan.rtl_mask)
+        L_soft = float((h1 + h2).sum() / b)
+    total = L_S1 + hyper.lambda1 * L_S2 + hyper.lambda2 * L_soft
     if not np.isfinite(total):
         raise NumericError(
             f"non-finite objective: L_S1={L_S1}, L_S2={L_S2}, L_soft={L_soft}")
-    if variant.use_rtl and hyper.lambda2 > 0:
-        rtl = RtlResult(loss=L_soft, mu_hat=plan.mu_hat, zeta_hat=plan.zeta_hat,
-                        hard_txt_idx=plan.hard_txt_idx, hard_img_idx=plan.hard_img_idx)
+    state = BatchState(loss=total, parts=ObjectiveParts(L_S1, L_S2, L_soft),
+                       l_total=l_total, l_g=l_g, l_l=l_l, plan=plan)
+    if not grad:
+        return None, state
 
     # d(total)/d(l_i): weights frozen
-    c = (plan.w1 + hyper.lambda1 * plan.w2) / b
+    c = (plan.weights.w1 + hyper.lambda1 * plan.weights.w2) / b
 
     # global similarity gradient: contrastive part + triplet hinges
     Gg = _infonce_grad(Sg, c, hyper.tau)
-    if variant.use_rtl and hyper.lambda2 > 0:
-        h1, h2 = _frozen_rtl_terms(Sg, plan)
+    if plan.rtl is not None:
         a1 = (h1 > 0).astype(np.float64)
         a2 = (h2 > 0).astype(np.float64)
         coef = hyper.lambda2 / b
         rows = np.arange(b)
-        Gg[rows, plan.hard_txt_idx] += coef * a1
-        Gg[plan.hard_img_idx, rows] += coef * a2
+        Gg[rows, plan.rtl.hard_txt_idx] += coef * a1
+        Gg[plan.rtl.hard_img_idx, rows] += coef * a2
         Gg[rows, rows] -= coef * (a1 + a2)
 
     dUig = Gg @ p.Utg
@@ -500,20 +356,40 @@ def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     dZtg = _renorm_backward(dUtg, p.Utg, p.rtg)
     dZtl = _renorm_backward(dUtl, p.Utl, p.rtl)
 
-    Xig = batch.image_global
+    dim = heads.dim_in
     Xil = batch.image_local.reshape(b * p.d1, dim)
-    Xtg = batch.text_global
     Xtl = batch.text_local.reshape(b * p.d2, dim)
     grads = {
-        "W_img": dZig.T @ Xig + dZil.T @ Xil,
+        "W_img": dZig.T @ batch.image_global + dZil.T @ Xil,
         "b_img": dZig.sum(axis=0) + dZil.sum(axis=0),
-        "W_txt": dZtg.T @ Xtg + dZtl.T @ Xtl,
+        "W_txt": dZtg.T @ batch.text_global + dZtl.T @ Xtl,
         "b_txt": dZtg.sum(axis=0) + dZtl.sum(axis=0),
     }
-    state = BatchState(loss=total, parts=ObjectiveParts(L_S1, L_S2, L_soft),
-                       partition=part, weights=weights, l_total=l_total, l_g=l_g,
-                       l_l=l_l, rtl=rtl, plan=plan, gamma2_effective=g2)
     return grads, state
+
+
+def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
+                    variant: VariantSpec = VARIANTS["full"],
+                    weight_rng: Optional[np.random.Generator] = None,
+                    gamma2: Optional[float] = None,
+                    plan: Optional[FrozenPlan] = None) -> BatchState:
+    """Objective value at the current parameters. With plan (a BatchState.plan)
+    the weights, partition, margins and negatives stay frozen: that is the
+    function a gradient step descends, and what finite-difference checks perturb."""
+    return _objective(heads, batch, hyper, variant, weight_rng, gamma2, plan, grad=False)[1]
+
+
+def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
+              variant: VariantSpec = VARIANTS["full"],
+              weight_rng: Optional[np.random.Generator] = None,
+              gamma2: Optional[float] = None
+              ) -> Tuple[Dict[str, np.ndarray], BatchState]:
+    """Analytic gradients of the objective w.r.t. all head parameters.
+
+    Weights, margins, mined negatives, and the partition are treated as
+    constants (they are recomputed from the current parameters, then frozen).
+    """
+    return _objective(heads, batch, hyper, variant, weight_rng, gamma2, None, grad=True)
 
 
 def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
@@ -681,8 +557,6 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
             except NumericError as e:
                 raise NumericError(
                     f"training diverged at epoch {epoch} step {step}: {e}") from e
-            if not np.isfinite(state.loss):
-                raise NumericError(f"training diverged at epoch {epoch} step {step}")
             grad_norm_sum += clip_gradients(grads, hyper.max_grad_norm)
             cur_lr = lr_at(step, total_steps, hyper)
             opt.step(grads, cur_lr)
@@ -748,15 +622,6 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
     return heads, log
 
 
-def ablate(dataset: Dataset, hyper: Hyper, variant: str,
-           val_dataset: Optional[Dataset] = None,
-           trace_epochs: Iterable[int] = ()) -> Tuple[ProjectionHeads, TrainLog]:
-    """Train with one of the named objective substitutions (or 'full')."""
-    resolve_variant(variant)  # fail fast on unknown names
-    return train(dataset, hyper, val_dataset=val_dataset, variant=variant,
-                 trace_epochs=trace_epochs)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -790,9 +655,11 @@ def load_heads(path: str) -> ProjectionHeads:
                 raise FormatError(f"truncated checkpoint: section '{name}'")
             return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
-        return ProjectionHeads(
+        heads = ProjectionHeads(
             W_img=block((dout, din), "W_img"),
             b_img=block((dout,), "b_img"),
             W_txt=block((dout, din), "W_txt"),
             b_txt=block((dout,), "b_txt"),
         )
+        expect_eof(f)
+    return heads

@@ -108,6 +108,31 @@ def test_eval_refuses_noisy_data(tmp_path):
     assert rc == 3
 
 
+def test_eval_rejects_label_outside_0_1(tmp_path, capsys):
+    from rrsitr.trainer import init_heads, save_heads
+
+    data = _gen(tmp_path, n=20)
+    n, dim, d1, d2 = 20, 8, 2, 2
+    y_offset = 24 + 4 * (n * dim + n * d1 * dim + n * dim + n * d2 * dim)
+    with open(data, "r+b") as f:
+        f.seek(y_offset + 5)
+        f.write(bytes([7]))
+    ckpt = str(tmp_path / "h.rrsp")
+    save_heads(init_heads(dim), ckpt)
+    rc = main(["eval", "--checkpoint", ckpt, "--data", data])
+    assert rc == 3
+    assert "y must be 0 or 1" in capsys.readouterr().err
+
+
+def test_trace_bad_epoch_list(tmp_path, capsys):
+    train_file = _gen(tmp_path, n=40)
+    capsys.readouterr()
+    rc = main(["trace", "--data", train_file, "--epochs", "1,b",
+               "--out-dir", str(tmp_path / "tr"), "--seed", "0"])
+    assert rc == 2
+    assert "'b'" in capsys.readouterr().err
+
+
 def test_trace_command(tmp_path):
     train_file = _gen(tmp_path, n=40)
     out_dir = str(tmp_path / "tr")

@@ -161,6 +161,26 @@ def test_truncated_file_names_section(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("junk", [1, 13])
+def test_trailing_bytes_rejected(tmp_path, junk):
+    ds = generate_synthetic(8, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    path = str(tmp_path / "t.rrse")
+    write_dataset(ds, path)
+    size = len(open(path, "rb").read())
+    with open(path, "ab") as f:
+        f.write(b"\x07" * junk)
+    with pytest.raises(FormatError, match=f"trailing bytes .* offset {size}"):
+        read_dataset(path)
+
+
+def test_dataset_rejects_labels_outside_0_1():
+    ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
+    y = ds.y.copy()
+    y[3] = 7
+    with pytest.raises(DataError, match="7"):
+        Dataset(ds.image_global, ds.image_local, ds.text_global, ds.text_local, y)
+
+
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "bad.rrse")
     with open(path, "wb") as f:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rrsitr.errors import ConfigError
-from rrsitr.losses import (adaptive_margins, hardest_negatives, infonce_batch,
-                           infonce_per_pair, per_pair_losses, robust_triplet_loss)
+from rrsitr.losses import (adaptive_margins, hardest_negatives, infonce_per_pair,
+                           robust_triplet_loss, triplet_hinges)
 
 
 def test_infonce_identity_2x2():
@@ -71,24 +71,6 @@ def test_infonce_errors():
         infonce_per_pair(np.eye(2), tau=0.0)
     with pytest.raises(ConfigError):
         infonce_per_pair(np.ones((1, 1)), tau=1.0)
-
-
-def test_infonce_batch_decomposition():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        b = int(rng.integers(2, 10))
-        Sg = rng.normal(size=(b, b))
-        Sl = rng.random(size=(b, b))
-        L_g, L_l, L_gl = infonce_batch(Sg, Sl, tau=0.07)
-        pp = per_pair_losses(Sg, Sl, tau=0.07)
-        assert abs(pp.l_total.mean() - L_gl) < 1e-10
-        assert L_gl == pytest.approx(L_g + L_l, abs=1e-12)
-        assert np.all(pp.l_total >= 0)
-
-
-def test_infonce_batch_identity_value():
-    L_g, _, _ = infonce_batch(np.eye(2), np.full((2, 2), 0.5), tau=1.0)
-    assert L_g == pytest.approx(0.6265233750364456, abs=1e-10)
 
 
 def test_hardest_negatives_basic():
@@ -216,6 +198,22 @@ def test_rtl_fixed_margin_and_mask():
     mask = np.zeros(6, dtype=bool)
     masked = robust_triplet_loss(Sg, sigma=0.6, include=mask)
     assert masked.loss == 0.0
+
+
+def test_triplet_hinges_at_frozen_margins():
+    rng = np.random.default_rng(11)
+    Sg = rng.uniform(-1, 1, size=(6, 6))
+    mask = np.array([True, False, True, True, False, True])
+    res = robust_triplet_loss(Sg, sigma=0.6, include=mask)
+    h1, h2 = triplet_hinges(Sg, res, mask)
+    assert float((h1 + h2).sum() / 6) == res.loss
+    assert np.all(h1[~mask] == 0.0) and np.all(h2[~mask] == 0.0)
+    # the hinges move with Sg while the margins and negatives stay as mined
+    Sg2 = Sg + 0.01 * rng.normal(size=Sg.shape)
+    h1b, _ = triplet_hinges(Sg2, res)
+    rows = np.arange(6)
+    want = np.maximum(0.0, res.mu_hat - Sg2[rows, rows] + Sg2[rows, res.hard_txt_idx])
+    assert np.array_equal(h1b, want)
 
 
 def _loss_grad_fd_check(loss_fn, S0, h=1e-5, tol=1e-6):

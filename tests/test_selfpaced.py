@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY,
-                              assemble_objective, compute_weights, optimal_weight,
-                              optimal_weight_oracle, partition, regularizer,
-                              weighted_spl_loss)
+                              compute_weights, optimal_weight, optimal_weight_oracle,
+                              partition, regularizer)
+from rrsitr.trainer import Hyper, batch_objective, init_heads
+
+
+def _batch(size=10):
+    ds = generate_synthetic(40, 4, 10, 3, 2, intra_class_spread=1.0, seed=0)
+    ds = inject_noise(ds, NoiseSpec(rho=0.4, seed=1))
+    return next(batch_iter(ds, size, epoch_seed=0)), init_heads(ds.dim, seed=1)
+
+
+def _hyper(**kw):
+    return Hyper(**{"batch_size": 10, "gamma1": 2.0, "gamma2": 9.0, **kw})
 
 
 def test_partition_paper_defaults():
@@ -95,7 +106,11 @@ def test_oracle_matches_closed_form():
 
 
 def test_weighted_spl_loss_empty_bucket():
-    assert weighted_spl_loss(np.array([1.0, 2.0]), np.zeros(2), np.array([], dtype=int), 5.0) == 0.0
+    # no pair below gamma1: L_S1 sums over an empty clean bucket
+    l = np.array([7.0, 8.0])
+    _, weights = compute_weights(l, 5.0, 18.0)
+    assert weights.spl_losses(l)[0] == 0.0
+    assert np.all(weights.w1 == 0.0) and np.all(weights.r1 == 0.0)
 
 
 def test_weighted_spl_loss_hand_value():
@@ -104,27 +119,33 @@ def test_weighted_spl_loss_hand_value():
     w_star = math.cos(math.pi / 4)
     r = -(2 / math.pi) * 5.0 * (w_star * math.acos(w_star) - math.sqrt(1 - w_star ** 2))
     expected = w_star * 2.5 + r
-    got = weighted_spl_loss(l, np.array([w_star]), np.array([0]), 5.0)
-    assert got == pytest.approx(expected, abs=1e-12)
+    _, weights = compute_weights(l, 5.0, 18.0)
+    assert weights.spl_losses(l) == (pytest.approx(expected, abs=1e-12), 0.0)
 
 
 def test_weighted_spl_loss_zero_weights_pure_regularizer():
-    l = np.array([1.0, 2.0, 3.0])
-    got = weighted_spl_loss(l, np.zeros(3), np.arange(3), 5.0)
-    assert got == pytest.approx(3 * (10.0 / math.pi) / 3, abs=1e-12)
+    # hard_to_easy gives w = 1 - cos(0) = 0 at l = 0, leaving R(0, gamma) = 2*gamma/pi
+    l = np.zeros(3)
+    _, weights = compute_weights(l, 5.0, 18.0, weighting="hard_to_easy")
+    assert np.all(weights.w1 == 0.0)
+    assert weights.spl_losses(l)[0] == pytest.approx(3 * (10.0 / math.pi) / 3, abs=1e-12)
 
 
 def test_weighted_spl_loss_normalizes_by_full_batch():
     l = np.array([2.0, 2.0, 30.0, 30.0])
-    w = np.array([0.5, 0.5, 0.0, 0.0])
-    got = weighted_spl_loss(l, w, np.array([0, 1]), 5.0)
-    per_pair = 0.5 * 2.0 + regularizer(0.5, 5.0, 2.0)
-    assert got == pytest.approx(2 * per_pair / 4, abs=1e-12)
+    _, weights = compute_weights(l, 5.0, 18.0)
+    w = math.cos(math.pi / 2 * 2.0 / 5.0)
+    per_pair = w * 2.0 + regularizer(w, 5.0, 2.0)
+    assert weights.spl_losses(l)[0] == pytest.approx(2 * per_pair / 4, abs=1e-12)
 
 
 def test_weighted_spl_loss_mismatch():
-    with pytest.raises(ValueError):
-        weighted_spl_loss(np.ones(3), np.ones(2), np.array([0]), 5.0)
+    # a plan frozen for one batch cannot weight a batch of another size
+    batch, heads = _batch(10)
+    plan = batch_objective(heads, batch, _hyper()).plan
+    smaller, _ = _batch(8)
+    with pytest.raises(ConfigError):
+        batch_objective(heads, smaller, _hyper(), plan=plan)
 
 
 def test_compute_weights_bucket_rules():
@@ -137,43 +158,60 @@ def test_compute_weights_bucket_rules():
     assert np.all(weights.w >= 0) and np.all(weights.w <= 1)
 
 
-def test_assemble_objective_composition():
+def test_compute_weights_variants():
     l = np.array([1.0, 7.0, 25.0, 2.0])
-    total, parts, part, weights = assemble_objective(
-        l, rtl_loss=0.5, lambda1=0.8, lambda2=0.9, gamma1=5.0, gamma2=18.0)
-    s1 = weighted_spl_loss(l, weights.w, part.clean_idx, 5.0)
-    s2 = weighted_spl_loss(l, weights.w, part.ambiguous_idx, 18.0)
-    assert total == pytest.approx(s1 + 0.8 * s2 + 0.9 * 0.5, abs=1e-12)
-    assert parts.L_S1 == pytest.approx(s1)
-    assert parts.L_S2 == pytest.approx(s2)
+    _, spl = compute_weights(l, 5.0, 18.0)
+    _, over_all = compute_weights(l, 5.0, 18.0, sum_over_all=True)
+    # L_S2 also covers the clean pairs, at their gamma2 weight
+    assert over_all.w2[0] == pytest.approx(math.cos(math.pi / 2 * 1.0 / 18.0))
+    assert spl.w2[0] == 0.0 and np.array_equal(over_all.w, spl.w)
+    part, merged = compute_weights(l, 5.0, 18.0, merge_ambiguous=True, sum_over_all=True)
+    assert part.noisy_idx.tolist() == [1, 2] and np.all(merged.w2 == 0.0)
+    _, uniform = compute_weights(l, 5.0, 18.0, weighting="uniform")
+    assert np.all(uniform.w1 == 1.0) and uniform.spl_losses(l) == (l.mean(), 0.0)
+    with pytest.raises(ConfigError):
+        compute_weights(l, 5.0, 18.0, weighting="random")  # needs an RNG
+    with pytest.raises(ConfigError):
+        compute_weights(l, 5.0, 18.0, weighting="bogus")
+
+
+def test_assemble_objective_composition():
+    batch, heads = _batch()
+    state = batch_objective(heads, batch, _hyper())
+    L_S1, L_S2 = state.weights.spl_losses(state.l_total)
+    assert (state.parts.L_S1, state.parts.L_S2) == (L_S1, L_S2)
+    assert state.parts.L_soft == state.rtl.loss > 0.0
+    assert state.loss == pytest.approx(L_S1 + 0.8 * L_S2 + 0.9 * state.rtl.loss, abs=1e-12)
 
 
 def test_assemble_objective_degenerate_lambdas():
-    l = np.array([1.0, 7.0])
-    total, parts, _, _ = assemble_objective(l, rtl_loss=123.0, lambda1=0.0,
-                                            lambda2=0.0, gamma1=5.0, gamma2=18.0)
-    assert total == pytest.approx(parts.L_S1, abs=1e-12)
+    batch, heads = _batch()
+    state = batch_objective(heads, batch, _hyper(lambda1=0.0, lambda2=0.0))
+    assert state.parts.L_S2 > 0.0 and state.rtl is None
+    assert state.loss == pytest.approx(state.parts.L_S1, abs=1e-12)
 
 
 def test_assemble_objective_all_noisy():
     l = np.array([30.0, 40.0])
-    total, parts, part, weights = assemble_objective(
-        l, rtl_loss=2.0, lambda1=0.8, lambda2=0.9, gamma1=5.0, gamma2=18.0)
-    assert parts.L_S1 == 0.0 and parts.L_S2 == 0.0
+    part, weights = compute_weights(l, 5.0, 18.0)
+    assert weights.spl_losses(l) == (0.0, 0.0)
     assert np.all(weights.w == 0.0)
-    assert total == pytest.approx(0.9 * 2.0, abs=1e-12)
+    # tiny gammas force the whole batch into the noisy bucket; only L_soft is left
+    batch, heads = _batch()
+    state = batch_objective(heads, batch, _hyper(gamma1=1e-6, gamma2=2e-6))
+    assert len(state.partition.noisy_idx) == 10
+    assert state.loss == pytest.approx(0.9 * state.parts.L_soft, abs=1e-12)
 
 
 def test_noisy_pairs_contribute_nothing():
     rng = np.random.default_rng(2)
     l = np.concatenate([rng.uniform(0, 4, 5), rng.uniform(19, 40, 5)])
-    total, parts, part, weights = assemble_objective(
-        l, rtl_loss=0.0, lambda1=0.8, lambda2=0.9, gamma1=5.0, gamma2=18.0)
+    _, weights = compute_weights(l, 5.0, 18.0)
     # dropping the noisy pairs entirely (but keeping b) leaves the value unchanged
     l2 = l.copy()
     l2[5:] = 99.0
-    total2, *_ = assemble_objective(l2, 0.0, 0.8, 0.9, 5.0, 18.0)
-    assert total == pytest.approx(total2, abs=1e-12)
+    _, weights2 = compute_weights(l2, 5.0, 18.0)
+    assert weights.spl_losses(l) == pytest.approx(weights2.spl_losses(l2), abs=1e-12)
 
 
 def test_spl_gradient_coefficient_property():
@@ -185,7 +223,7 @@ def test_spl_gradient_coefficient_property():
     for i in part.clean_idx:
         lp = l.copy(); lp[i] += h
         lm = l.copy(); lm[i] -= h
-        up = weighted_spl_loss(lp, weights.w, part.clean_idx, 5.0)
-        dn = weighted_spl_loss(lm, weights.w, part.clean_idx, 5.0)
+        up = weights.spl_losses(lp)[0]
+        dn = weights.spl_losses(lm)[0]
         fd = (up - dn) / (2 * h)
         assert fd == pytest.approx(weights.w[i] / b, abs=1e-8)

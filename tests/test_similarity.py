@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.similarity import (_direct_kernel, _gram_chosen, _gram_kernel, fused_similarity,
-                               global_similarity, local_similarity, local_similarity_units,
-                               similarity_bundle)
+                               global_similarity, local_similarity, local_similarity_units)
 
 
 def _unit(v):
@@ -214,15 +213,3 @@ def test_fused_errors():
         fused_similarity(np.zeros((2, 2)), np.zeros((3, 3)), 0.5)
     with pytest.raises(ConfigError):
         fused_similarity(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
-
-
-def test_bundle_invariants():
-    rng = np.random.default_rng(4)
-    img_g = rng.normal(size=(5, 8))
-    txt_g = rng.normal(size=(5, 8))
-    img_l = rng.normal(size=(5, 3, 8))
-    txt_l = rng.normal(size=(5, 2, 8))
-    bundle = similarity_bundle(img_g, txt_g, img_l, txt_l, alpha=0.9)
-    assert np.all(bundle.Sg <= 1 + 1e-6) and np.all(bundle.Sg >= -1 - 1e-6)
-    assert np.all(bundle.Sl >= 0.0)
-    assert np.allclose(bundle.Sf, 0.9 * bundle.Sg + 0.1 * bundle.Sl, atol=1e-12)
