@@ -13,6 +13,7 @@ from .errors import ConfigError, DataError, FormatError
 
 RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
+UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,18 @@ class Dataset:
         if bad.size:
             raise DataError(f"y must be 0 or 1, found {sorted(set(bad.tolist()))[:5]}")
         for name in ("image_global", "image_local", "text_global", "text_local"):
-            if not np.isfinite(getattr(self, name)).all():
+            rows = getattr(self, name)
+            # squared row norms; einsum needs no temporary the size of the block,
+            # and a non-finite value makes its row's sum non-finite
+            sq = np.einsum("...i,...i->...", rows, rows)
+            if not np.isfinite(sq).all():
                 raise ConfigError(f"{name} contains non-finite values")
+            bad = (sq < (1.0 - UNIT_NORM_TOL) ** 2) | (sq > (1.0 + UNIT_NORM_TOL) ** 2)
+            if bad.any():
+                where = np.unravel_index(np.argmax(bad), bad.shape)
+                raise DataError(f"{name} row {tuple(int(i) for i in where)} has norm "
+                                f"{np.sqrt(sq[where]):.9g}; rows must be unit-norm within "
+                                f"{UNIT_NORM_TOL:g}")
 
     @property
     def n_pairs(self) -> int:

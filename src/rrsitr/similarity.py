@@ -7,6 +7,7 @@ from .errors import ConfigError, NumericError
 
 NORM_EPS = 1e-12  # guard against division by zero without disturbing unit rows
 DIRECT_BLOCK_BYTES = 64e6  # budget for the direct kernel's (rows*d1, m*d2) intermediate
+GRAM_BLOCK = 32  # rows per strip of the blocked Gram kernel
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -32,13 +33,15 @@ def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray,
     reduced to a single score ||M||_F / sqrt(d1*d2), which lies in [0, 1].
     Note the Frobenius norm discards the sign of individual local cosines.
 
-    Two kernels compute it, chosen from the input shape alone. The direct
-    kernel forms every M. The Gram kernel uses the identity
-    ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F, so all pairs take one
-    (n, dim^2) @ (dim^2, m) matmul. The Gram kernel runs when its Grams,
-    8*(n+m)*dim^2 bytes, are no larger than the direct kernel's intermediate,
-    min(8*n*m*d1*d2, 64e6) bytes. The two agree to rounding, except that near
-    Sl = 0 the Gram form's cancelled sum leaves an error of order sqrt(eps).
+    Two kernels compute it, chosen from the input shape alone (_gram_chosen).
+    The direct kernel forms every M, d1*d2*dim multiply-adds per pair. The
+    Gram kernel uses the identity ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F.
+    The Grams are symmetric, so it forms only their upper block triangle, in
+    strips of GRAM_BLOCK rows, and each strip adds one matmul over all pairs:
+    about dim^2/2 multiply-adds per pair. It runs when 2*dim <= d1*d2 and the
+    Grams it holds at once fit in DIRECT_BLOCK_BYTES. The two agree to
+    rounding, except that near Sl = 0 the Gram form's cancelled sum leaves an
+    error of order sqrt(eps).
 
     block_rows applies to the direct kernel only. It bounds peak memory by
     processing image rows in chunks; the result is bit-identical for any
@@ -64,18 +67,29 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray):
     return _local(A, B, None, grad=True)
 
 
-def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int) -> bool:
-    """Gram kernel when its Grams take no more memory than the direct kernel's
-    bounded intermediate, so the choice never raises peak memory."""
-    return 8 * (n + m) * dim * dim <= min(8 * n * m * d1 * d2, DIRECT_BLOCK_BYTES)
+def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int, grad: bool) -> bool:
+    """Gram kernel when it does less arithmetic and its Grams fit the memory budget.
+
+    Per pair the direct kernel does d1*d2*dim multiply-adds and the blocked
+    Gram kernel about dim^2/2; the Gram side also forms every item's Gram and
+    runs small batched matmuls, so it is taken only when 2*dim <= d1*d2. The
+    Gram strips it holds at once, the first one without grad or all of them
+    with grad, must fit in DIRECT_BLOCK_BYTES, the bound on the direct
+    kernel's intermediate.
+    """
+    if 2 * dim > d1 * d2:
+        return False
+    strips = [(min(s + GRAM_BLOCK, dim) - s) * (dim - s) for s in range(0, dim, GRAM_BLOCK)]
+    held = sum(strips) if grad else strips[0]
+    return 8 * (n + m) * held <= DIRECT_BLOCK_BYTES
 
 
 def _local(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
     n, d1, dim = A.shape
     m, d2, _ = B.shape
     scale = np.sqrt(d1 * d2)
-    if _gram_chosen(n, m, d1, d2, dim):
-        norms, kernel_backward = _gram_kernel(A, B)
+    if _gram_chosen(n, m, d1, d2, dim, grad):
+        norms, kernel_backward = _gram_kernel(A, B, grad)
     else:
         norms, kernel_backward = _direct_kernel(A, B, block_rows, grad)
 
@@ -86,23 +100,62 @@ def _local(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
     return norms / scale, backward
 
 
-def _gram_kernel(A: np.ndarray, B: np.ndarray):
-    """||A_i B_j^T||_F for all pairs from the Grams A_i^T A_i and B_j^T B_j, and a
-    backward mapping W = dLoss/d||M||_F / ||M||_F to (dA, dB)."""
+def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
+    """||A_i B_j^T||_F for all pairs from the Grams A_i^T A_i and B_j^T B_j, and
+    (with grad) a backward mapping W = dLoss/d||M||_F / ||M||_F to (dA, dB).
+
+    The Grams are symmetric, so only their upper block triangle is formed, in
+    strips of GRAM_BLOCK rows: strip s:e holds rows s:e, columns s: of every
+    Gram. Its entries right of the diagonal block stand for their mirror images
+    too and are doubled on the A side, so the strips' inner products sum to
+    <A_i^T A_i, B_j^T B_j>_F. With one strip (dim <= GRAM_BLOCK) this is the
+    plain full-Gram product.
+    """
     n, _, dim = A.shape
     m = B.shape[0]
-    PA = np.matmul(A.transpose(0, 2, 1), A).reshape(n, dim * dim)
-    PB = np.matmul(B.transpose(0, 2, 1), B).reshape(m, dim * dim)
+    kept = []
+    for s in range(0, dim, GRAM_BLOCK):
+        e = min(s + GRAM_BLOCK, dim)
+        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:])   # (n, e-s, dim-s)
+        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:])
+        PA[:, :, e - s:] *= 2.0
+        part = PA.reshape(n, -1) @ PB.reshape(m, -1).T
+        if s == 0:
+            sq = part
+        else:
+            sq += part
+        if grad:
+            kept.append((s, e, PA, PB))
     # the cancelled sum of a (near-)orthogonal pair can round below zero
-    norms = np.sqrt(np.maximum(PA @ PB.T, 0.0))
+    np.maximum(sq, 0.0, out=sq)
+    norms = np.sqrt(sq, out=sq)
 
     def backward(W: np.ndarray):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
-        KA = (W @ PB).reshape(n, dim, dim)
-        KB = (W.T @ PA).reshape(m, dim, dim)
-        return np.matmul(A, KA), np.matmul(B, KB)
+        dA = dB = None
+        for s, e, PA, PB in kept:
+            KA = (W @ PB.reshape(m, -1)).reshape(n, e - s, dim - s)
+            KB = (W.T @ PA.reshape(n, -1)).reshape(m, e - s, dim - s)
+            KB[:, :, e - s:] *= 0.5   # undo the doubling (exact)
+            dA = _strip_backward(A, KA, s, e, dA)
+            dB = _strip_backward(B, KB, s, e, dB)
+        return dA, dB
 
-    return norms, backward
+    return norms, (backward if grad else None)
+
+
+def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
+    """Add X_i K_i to dX for the rows s:e, columns s: strip K of symmetric K_i:
+    the strip acts on columns s: and its mirror image on columns s:e. The first
+    strip (s = 0) covers every column and starts dX."""
+    part = np.matmul(X[:, :, s:e], K)
+    if dX is None:
+        dX = part
+    else:
+        dX[:, :, s:] += part
+    if e < X.shape[2]:
+        dX[:, :, s:e] += np.matmul(X[:, :, e:], K[:, :, e - s:].transpose(0, 2, 1))
+    return dX
 
 
 def _direct_kernel(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):

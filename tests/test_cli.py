@@ -124,6 +124,18 @@ def test_eval_rejects_label_outside_0_1(tmp_path, capsys):
     assert "y must be 0 or 1" in capsys.readouterr().err
 
 
+def test_train_rejects_non_unit_rows(tmp_path, capsys):
+    data = _gen(tmp_path, n=20)
+    with open(data, "r+b") as f:
+        f.seek(24)  # first value of image_global row 0
+        f.write(np.float32(3.0).tobytes())
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+               "--batch", "10", "--seed", "1"])
+    assert rc == 3
+    assert "image_global row (0,) has norm" in capsys.readouterr().err
+
+
 def test_trace_bad_epoch_list(tmp_path, capsys):
     train_file = _gen(tmp_path, n=40)
     capsys.readouterr()

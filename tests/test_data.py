@@ -181,6 +181,18 @@ def test_dataset_rejects_labels_outside_0_1():
         Dataset(ds.image_global, ds.image_local, ds.text_global, ds.text_local, y)
 
 
+@pytest.mark.parametrize("field", ["image_global", "image_local", "text_global", "text_local"])
+def test_dataset_rejects_non_unit_rows(field):
+    ds = generate_synthetic(6, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    blocks = {f: getattr(ds, f).copy() for f in
+              ("image_global", "image_local", "text_global", "text_local")}
+    blocks[field][3] *= 1.0 + 1e-7   # inside the tolerance: accepted
+    Dataset(y=ds.y, **blocks)
+    blocks[field][3] *= 1.0 + 1e-5
+    with pytest.raises(DataError, match=f"{field} row \\(3"):
+        Dataset(y=ds.y, **blocks)
+
+
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "bad.rrse")
     with open(path, "wb") as f:

@@ -96,14 +96,14 @@ def test_local_matches_scalar_oracle():
         got = local_similarity(a, t)
         want = _local_oracle(a, t)
         assert np.max(np.abs(got - want)) < 1e-10
-    assert _gram_chosen(4, 4, 4, 4, 5)  # the last shape runs the Gram kernel
+    assert _gram_chosen(4, 4, 4, 4, 5, grad=False)  # the last shape runs the Gram kernel
 
 
 def test_local_blocking_bit_identical():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(13, 3, 6))
     b = rng.normal(size=(9, 2, 6))
-    assert not _gram_chosen(13, 9, 3, 2, 6)  # block_rows bounds the direct kernel only
+    assert not _gram_chosen(13, 9, 3, 2, 6, grad=False)  # block_rows bounds the direct kernel only
     full = local_similarity(a, b, block_rows=13)
     for block in (1, 2, 5):
         assert np.array_equal(local_similarity(a, b, block_rows=block), full)
@@ -124,13 +124,15 @@ def _unit_blocks(rng, n, d, dim):
     return _unit_rows(rng.normal(size=(n, d, dim)))
 
 
-@pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),    # desk batch
-                                           (6, 5, 36, 16, 256)])    # small paper-like
+@pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),     # desk batch, one strip
+                                           (6, 5, 36, 16, 256),     # small paper-like
+                                           (7, 5, 12, 12, 70),      # ragged strips 32+32+6
+                                           (100, 100, 36, 16, 256)])  # paper batch
 def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
     rng = np.random.default_rng(7)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     W = rng.normal(size=(n, m))
-    norms_g, back_g = _gram_kernel(A, B)
+    norms_g, back_g = _gram_kernel(A, B, grad=True)
     norms_d, back_d = _direct_kernel(A, B, None, grad=True)
     assert np.max(np.abs(norms_g - norms_d)) <= 1e-12
     for got, want in zip(back_g(W), back_d(W)):
@@ -139,11 +141,21 @@ def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
 
 
 def test_local_dispatch_by_shape():
-    assert _gram_chosen(100, 100, 8, 8, 32)        # desk batch
-    assert _gram_chosen(500, 500, 8, 8, 32)        # desk validation
-    assert _gram_chosen(1000, 1000, 8, 8, 32)      # desk evaluation
-    assert not _gram_chosen(100, 100, 36, 16, 256)  # paper batch
-    assert not _gram_chosen(300, 300, 36, 16, 256)  # paper held-out evaluation
+    assert _gram_chosen(100, 100, 8, 8, 32, grad=True)       # desk batch
+    assert _gram_chosen(500, 500, 8, 8, 32, grad=False)      # desk validation
+    assert _gram_chosen(1000, 1000, 8, 8, 32, grad=False)    # desk evaluation
+    assert _gram_chosen(100, 100, 36, 16, 256, grad=True)    # paper batch
+    assert _gram_chosen(300, 300, 36, 16, 256, grad=False)   # paper held-out evaluation
+    assert _gram_chosen(100, 100, 36, 32, 256, grad=True)
+    # small locals at large dim: the direct kernel does less work
+    assert not _gram_chosen(100, 100, 8, 8, 128, grad=True)
+    assert not _gram_chosen(100, 100, 8, 8, 256, grad=True)
+    assert not _gram_chosen(100, 100, 36, 16, 512, grad=True)
+    assert not _gram_chosen(100, 100, 36, 12, 256, grad=True)
+    # memory guard: with grad every strip is kept, without it one at a time
+    assert not _gram_chosen(300, 300, 36, 16, 256, grad=True)
+    assert not _gram_chosen(120, 120, 36, 16, 256, grad=True)
+    assert not _gram_chosen(2000, 2000, 36, 16, 256, grad=False)
 
 
 GRAM_NEAR_ZERO_TOL = 1e-7  # |Sl_gram - Sl_direct| where rounding leaves sqrt(eps)-sized terms
@@ -153,32 +165,35 @@ def test_local_gram_orthogonal_blocks_finite():
     # image blocks span half of a rotated basis, text blocks the other half, so
     # P_A . P_B cancels to about +-1e-17 and its sqrt would be NaN unclamped;
     # half the texts are nudged to near-orthogonal
-    rng = np.random.default_rng(3)
-    n, d, dim = 8, 4, 6
-    assert _gram_chosen(n, n, d, d, dim)
-    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    a = rng.normal(size=(n, d, dim // 2)) @ Q[:, :dim // 2].T
-    b = rng.normal(size=(n, d, dim // 2)) @ Q[:, dim // 2:].T
-    b[n // 2:] += 1e-9 * rng.normal(size=b[n // 2:].shape)
-    S = local_similarity(a, b)
-    assert np.all(np.isfinite(S)) and np.all(S >= 0.0)
-    A, B = _unit_rows(a), _unit_rows(b)
-    direct, _ = _direct_kernel(A, B, None, grad=False)
-    assert np.max(np.abs(S - direct / np.sqrt(d * d))) <= GRAM_NEAR_ZERO_TOL
-    Sl, backward = local_similarity_units(A, B)
-    assert np.array_equal(Sl, S)
-    dA, dB = backward(np.ones((n, n)))
-    assert np.all(np.isfinite(dA)) and np.all(np.isfinite(dB))
+    for n, d1, d2, dim in [(8, 4, 4, 6),            # one strip
+                           (8, 10, 10, 40),         # ragged strips 32+8
+                           (100, 36, 16, 256)]:     # paper batch
+        rng = np.random.default_rng(3)
+        assert _gram_chosen(n, n, d1, d2, dim, grad=False)
+        assert _gram_chosen(n, n, d1, d2, dim, grad=True)
+        Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        a = rng.normal(size=(n, d1, dim // 2)) @ Q[:, :dim // 2].T
+        b = rng.normal(size=(n, d2, dim // 2)) @ Q[:, dim // 2:].T
+        b[n // 2:] += 1e-9 * rng.normal(size=b[n // 2:].shape)
+        S = local_similarity(a, b)
+        assert np.all(np.isfinite(S)) and np.all(S >= 0.0)
+        A, B = _unit_rows(a), _unit_rows(b)
+        direct, _ = _direct_kernel(A, B, None, grad=False)
+        assert np.max(np.abs(S - direct / np.sqrt(d1 * d2))) <= GRAM_NEAR_ZERO_TOL
+        Sl, backward = local_similarity_units(A, B)
+        assert np.array_equal(Sl, S)
+        dA, dB = backward(np.ones((n, n)))
+        assert np.all(np.isfinite(dA)) and np.all(np.isfinite(dB))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
-       st.integers(1, 8), st.integers(0, 2**32 - 1))
+       st.integers(1, 72), st.integers(0, 2**32 - 1))
 def test_local_kernels_property(n, m, d1, d2, dim, seed):
     rng = np.random.default_rng(seed)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     scale = np.sqrt(d1 * d2)
-    S_gram = _gram_kernel(A, B)[0] / scale
+    S_gram = _gram_kernel(A, B, grad=False)[0] / scale
     S_direct = _direct_kernel(A, B, None, grad=False)[0] / scale
     # the Gram form is exact to rounding in Sl^2; its sqrt magnifies that near 0
     assert np.max(np.abs(S_gram ** 2 - S_direct ** 2)) <= 1e-12

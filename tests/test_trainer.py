@@ -89,16 +89,19 @@ def _fd_check(heads, batch, hyper, variant, n_coords=15, h=1e-5, tol=1e-6, rng_s
     return state
 
 
-# the default shape runs the direct Sl kernel, dim=6 with 4x4 locals the Gram kernel
-@pytest.mark.parametrize("variant,shape", [
-    *(pytest.param(v, {}, id=v) for v in sorted(VARIANTS)),
-    *(pytest.param(v, dict(dim=6, d1=4, d2=4), id=f"{v}-gram") for v in sorted(VARIANTS)),
+# the default shape runs the direct Sl kernel, dim=6 with 4x4 locals the Gram
+# kernel in one strip, dim=40 with 9x9 locals the Gram kernel in strips of 32 and 8
+@pytest.mark.parametrize("variant,shape,gram", [
+    *(pytest.param(v, {}, False, id=v) for v in sorted(VARIANTS)),
+    *(pytest.param(v, dict(dim=6, d1=4, d2=4), True, id=f"{v}-gram") for v in sorted(VARIANTS)),
+    *(pytest.param(v, dict(dim=40, d1=9, d2=9), True, id=f"{v}-gram-strips")
+      for v in sorted(VARIANTS)),
 ])
-def test_gradients_match_finite_differences(variant, shape):
+def test_gradients_match_finite_differences(variant, shape, gram):
     ds = _small_problem(**shape)
     hyper = _hyper()
     batch = next(batch_iter(ds, 10, epoch_seed=2))
-    assert _gram_chosen(10, 10, ds.d1, ds.d2, ds.dim) == bool(shape)
+    assert _gram_chosen(10, 10, ds.d1, ds.d2, ds.dim, grad=True) == gram
     heads = init_heads(ds.dim, seed=5, noise_std=0.05)
     state = _fd_check(heads, batch, hyper, VARIANTS[variant])
     assert np.isfinite(state.loss)
