@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .selfpaced import BUCKET_NOISY, Partition
-from .similarity import fused_similarity, global_similarity, local_similarity
+from .similarity import local_similarity_units
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,43 @@ def recall_at_k(S: np.ndarray, ground_truth_idx: np.ndarray, k: int) -> float:
         raise ConfigError(f"k must be >= 1, got {k}")
     if k > ng:
         raise ConfigError(f"k={k} exceeds gallery size {ng}")
-    if gt.shape != (nq,) or gt.min() < 0 or gt.max() >= ng:
+    if nq == 0:
+        raise ConfigError("recall needs at least one query")
+    if (gt.shape != (nq,) or not np.issubdtype(gt.dtype, np.integer)
+            or gt.min() < 0 or gt.max() >= ng):
         raise ConfigError("ground_truth_idx must hold one valid gallery index per query")
-    rows = np.arange(nq)
-    gt_sim = S[rows, gt]
-    # rank = 1 + #better + #equal-with-lower-index (matches a stable descending sort)
-    better = (S > gt_sim[:, None]).sum(axis=1)
-    tied_before = ((S == gt_sim[:, None]) & (np.arange(ng)[None, :] < gt[:, None])).sum(axis=1)
-    ranks = 1 + better + tied_before
+    return _recall(_ranks(S, gt, axis=1), k)
+
+
+def _ranks(S: np.ndarray, gt: np.ndarray, axis: int) -> np.ndarray:
+    """1-based rank of each query's ground-truth item, as a stable descending
+    sort gives it: 1 + #better + #equal with a lower gallery index.
+
+    axis is the gallery axis of S: axis=1 ranks along rows (queries are rows),
+    axis=0 along columns, so no transposed copy is made. One pass counts the
+    better items; one finds the queries tied with another item, and only those
+    count their ties."""
+    q = np.arange(len(gt))
+    ref = np.expand_dims(S[q, gt] if axis == 1 else S[gt, q], axis)
+    ranks = 1 + np.count_nonzero(S > ref, axis=axis)
+    equal = S == ref
+    tied = np.flatnonzero(np.count_nonzero(equal, axis=axis) > 1)
+    if tied.size:
+        before = (np.expand_dims(np.arange(S.shape[axis]), 1 - axis)
+                  < np.expand_dims(gt[tied], axis))
+        ranks[tied] += np.count_nonzero(np.take(equal, tied, axis=1 - axis) & before, axis=axis)
+    return ranks
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
     return float((ranks <= k).mean() * 100.0)
 
 
 def _report_from_similarity(Sf: np.ndarray) -> RetrievalReport:
-    n = Sf.shape[0]
-    gt = np.arange(n)
-    vals = [recall_at_k(Sf, gt, k) for k in (1, 5, 10)]
-    vals += [recall_at_k(Sf.T, gt, k) for k in (1, 5, 10)]
+    """Image-to-text recalls rank each row of Sf, text-to-image each column."""
+    gt = np.arange(Sf.shape[0])
+    vals = [_recall(ranks, k) for ranks in (_ranks(Sf, gt, axis=1), _ranks(Sf, gt, axis=0))
+            for k in (1, 5, 10)]
     return RetrievalReport(*vals, mr=float(np.mean(vals)))
 
 
@@ -86,6 +107,8 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     """Project the test set, fuse global and local similarity, report recalls.
 
     The test set must be clean (all y=1); ranking uses alpha-fused similarity.
+    The projected rows are unit-norm, so they are scored as the trainer scores
+    them: Sg = Uig Utg^T and Sl from local_similarity_units, forward only.
     """
     from .trainer import forward  # local import to avoid a module cycle
     from .data import PairBatch
@@ -104,9 +127,12 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
         y=test_dataset.y,
     )
     proj = forward(heads, batch)
-    Sg = global_similarity(proj.image_global, proj.text_global)
-    Sl = local_similarity(proj.image_local, proj.text_local)
-    Sf = fused_similarity(Sg, Sl, hyper.alpha)
+    Sf = proj.image_global @ proj.text_global.T
+    Sl, _ = local_similarity_units(proj.image_local, proj.text_local, grad=False)
+    # alpha*Sg + (1-alpha)*Sl in place, the same bits as fused_similarity
+    Sf *= hyper.alpha
+    Sl *= 1.0 - hyper.alpha
+    Sf += Sl
     return _report_from_similarity(Sf)
 
 

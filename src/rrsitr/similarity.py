@@ -38,7 +38,9 @@ def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray,
     Gram kernel uses the identity ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F.
     The Grams are symmetric, so it forms only their upper block triangle, in
     strips of GRAM_BLOCK rows, and each strip adds one matmul over all pairs:
-    about dim^2/2 multiply-adds per pair. It runs when 2*dim <= d1*d2 and the
+    about dim^2/2 multiply-adds per pair. The last strip is a square block,
+    the whole Gram when dim <= GRAM_BLOCK, and its product takes only the
+    block's upper triangle. It runs when 2*dim <= d1*d2 and the
     Grams it holds at once fit in DIRECT_BLOCK_BYTES. The two agree to
     rounding, except that near Sl = 0 the Gram form's cancelled sum leaves an
     error of order sqrt(eps).
@@ -58,13 +60,15 @@ def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray,
     return _local(au, bu, block_rows, grad=False)[0]
 
 
-def local_similarity_units(A: np.ndarray, B: np.ndarray):
+def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     """Sl for unit-row blocks A (n, d1, dim) and B (m, d2, dim), and its backward.
 
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B. The kernel is chosen as in local_similarity.
+    Unlike local_similarity, the rows are taken as given, not renormalized.
+    With grad=False nothing is kept for a backward and backward is None.
     """
-    return _local(A, B, None, grad=True)
+    return _local(A, B, None, grad)
 
 
 def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int, grad: bool) -> bool:
@@ -97,7 +101,7 @@ def _local(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
         # Sl = ||M||_F / scale: dM = Gl * M / (||M||_F * scale)
         return kernel_backward(Gl / (np.maximum(norms, NORM_EPS) * scale))
 
-    return norms / scale, backward
+    return norms / scale, (backward if grad else None)
 
 
 def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
@@ -108,8 +112,10 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     strips of GRAM_BLOCK rows: strip s:e holds rows s:e, columns s: of every
     Gram. Its entries right of the diagonal block stand for their mirror images
     too and are doubled on the A side, so the strips' inner products sum to
-    <A_i^T A_i, B_j^T B_j>_F. With one strip (dim <= GRAM_BLOCK) this is the
-    plain full-Gram product.
+    <A_i^T A_i, B_j^T B_j>_F. The last strip is a square symmetric block (the
+    whole Gram when dim <= GRAM_BLOCK): its product takes the block's packed
+    upper triangle, w(w+1)/2 of its w^2 entries, with the off-diagonal ones
+    doubled on the A side. The backward works on the full strips.
     """
     n, _, dim = A.shape
     m = B.shape[0]
@@ -119,13 +125,21 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
         PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:])   # (n, e-s, dim-s)
         PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:])
         PA[:, :, e - s:] *= 2.0
+        if grad:
+            kept.append((s, e, PA, PB))
+        if e == dim:
+            # the last strip is a square symmetric block: multiply only its upper
+            # triangle, off-diagonal entries doubled on the A side; rebinding
+            # frees each full strip that kept does not hold
+            upper = np.flatnonzero(np.tri(e - s, dtype=bool).T)   # row-major flat indices
+            PA = PA.reshape(n, -1).take(upper, axis=1)
+            PA *= np.where(upper % (e - s + 1) == 0, 1.0, 2.0)    # the diagonal: i*(w+1)
+            PB = PB.reshape(m, -1).take(upper, axis=1)
         part = PA.reshape(n, -1) @ PB.reshape(m, -1).T
         if s == 0:
             sq = part
         else:
             sq += part
-        if grad:
-            kept.append((s, e, PA, PB))
     # the cancelled sum of a (near-)orthogonal pair can round below zero
     np.maximum(sq, 0.0, out=sq)
     norms = np.sqrt(sq, out=sq)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import rrsitr
 from rrsitr.cli import main
 from rrsitr.data import read_dataset
 
@@ -216,10 +217,14 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 
 def test_cli_entry_point_subprocess(tmp_path):
     out = str(tmp_path / "s.rrse")
+    # the child imports the same rrsitr as this process, installed or not
+    src = os.path.dirname(os.path.dirname(rrsitr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "rrsitr.cli", "gen", "--n", "10", "--classes", "2",
          "--dim", "4", "--d1", "1", "--d2", "1", "--seed", "1", "-o", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(out)
 

@@ -3,8 +3,8 @@ import pytest
 
 from rrsitr.data import NoiseSpec, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, DataError
-from rrsitr.evaluation import (DetectionReport, RetrievalReport, detection_metrics,
-                               evaluate, recall_at_k)
+from rrsitr.evaluation import (DetectionReport, RetrievalReport, _report_from_similarity,
+                               detection_metrics, evaluate, recall_at_k)
 from rrsitr.selfpaced import partition
 from rrsitr.trainer import Hyper, init_heads
 
@@ -49,6 +49,24 @@ def test_recall_matches_sort_oracle():
         assert recall_at_k(S, gt, k) == _sort_oracle(S, gt, k)
 
 
+def test_report_matches_recall_calls_and_sort_oracle():
+    # one rank pass per direction gives what six recall_at_k calls and a full sort give
+    rng = np.random.default_rng(6)
+    for n, step in [(12, 0.5), (25, 0.1), (40, 0.1), (40, 0.5)]:
+        S = np.round(rng.normal(size=(n, n)) / step) * step  # ties in rows and columns
+        d = np.diag(S)
+        assert ((S == d[:, None]).sum(axis=1) > 1).any()   # a query row tied with its item
+        assert ((S == d[None, :]).sum(axis=0) > 1).any()   # and a query column
+        gt = np.arange(n)
+        report = _report_from_similarity(S)
+        got = [report.i2t_r1, report.i2t_r5, report.i2t_r10,
+               report.t2i_r1, report.t2i_r5, report.t2i_r10]
+        calls = [recall_at_k(Q, gt, k) for Q in (S, S.T) for k in (1, 5, 10)]
+        oracle = [_sort_oracle(Q, gt, k) for Q in (S, S.T) for k in (1, 5, 10)]
+        assert got == calls == oracle
+        assert report.mr == float(np.mean(oracle))
+
+
 def test_recall_monotone_in_k():
     rng = np.random.default_rng(2)
     S = rng.normal(size=(10, 12))
@@ -65,6 +83,10 @@ def test_recall_errors():
         recall_at_k(S, np.zeros(2, dtype=int), 0)
     with pytest.raises(ConfigError):
         recall_at_k(S, np.array([0, 5]), 1)
+    with pytest.raises(ConfigError):  # no queries
+        recall_at_k(np.zeros((0, 3)), np.zeros(0, dtype=int), 1)
+    with pytest.raises(ConfigError):  # indices must be integers
+        recall_at_k(np.zeros((3, 3)), np.array([0.0, 1.5, 2.0]), 1)
 
 
 def test_evaluate_perfect_separation():

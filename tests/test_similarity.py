@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsitr.errors import ConfigError, NumericError
-from rrsitr.similarity import (_direct_kernel, _gram_chosen, _gram_kernel, fused_similarity,
-                               global_similarity, local_similarity, local_similarity_units)
+from rrsitr.similarity import (GRAM_BLOCK, _direct_kernel, _gram_chosen, _gram_kernel,
+                               fused_similarity, global_similarity, local_similarity,
+                               local_similarity_units)
 
 
 def _unit(v):
@@ -127,8 +128,13 @@ def _unit_blocks(rng, n, d, dim):
 @pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),     # desk batch, one strip
                                            (6, 5, 36, 16, 256),     # small paper-like
                                            (7, 5, 12, 12, 70),      # ragged strips 32+32+6
-                                           (100, 100, 36, 16, 256)])  # paper batch
+                                           (100, 100, 36, 16, 256),  # paper batch
+                                           (9, 7, 2, 1, 1),         # a 1 x 1 square strip
+                                           (9, 7, 9, 8, 33),        # strips 32+1
+                                           (9, 7, 12, 12, 64)])     # strips 32+32
 def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
+    assert _gram_chosen(n, m, d1, d2, dim, grad=True)
+    assert GRAM_BLOCK == 32  # the comments above count strips of 32
     rng = np.random.default_rng(7)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     W = rng.normal(size=(n, m))

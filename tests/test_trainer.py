@@ -90,11 +90,17 @@ def _fd_check(heads, batch, hyper, variant, n_coords=15, h=1e-5, tol=1e-6, rng_s
 
 
 # the default shape runs the direct Sl kernel, dim=6 with 4x4 locals the Gram
-# kernel in one strip, dim=40 with 9x9 locals the Gram kernel in strips of 32 and 8
+# kernel in one strip, dim=40 with 9x9 locals the Gram kernel in strips of 32 and 8;
+# the last strip is square: 2 x 2 at dim=2 (generate_synthetic needs dim >= 2),
+# 1 x 1 at dim=33, 32 x 32 at dim=64
 @pytest.mark.parametrize("variant,shape,gram", [
     *(pytest.param(v, {}, False, id=v) for v in sorted(VARIANTS)),
     *(pytest.param(v, dict(dim=6, d1=4, d2=4), True, id=f"{v}-gram") for v in sorted(VARIANTS)),
     *(pytest.param(v, dict(dim=40, d1=9, d2=9), True, id=f"{v}-gram-strips")
+      for v in sorted(VARIANTS)),
+    *(pytest.param(v, shape, True, id=f"{v}-gram-dim{shape['dim']}")
+      for shape in (dict(dim=2, d1=2, d2=2), dict(dim=33, d1=9, d2=8),
+                    dict(dim=64, d1=12, d2=12))
       for v in sorted(VARIANTS)),
 ])
 def test_gradients_match_finite_differences(variant, shape, gram):
