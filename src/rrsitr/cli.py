@@ -106,10 +106,24 @@ def _write_run_manifest(out_dir: str, command: str, args, hyper, data_path, extr
     return path
 
 
-def cmd_gen(args) -> int:
+def _mean_pair_similarities(image_global, text_global):
+    """Mean cosine of matched pairs and of unmatched pairs (i != j), in O(n*dim):
+    the unmatched sum is (sum_i u_i) . (sum_j v_j) minus the matched one."""
     import numpy as np
+
+    u = image_global / np.linalg.norm(image_global, axis=1, keepdims=True)
+    v = text_global / np.linalg.norm(text_global, axis=1, keepdims=True)
+    n = u.shape[0]
+    diag = np.einsum("ij,ij->i", u, v)
+    matched = float(diag.mean())
+    if n < 2:
+        return matched, float("nan")  # no unmatched pairs
+    off = float((u.sum(axis=0) @ v.sum(axis=0) - diag.sum()) / (n * (n - 1)))
+    return matched, off
+
+
+def cmd_gen(args) -> int:
     from .data import generate_synthetic, write_dataset, write_manifest
-    from .similarity import global_similarity
 
     seed = args.seed if args.seed is not None else _default_seed()
     ds = generate_synthetic(args.n, args.classes, args.dim, args.d1, args.d2,
@@ -119,9 +133,7 @@ def cmd_gen(args) -> int:
                    extra={"generator": {"n": args.n, "classes": args.classes,
                                         "dim": args.dim, "d1": args.d1, "d2": args.d2,
                                         "spread": args.spread}})
-    Sg = global_similarity(ds.image_global, ds.text_global)
-    matched = float(np.diag(Sg).mean())
-    off = float((Sg.sum() - np.trace(Sg)) / (ds.n_pairs * (ds.n_pairs - 1)))
+    matched, off = _mean_pair_similarities(ds.image_global, ds.text_global)
     print(f"wrote {args.output}: n={ds.n_pairs} dim={ds.dim} d1={ds.d1} d2={ds.d2}")
     print(f"matched-pair mean global similarity {matched:.4f}, unmatched {off:.4f}")
     return 0
@@ -142,9 +154,13 @@ def cmd_inject(args) -> int:
 
 def _train_common(args, variant: str, trace_epochs=(), epochs_override=None):
     from .data import load_dataset_arg
+    from .errors import ConfigError
     from .trainer import train
 
     hyper = _hyper_from_args(args, epochs_override)
+    for epoch in trace_epochs:
+        if not 1 <= epoch <= hyper.epochs:
+            raise ConfigError(f"epoch {epoch} was not reached (ran {hyper.epochs})")
     ds = load_dataset_arg(args.data)
     val = load_dataset_arg(args.val) if args.val else None
     _write_run_manifest(args.out_dir, variant if variant != "full" else "train",
@@ -253,13 +269,8 @@ def cmd_trace(args) -> int:
     heads, log, hyper = _train_common(args, args.variant, trace_epochs=epochs,
                                       epochs_override=train_epochs)
     for epoch in epochs:
-        trace = log.traces.get(epoch)
-        if trace is None:
-            print(f"trace: epoch {epoch} was not reached (ran {hyper.epochs})",
-                  file=sys.stderr)
-            return 2
         path = os.path.join(args.out_dir, f"trace_epoch_{epoch}.csv")
-        trace.to_csv(path)
+        log.traces[epoch].to_csv(path)
         print(f"wrote {path}")
     return 0
 

@@ -3,9 +3,12 @@ RRSE binary (de)serialization, and epoch batching."""
 from __future__ import annotations
 
 import json
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -14,6 +17,9 @@ from .errors import ConfigError, DataError, FormatError
 RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
 UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
+# Byte budget of one row chunk in the streaming loops below: the generator,
+# writer and reader hold no per-block temporary larger than this.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -81,15 +87,25 @@ class Dataset:
     def d2(self) -> int:
         return self.text_local.shape[1]
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        """New dataset holding the selected rows (copies)."""
+    def subset(self, idx) -> "Dataset":
+        """New dataset holding the selected rows.
+
+        idx is anything that indexes the first axis: an integer array, a boolean
+        mask or a slice. Each block is gathered once straight into the result,
+        with no intermediate copy; the values are those of self[idx].
+        """
+        rows = np.arange(self.n_pairs)[idx]
+
+        def take(a):
+            return np.take(a, rows, axis=0)
+
         return Dataset(
-            image_global=self.image_global[idx].copy(),
-            image_local=self.image_local[idx].copy(),
-            text_global=self.text_global[idx].copy(),
-            text_local=self.text_local[idx].copy(),
-            y=self.y[idx].copy(),
-            class_id=None if self.class_id is None else self.class_id[idx].copy(),
+            image_global=take(self.image_global),
+            image_local=take(self.image_local),
+            text_global=take(self.text_global),
+            text_local=take(self.text_local),
+            y=take(self.y),
+            class_id=None if self.class_id is None else take(self.class_id),
         )
 
 
@@ -129,9 +145,12 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _f32_grid(x: np.ndarray) -> np.ndarray:
-    # quantize to float32 so write->read round-trips bit-exactly
-    return x.astype(np.float32).astype(np.float64)
+def _row_chunks(block: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """(r0, r1) bounds of consecutive first-axis chunks of about _CHUNK_BYTES."""
+    n = block.shape[0]
+    step = max(1, _CHUNK_BYTES // max(1, block[:1].nbytes))
+    for r0 in range(0, n, step):
+        yield r0, min(r0 + step, n)
 
 
 # Fixed structural knobs of the synthetic family. The latent span gives a
@@ -166,6 +185,12 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     latent span (copy noise is isotropic over the full space) and the text
     side is rotated by a fixed modality gap, so trained heads can beat the
     raw features by denoising toward the span and undoing the gap.
+
+    Each embedding block is allocated once and filled in row chunks of about
+    _CHUNK_BYTES: noise is drawn into the chunk, its base rows are added, then
+    it is normalized and rounded to the float32 grid in place. The draws and
+    every per-row operation are those of a whole-block computation, so the
+    output is byte-identical to it whatever the chunk size.
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -196,21 +221,39 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     cls = rng.integers(0, n_classes, size=n_pairs)
     pair_offset = intra_class_spread * scale * span_points(n_pairs)
     core = centers[cls] + pair_offset
+    # whole, because a row-chunked dgemm need not round like the whole product
+    core_gap = core @ gap.T
 
     s = COPY_NOISE_FRACTION * intra_class_spread * scale
 
-    def noisy(base):
-        return _unit_rows(base + s * rng.normal(size=base.shape))
+    def noisy(shape, base_rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+        # unit rows of base + s * N(0, 1) on the float32 grid, chunk by chunk
+        out = np.empty(shape)
+        for r0, r1 in _row_chunks(out):
+            chunk = out[r0:r1]
+            rng.standard_normal(out=chunk)  # the stream and bits of rng.normal
+            chunk *= s
+            chunk += base_rows(r0, r1)
+            # the reduction np.linalg.norm runs, so rows match _unit_rows bit for bit
+            chunk /= np.sqrt(np.add.reduce(chunk * chunk, axis=-1, keepdims=True))
+            chunk[...] = chunk.astype(np.float32)  # so write->read round-trips bit-exactly
+        return out
 
-    ds = Dataset(
-        image_global=_f32_grid(noisy(core)),
-        image_local=_f32_grid(noisy(img_sub[cls] + pair_offset[:, None, :])),
-        text_global=_f32_grid(noisy(core @ gap.T)),
-        text_local=_f32_grid(noisy((txt_sub[cls] + pair_offset[:, None, :]) @ gap.T)),
-        y=np.ones(n_pairs, dtype=np.uint8),
-        class_id=cls.astype(np.uint32),
-    )
-    return ds
+    def sub_rows(sub, r0, r1):
+        # the pairs' class sub-centers shifted by their pair offsets
+        base = sub[cls[r0:r1]]
+        base += pair_offset[r0:r1, None, :]
+        return base
+
+    image_global = noisy((n_pairs, dim), lambda r0, r1: core[r0:r1])
+    image_local = noisy((n_pairs, d1, dim), lambda r0, r1: sub_rows(img_sub, r0, r1))
+    text_global = noisy((n_pairs, dim), lambda r0, r1: core_gap[r0:r1])
+    del core, core_gap
+    # a stacked matmul runs one product per pair, so chunking it rounds the same
+    text_local = noisy((n_pairs, d2, dim), lambda r0, r1: sub_rows(txt_sub, r0, r1) @ gap.T)
+    return Dataset(image_global=image_global, image_local=image_local,
+                   text_global=text_global, text_local=text_local,
+                   y=np.ones(n_pairs, dtype=np.uint8), class_id=cls.astype(np.uint32))
 
 
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -229,6 +272,11 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     Texts (global + local together) are permuted by a derangement within the
     selected subset; affected rows get y=0. The input dataset is untouched.
     Refuses datasets that already contain y=0 rows.
+
+    Each text block is gathered once through a source-row index (the identity
+    with the deranged subset written in) and each image block is copied once,
+    with no intermediate copy; the result is byte-identical to copying each
+    text block and scattering the shuffled rows into it.
     """
     if np.any(dataset.y == 0):
         raise DataError("dataset already contains noisy pairs; refusing to inject twice")
@@ -236,36 +284,38 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     k = int(round(spec.rho * n))
     rng = np.random.default_rng(spec.seed)
 
-    text_global = dataset.text_global.copy()
-    text_local = dataset.text_local.copy()
+    source = np.arange(n)
     y = np.ones(n, dtype=np.uint8)
-
     if k > 0:
         subset = np.sort(rng.choice(n, size=k, replace=False))
         perm = _derangement(rng, k)
-        text_global[subset] = dataset.text_global[subset[perm]]
-        text_local[subset] = dataset.text_local[subset[perm]]
+        source[subset] = subset[perm]
         y[subset] = 0
 
     return Dataset(
         image_global=dataset.image_global.copy(),
         image_local=dataset.image_local.copy(),
-        text_global=text_global,
-        text_local=text_local,
+        text_global=np.take(dataset.text_global, source, axis=0),
+        text_local=np.take(dataset.text_local, source, axis=0),
         y=y,
         class_id=None if dataset.class_id is None else dataset.class_id.copy(),
     )
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
-    """Write the RRSE binary format (little-endian, float32 payload)."""
+    """Write the RRSE binary format (little-endian, float32 payload).
+
+    Blocks are converted to float32 one row chunk of about _CHUNK_BYTES at a
+    time; the bytes written are those of converting each block whole.
+    """
     n, dim, d1, d2 = dataset.n_pairs, dataset.dim, dataset.d1, dataset.d2
     with open(path, "wb") as f:
         f.write(RRSE_MAGIC)
         f.write(struct.pack("<5I", RRSE_VERSION, n, dim, d1, d2))
         for block in (dataset.image_global, dataset.image_local,
                       dataset.text_global, dataset.text_local):
-            f.write(np.ascontiguousarray(block, dtype=np.float32).tobytes())
+            for r0, r1 in _row_chunks(block):
+                f.write(block[r0:r1].astype("<f4"))
         f.write(dataset.y.astype(np.uint8).tobytes())
         if dataset.class_id is not None:
             f.write(struct.pack("<B", 1))
@@ -274,12 +324,15 @@ def write_dataset(dataset: Dataset, path: str) -> None:
             f.write(struct.pack("<B", 0))
 
 
+def _truncated(nbytes: int, section: str, offset: int, got: int) -> FormatError:
+    return FormatError(f"truncated file: expected {nbytes} bytes for section '{section}' "
+                       f"at byte offset {offset}, got {got}")
+
+
 def _read_exact(f, nbytes: int, section: str) -> bytes:
     buf = f.read(nbytes)
     if len(buf) != nbytes:
-        raise FormatError(
-            f"truncated file: expected {nbytes} bytes for section '{section}' "
-            f"at byte offset {f.tell() - len(buf)}, got {len(buf)}")
+        raise _truncated(nbytes, section, f.tell() - len(buf), len(buf))
     return buf
 
 
@@ -290,7 +343,13 @@ def expect_eof(f) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read an RRSE file; embeddings come back as float64 (exact float32 upcast)."""
+    """Read an RRSE file; embeddings come back as float64 (exact float32 upcast).
+
+    Each float32 section is checked against the bytes left in the file, then
+    read in row chunks of about _CHUNK_BYTES through one reused float32 buffer
+    and upcast into its float64 block; the result is byte-identical to reading
+    and upcasting the section whole.
+    """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != RRSE_MAGIC:
@@ -304,9 +363,25 @@ def read_dataset(path: str) -> Dataset:
                 "(need n>=1, dim>=2, d1>=1, d2>=1)")
 
         def read_f32(shape, section):
-            count = int(np.prod(shape))
-            buf = _read_exact(f, 4 * count, section)
-            return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+            nbytes = 4 * math.prod(shape)
+            st = os.fstat(f.fileno())
+            # a regular file too short for the section fails before the block is allocated
+            if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < nbytes:
+                raise _truncated(nbytes, section, f.tell(), st.st_size - f.tell())
+            out = np.empty(shape)
+            buf = np.empty(0, dtype="<f4")
+            done = 0
+            for r0, r1 in _row_chunks(out):
+                chunk = out[r0:r1]
+                if buf.size < chunk.size:
+                    buf = np.empty(chunk.size, dtype="<f4")
+                view = buf[:chunk.size]
+                got = f.readinto(view)
+                done += got
+                if got != view.nbytes:
+                    raise _truncated(nbytes, section, f.tell() - done, done)
+                chunk[...] = view.reshape(chunk.shape)
+            return out
 
         image_global = read_f32((n, dim), "image_global")
         image_local = read_f32((n, d1, dim), "image_local")

@@ -293,7 +293,7 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     l_l = None
     if variant.use_local:
         Sl, local_backward = local_similarity_units(p.Uil.reshape(b, p.d1, -1),
-                                                    p.Utl.reshape(b, p.d2, -1))
+                                                    p.Utl.reshape(b, p.d2, -1), grad)
         l_l = infonce_per_pair(Sl, hyper.tau)
         l_total = l_g + l_l
     else:

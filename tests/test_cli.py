@@ -28,6 +28,21 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert "matched-pair" in capsys.readouterr().out
 
 
+def test_gen_summary_matches_similarity_matrix():
+    from rrsitr.cli import _mean_pair_similarities
+    from rrsitr.data import generate_synthetic
+    from rrsitr.similarity import global_similarity
+
+    ds = generate_synthetic(37, 4, 8, 2, 2, intra_class_spread=0.5, seed=3)
+    Sg = global_similarity(ds.image_global, ds.text_global)
+    n = ds.n_pairs
+    matched, off = _mean_pair_similarities(ds.image_global, ds.text_global)
+    assert abs(matched - np.diag(Sg).mean()) <= 1e-12
+    assert abs(off - (Sg.sum() - np.trace(Sg)) / (n * (n - 1))) <= 1e-12
+    one = generate_synthetic(1, 2, 8, 2, 2, intra_class_spread=0.5, seed=3)
+    assert np.isnan(_mean_pair_similarities(one.image_global, one.text_global)[1])
+
+
 def test_gen_missing_output_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "10"])
@@ -165,6 +180,17 @@ def test_trace_epoch_beyond_run(tmp_path):
     rc = main(["trace", "--data", train_file, "--epochs", "9", "--train-epochs", "3",
                "--out-dir", str(tmp_path / "tr"), "--batch", "10", "--seed", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("epoch", ["99", "0"])
+def test_train_rejects_unreached_trace_epoch(tmp_path, capsys, epoch):
+    train_file = _gen(tmp_path, n=40)
+    out_dir = tmp_path / "tr"
+    rc = main(["train", "--data", train_file, "--epochs", "3", "--trace-epochs", epoch,
+               "--out-dir", str(out_dir), "--batch", "10", "--seed", "0"])
+    assert rc == 2
+    assert f"epoch {epoch} was not reached (ran 3)" in capsys.readouterr().err
+    assert not out_dir.exists()  # refused before training
 
 
 def test_ablate_all_results_table(tmp_path):

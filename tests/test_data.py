@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rrsitr import data
 from rrsitr.data import (Dataset, NoiseSpec, batch_iter, generate_synthetic,
                          inject_noise, load_dataset_arg, read_dataset,
                          write_dataset, write_manifest)
@@ -251,3 +252,105 @@ def test_batch_iter_rejects_small_batch():
     ds = generate_synthetic(10, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
     with pytest.raises(ConfigError):
         list(batch_iter(ds, 1, epoch_seed=0))
+
+
+# ---------------------------------------------------------------------------
+# byte identity and bounded memory of the row-chunked data layer
+
+# sha256 of write_dataset(inject_noise(generate_synthetic(...))), taken from the
+# whole-block implementation the chunked one replaced
+PINNED_FILES = [
+    pytest.param(dict(n_pairs=300, n_classes=20, dim=32, d1=8, d2=8,
+                      intra_class_spread=0.3, seed=5), 0.4, 6,
+                 "098a42e4136f4c9d6da0e883a81d48b7b7d176d161b7a873b3dc517eb0705e9f",
+                 id="desk"),
+    pytest.param(dict(n_pairs=40, n_classes=6, dim=256, d1=36, d2=16,
+                      intra_class_spread=0.1, seed=7), 0.4, 8,
+                 "cb6e6b0a1115e3490498c0c99f8035108e8d68e95f7f351b6320e760d039b769",
+                 id="paper"),
+    pytest.param(dict(n_pairs=1, n_classes=2, dim=8, d1=3, d2=2,
+                      intra_class_spread=0.5, seed=9), 1.0, 10,
+                 "3edc3f4433105560b048959dbed0f1f9bdf62cd15909df1f5d1b9b8873f7309c",
+                 id="n1"),
+]
+SMALL_CHUNK = 5000  # bytes: 1-2 local rows or 2-19 global rows at the shapes below
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SMALL_CHUNK], ids=["default", "small"])
+@pytest.mark.parametrize("gen,rho,noise_seed,sha", PINNED_FILES)
+def test_written_bytes_pinned(tmp_path, monkeypatch, gen, rho, noise_seed, sha, chunk_bytes):
+    import hashlib
+    if chunk_bytes is not None:
+        monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    path = str(tmp_path / "p.rrse")
+    write_dataset(inject_noise(generate_synthetic(**gen), NoiseSpec(rho, noise_seed)), path)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == sha
+
+
+def _multi_chunk_world():
+    ds = generate_synthetic(57, 4, 16, 3, 5, intra_class_spread=0.3, seed=2)
+    return inject_noise(ds, NoiseSpec(rho=0.4, seed=1))
+
+
+def test_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 3 * 5 * 16 * 8)  # 3 text_local rows
+    noised = _multi_chunk_world()
+    path = str(tmp_path / "c.rrse")
+    write_dataset(noised, path)
+    back = read_dataset(path)
+    for name in ("image_global", "image_local", "text_global", "text_local", "y", "class_id"):
+        assert np.array_equal(getattr(back, name), getattr(noised, name)), name
+    blob = open(path, "rb").read()
+    start = 24 + 4 * 57 * 16 * (1 + 3 + 1)  # text_local, 19 chunks
+    with open(path, "wb") as f:
+        f.write(blob[:start + 1000])
+    with pytest.raises(FormatError, match=f"expected {4 * 57 * 5 * 16} bytes for section "
+                                          f"'text_local' at byte offset {start}, got 1000$"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([5, 0, 5, -1]),
+    np.arange(12) % 3 == 1,
+    slice(2, 11, 3),
+], ids=["int-array", "bool-mask", "slice"])
+def test_subset_selects_rows(idx):
+    ds = generate_synthetic(12, 3, 4, 2, 3, intra_class_spread=0.2, seed=4)
+    sub = ds.subset(idx)
+    for name in ("image_global", "image_local", "text_global", "text_local", "y", "class_id"):
+        got, want = getattr(sub, name), getattr(ds, name)[idx]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not np.shares_memory(got, getattr(ds, name)), name
+
+
+def test_data_layer_memory_bounded(tmp_path, monkeypatch):
+    # tracemalloc peak per step as a multiple of the dataset's bytes; whole-block
+    # temporaries read 2.1x (generate), 0.45x (write) and 1.2x (read) here
+    import tracemalloc
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 4 * 8 * 32 * 8)  # 4 local rows
+    shape = dict(n_pairs=400, n_classes=20, dim=32, d1=8, d2=8, intra_class_spread=0.3)
+    path = str(tmp_path / "m.rrse")
+    write_dataset(generate_synthetic(seed=0, **shape), path)  # warm lazy imports
+    read_dataset(path)
+
+    def peak_ratio(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def nbytes(ds):
+        return sum(getattr(ds, k).nbytes for k in ("image_global", "image_local",
+                                                   "text_global", "text_local", "y", "class_id"))
+
+    ds, peak = peak_ratio(lambda: generate_synthetic(seed=1, **shape))
+    assert peak <= 1.5 * nbytes(ds)
+    _, peak = peak_ratio(lambda: write_dataset(ds, path))
+    assert peak <= 0.1 * nbytes(ds)
+    del ds
+    back, peak = peak_ratio(lambda: read_dataset(path))
+    assert peak <= 1.05 * nbytes(back)

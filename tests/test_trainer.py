@@ -113,6 +113,29 @@ def test_gradients_match_finite_differences(variant, shape, gram):
     assert np.isfinite(state.loss)
 
 
+@pytest.mark.parametrize("b,dim,d1,d2,same_kernel", [
+    pytest.param(100, 32, 8, 8, True, id="desk"),
+    pytest.param(100, 256, 36, 16, True, id="paper"),
+    pytest.param(120, 256, 36, 16, False, id="paper-b120"),
+])
+def test_value_only_objective_matches_gradients(b, dim, d1, d2, same_kernel):
+    # batch_objective keeps no Sl backward state; where both calls pick the same
+    # kernel the loss is bit-identical, else the two kernels' rounding applies
+    assert (_gram_chosen(b, b, d1, d2, dim, grad=False)
+            == _gram_chosen(b, b, d1, d2, dim, grad=True)) == same_kernel
+    ds = inject_noise(generate_synthetic(b, 20, dim, d1, d2, intra_class_spread=0.2, seed=1),
+                      NoiseSpec(rho=0.4, seed=2))
+    hyper = _hyper(batch_size=b)
+    batch = next(batch_iter(ds, b, epoch_seed=0))
+    heads = init_heads(dim, seed=3, noise_std=0.05)
+    value = batch_objective(heads, batch, hyper).loss
+    loss = gradients(heads, batch, hyper)[1].loss
+    if same_kernel:
+        assert value == loss
+    else:
+        assert abs(value - loss) <= 1e-12 * abs(loss)
+
+
 def test_gradients_survive_training_steps():
     # guards against stale-weight bugs in the alternation
     ds = _small_problem()
