@@ -67,6 +67,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> No
                    help=">0: grow gamma2 linearly over this many epochs")
     g.add_argument("--spl-sum-over-all", action="store_true",
                    help="L_S2 sums over all pairs below gamma2 instead of the ambiguous bucket")
+    _add_threads_flag(p)
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
                    help="BLAS thread cap (1 for bitwise-reproducible runs)")
 
@@ -108,11 +112,14 @@ def _write_run_manifest(out_dir: str, command: str, args, hyper, data_path, extr
 
 def _mean_pair_similarities(image_global, text_global):
     """Mean cosine of matched pairs and of unmatched pairs (i != j), in O(n*dim):
-    the unmatched sum is (sum_i u_i) . (sum_j v_j) minus the matched one."""
+    the unmatched sum is (sum_i u_i) . (sum_j v_j) minus the matched one.
+    The float32 global blocks are upcast, so the sums run in float64."""
     import numpy as np
 
-    u = image_global / np.linalg.norm(image_global, axis=1, keepdims=True)
-    v = text_global / np.linalg.norm(text_global, axis=1, keepdims=True)
+    u = np.asarray(image_global, dtype=np.float64)
+    v = np.asarray(text_global, dtype=np.float64)
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
     n = u.shape[0]
     diag = np.einsum("ij,ij->i", u, v)
     matched = float(diag.mean())
@@ -235,11 +242,10 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     from .data import load_dataset_arg
     from .evaluation import evaluate
-    from .trainer import load_heads
+    from .trainer import Hyper, load_heads
 
-    hyper = _hyper_from_args(args)
     heads = load_heads(args.checkpoint)
-    report = evaluate(heads, load_dataset_arg(args.data), hyper)
+    report = evaluate(heads, load_dataset_arg(args.data), Hyper(alpha=args.alpha))
     doc = json.dumps(report.to_dict(), indent=2)
     if args.output:
         with open(args.output, "w") as f:
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help=".rrsp head parameters")
     p.add_argument("--data", required=True, help="clean test .rrse file or manifest")
     p.add_argument("-o", "--output", help="write the JSON report here")
-    _add_hyper_flags(p)
+    p.add_argument("--alpha", type=float, default=0.9, help="global/local fusion weight")
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="export per-pair weight traces for chosen epochs")

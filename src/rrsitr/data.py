@@ -17,18 +17,23 @@ from .errors import ConfigError, DataError, FormatError
 RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
 UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
-# Byte budget of one row chunk in the streaming loops below: the generator,
-# writer and reader hold no per-block temporary larger than this.
+# Byte budget of one float64 row chunk in the streaming loops below: the
+# generator, writer, reader, unit-norm check and batch upcasts hold no per-block
+# temporary larger than this.
 _CHUNK_BYTES = 4 << 20
+_BLOCKS = ("image_global", "image_local", "text_global", "text_local")
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Aligned image/text embeddings with per-pair correspondence labels.
 
-    All embedding rows are unit-norm float64 (values quantized to the float32
-    grid so file round-trips are bit-exact). y[i] = 1 means pair i is a true
-    correspondence; 0 means its text was shuffled in by noise injection.
+    All embedding rows are unit-norm. The program stores them as float32 (the
+    RRSE payload type, so file round-trips are bit-exact) and upcasts to
+    float64 only the rows its arithmetic reads; a caller may pass float64
+    blocks instead, with the same results for the same values. Any other
+    dtype is refused. y[i] = 1 means pair i is a true correspondence; 0 means
+    its text was shuffled in by noise injection.
     """
 
     image_global: np.ndarray   # (n, dim)
@@ -57,19 +62,8 @@ class Dataset:
         bad = self.y[(self.y != 0) & (self.y != 1)]
         if bad.size:
             raise DataError(f"y must be 0 or 1, found {sorted(set(bad.tolist()))[:5]}")
-        for name in ("image_global", "image_local", "text_global", "text_local"):
-            rows = getattr(self, name)
-            # squared row norms; einsum needs no temporary the size of the block,
-            # and a non-finite value makes its row's sum non-finite
-            sq = np.einsum("...i,...i->...", rows, rows)
-            if not np.isfinite(sq).all():
-                raise ConfigError(f"{name} contains non-finite values")
-            bad = (sq < (1.0 - UNIT_NORM_TOL) ** 2) | (sq > (1.0 + UNIT_NORM_TOL) ** 2)
-            if bad.any():
-                where = np.unravel_index(np.argmax(bad), bad.shape)
-                raise DataError(f"{name} row {tuple(int(i) for i in where)} has norm "
-                                f"{np.sqrt(sq[where]):.9g}; rows must be unit-norm within "
-                                f"{UNIT_NORM_TOL:g}")
+        for name in _BLOCKS:
+            _check_unit_rows(name, getattr(self, name))
 
     @property
     def n_pairs(self) -> int:
@@ -109,6 +103,35 @@ class Dataset:
         )
 
 
+def _check_unit_rows(name: str, rows: np.ndarray) -> None:
+    """Refuse a block that is not float32/float64, holds a non-finite value or
+    has a row whose norm is off 1 by more than UNIT_NORM_TOL.
+
+    Squared row norms are summed in float64 one upcast row chunk at a time,
+    so the check holds no temporary larger than a chunk. A non-finite value
+    anywhere is reported first, then the first non-unit row.
+    """
+    if rows.dtype.type not in (np.float32, np.float64):
+        raise ConfigError(f"{name} must be float32 or float64, got {rows.dtype}")
+    finite, first_bad = True, None
+    for r0, r1 in _row_chunks(rows.shape):
+        chunk = rows[r0:r1].astype(np.float64, copy=False)
+        # a non-finite value makes its row's sum non-finite
+        sq = np.einsum("...i,...i->...", chunk, chunk)
+        finite = finite and bool(np.isfinite(sq).all())
+        if first_bad is None:
+            bad = (sq < (1.0 - UNIT_NORM_TOL) ** 2) | (sq > (1.0 + UNIT_NORM_TOL) ** 2)
+            if bad.any():
+                where = np.unravel_index(np.argmax(bad), bad.shape)
+                first_bad = (r0 + int(where[0]),) + tuple(int(i) for i in where[1:]), sq[where]
+    if not finite:
+        raise ConfigError(f"{name} contains non-finite values")
+    if first_bad is not None:
+        where, sq = first_bad
+        raise DataError(f"{name} row {where} has norm {np.sqrt(sq):.9g}; rows must be "
+                        f"unit-norm within {UNIT_NORM_TOL:g}")
+
+
 @dataclass(frozen=True)
 class PairBatch:
     """Rows of a dataset selected for one training step."""
@@ -145,12 +168,16 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _row_chunks(block: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """(r0, r1) bounds of consecutive first-axis chunks of about _CHUNK_BYTES."""
-    n = block.shape[0]
-    step = max(1, _CHUNK_BYTES // max(1, block[:1].nbytes))
-    for r0 in range(0, n, step):
-        yield r0, min(r0 + step, n)
+def _row_chunks(shape: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
+    """(r0, r1) bounds of consecutive first-axis chunks of a block of this shape,
+    each at most _CHUNK_BYTES in float64 (or one row) and of near-equal size.
+    No chunk is a sliver of a few rows: a GEMM over one to three rows can
+    round differently from the same rows inside a larger product."""
+    n = shape[0]
+    step = max(1, _CHUNK_BYTES // max(1, 8 * math.prod(shape[1:])))
+    count = -(-n // step)
+    for k in range(count):
+        yield n * k // count, n * (k + 1) // count
 
 
 # Fixed structural knobs of the synthetic family. The latent span gives a
@@ -186,11 +213,12 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     side is rotated by a fixed modality gap, so trained heads can beat the
     raw features by denoising toward the span and undoing the gap.
 
-    Each embedding block is allocated once and filled in row chunks of about
-    _CHUNK_BYTES: noise is drawn into the chunk, its base rows are added, then
-    it is normalized and rounded to the float32 grid in place. The draws and
-    every per-row operation are those of a whole-block computation, so the
-    output is byte-identical to it whatever the chunk size.
+    Each embedding block is a float32 array allocated once and filled in row
+    chunks of about _CHUNK_BYTES through one reused float64 work chunk: noise
+    is drawn into it, its base rows are added, it is normalized, then rounded
+    into the block. The draws and every per-row operation are those of a
+    whole-block float64 computation, so the output is byte-identical to it
+    whatever the chunk size.
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -226,17 +254,23 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
 
     s = COPY_NOISE_FRACTION * intra_class_spread * scale
 
+    work = np.empty(0)
+
     def noisy(shape, base_rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-        # unit rows of base + s * N(0, 1) on the float32 grid, chunk by chunk
-        out = np.empty(shape)
-        for r0, r1 in _row_chunks(out):
-            chunk = out[r0:r1]
+        # float32 unit rows of base + s * N(0, 1), chunk by chunk
+        nonlocal work
+        out = np.empty(shape, dtype=np.float32)
+        row = math.prod(shape[1:])
+        for r0, r1 in _row_chunks(shape):
+            if work.size < (r1 - r0) * row:
+                work = np.empty((r1 - r0) * row)
+            chunk = work[:(r1 - r0) * row].reshape((r1 - r0,) + shape[1:])
             rng.standard_normal(out=chunk)  # the stream and bits of rng.normal
             chunk *= s
             chunk += base_rows(r0, r1)
             # the reduction np.linalg.norm runs, so rows match _unit_rows bit for bit
             chunk /= np.sqrt(np.add.reduce(chunk * chunk, axis=-1, keepdims=True))
-            chunk[...] = chunk.astype(np.float32)  # so write->read round-trips bit-exactly
+            out[r0:r1] = chunk  # round to float32, as astype does
         return out
 
     def sub_rows(sub, r0, r1):
@@ -305,17 +339,18 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
 def write_dataset(dataset: Dataset, path: str) -> None:
     """Write the RRSE binary format (little-endian, float32 payload).
 
-    Blocks are converted to float32 one row chunk of about _CHUNK_BYTES at a
-    time; the bytes written are those of converting each block whole.
+    float32 blocks are written as they are; float64 blocks are converted one
+    row chunk of about _CHUNK_BYTES at a time, giving the bytes of converting
+    each block whole.
     """
     n, dim, d1, d2 = dataset.n_pairs, dataset.dim, dataset.d1, dataset.d2
     with open(path, "wb") as f:
         f.write(RRSE_MAGIC)
         f.write(struct.pack("<5I", RRSE_VERSION, n, dim, d1, d2))
-        for block in (dataset.image_global, dataset.image_local,
-                      dataset.text_global, dataset.text_local):
-            for r0, r1 in _row_chunks(block):
-                f.write(block[r0:r1].astype("<f4"))
+        for name in _BLOCKS:
+            block = getattr(dataset, name)
+            for r0, r1 in _row_chunks(block.shape):
+                f.write(np.ascontiguousarray(block[r0:r1], dtype="<f4"))
         f.write(dataset.y.astype(np.uint8).tobytes())
         if dataset.class_id is not None:
             f.write(struct.pack("<B", 1))
@@ -329,72 +364,72 @@ def _truncated(nbytes: int, section: str, offset: int, got: int) -> FormatError:
                        f"at byte offset {offset}, got {got}")
 
 
-def _read_exact(f, nbytes: int, section: str) -> bytes:
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
-        raise _truncated(nbytes, section, f.tell() - len(buf), len(buf))
-    return buf
-
-
-def expect_eof(f) -> None:
-    """Raise FormatError if the file has bytes after its last section."""
+def expect_eof(f, offset: int) -> None:
+    """Raise FormatError if f, read up to byte offset `offset`, has more bytes."""
     if f.read(1):
-        raise FormatError(f"trailing bytes after the last section at byte offset {f.tell() - 1}")
+        raise FormatError(f"trailing bytes after the last section at byte offset {offset}")
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read an RRSE file; embeddings come back as float64 (exact float32 upcast).
+    """Read an RRSE file; embeddings come back as float32 blocks.
 
-    Each float32 section is checked against the bytes left in the file, then
-    read in row chunks of about _CHUNK_BYTES through one reused float32 buffer
-    and upcast into its float64 block; the result is byte-identical to reading
-    and upcasting the section whole.
+    Each float32 section is checked against the bytes left in a regular file,
+    then read straight into its block in row chunks of about _CHUNK_BYTES.
+    Offsets in error messages are counted from the bytes read, so a pipe
+    (e.g. /dev/stdin) reads and fails as a file does.
     """
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        pos = 0  # bytes read so far, counted because a pipe cannot tell()
+
+        def read_exact(nbytes, section):
+            nonlocal pos
+            buf = f.read(nbytes)
+            if len(buf) != nbytes:
+                raise _truncated(nbytes, section, pos, len(buf))
+            pos += nbytes
+            return buf
+
+        magic = read_exact(4, "magic")
         if magic != RRSE_MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {RRSE_MAGIC!r}")
-        version, n, dim, d1, d2 = struct.unpack("<5I", _read_exact(f, 20, "header"))
+        version, n, dim, d1, d2 = struct.unpack("<5I", read_exact(20, "header"))
         if version != RRSE_VERSION:
             raise FormatError(f"unsupported version {version} at byte offset 4")
         if n < 1 or dim < 2 or d1 < 1 or d2 < 1:
             raise FormatError(
                 f"invalid header at byte offset 8: n={n}, dim={dim}, d1={d1}, d2={d2} "
                 "(need n>=1, dim>=2, d1>=1, d2>=1)")
+        st = os.fstat(f.fileno())
 
         def read_f32(shape, section):
+            nonlocal pos
             nbytes = 4 * math.prod(shape)
-            st = os.fstat(f.fileno())
             # a regular file too short for the section fails before the block is allocated
-            if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < nbytes:
-                raise _truncated(nbytes, section, f.tell(), st.st_size - f.tell())
-            out = np.empty(shape)
-            buf = np.empty(0, dtype="<f4")
+            if stat.S_ISREG(st.st_mode) and st.st_size - pos < nbytes:
+                raise _truncated(nbytes, section, pos, st.st_size - pos)
+            out = np.empty(shape, dtype="<f4")
             done = 0
-            for r0, r1 in _row_chunks(out):
-                chunk = out[r0:r1]
-                if buf.size < chunk.size:
-                    buf = np.empty(chunk.size, dtype="<f4")
-                view = buf[:chunk.size]
+            for r0, r1 in _row_chunks(shape):
+                view = out[r0:r1].reshape(-1)
                 got = f.readinto(view)
                 done += got
                 if got != view.nbytes:
-                    raise _truncated(nbytes, section, f.tell() - done, done)
-                chunk[...] = view.reshape(chunk.shape)
+                    raise _truncated(nbytes, section, pos, done)
+            pos += nbytes
             return out
 
         image_global = read_f32((n, dim), "image_global")
         image_local = read_f32((n, d1, dim), "image_local")
         text_global = read_f32((n, dim), "text_global")
         text_local = read_f32((n, d2, dim), "text_local")
-        y = np.frombuffer(_read_exact(f, n, "y"), dtype=np.uint8).copy()
-        (flag,) = struct.unpack("<B", _read_exact(f, 1, "class_id flag"))
+        y = np.frombuffer(read_exact(n, "y"), dtype=np.uint8).copy()
+        (flag,) = struct.unpack("<B", read_exact(1, "class_id flag"))
         class_id = None
         if flag == 1:
-            class_id = np.frombuffer(_read_exact(f, 4 * n, "class_id"), dtype="<u4").copy()
+            class_id = np.frombuffer(read_exact(4 * n, "class_id"), dtype="<u4").copy()
         elif flag != 0:
-            raise FormatError(f"bad class_id presence flag {flag} at byte offset {f.tell() - 1}")
-        expect_eof(f)
+            raise FormatError(f"bad class_id presence flag {flag} at byte offset {pos - 1}")
+        expect_eof(f, pos)
     return Dataset(image_global, image_local, text_global, text_local, y, class_id)
 
 
@@ -420,7 +455,10 @@ def load_dataset_arg(path: str) -> Dataset:
 
 
 def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int) -> Iterator[PairBatch]:
-    """One shuffled pass over the dataset; a final batch shorter than 2 is dropped."""
+    """One shuffled pass over the dataset; a final batch shorter than 2 is dropped.
+
+    Each batch's rows are gathered and upcast to float64, the only copy of the
+    dataset's rows the trainer's arithmetic reads."""
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     n = dataset.n_pairs
@@ -429,11 +467,5 @@ def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int) -> Iterator[P
         idx = order[start:start + batch_size]
         if len(idx) < 2:
             break
-        yield PairBatch(
-            indices=idx,
-            image_global=dataset.image_global[idx],
-            image_local=dataset.image_local[idx],
-            text_global=dataset.text_global[idx],
-            text_local=dataset.text_local[idx],
-            y=dataset.y[idx],
-        )
+        rows = [getattr(dataset, name)[idx].astype(np.float64, copy=False) for name in _BLOCKS]
+        yield PairBatch(idx, *rows, y=dataset.y[idx])

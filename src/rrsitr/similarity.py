@@ -97,11 +97,14 @@ def _local(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
     else:
         norms, kernel_backward = _direct_kernel(A, B, block_rows, grad)
 
+    if not grad:
+        return np.divide(norms, scale, out=norms), None
+
     def backward(Gl: np.ndarray):
         # Sl = ||M||_F / scale: dM = Gl * M / (||M||_F * scale)
         return kernel_backward(Gl / (np.maximum(norms, NORM_EPS) * scale))
 
-    return norms / scale, (backward if grad else None)
+    return norms / scale, backward
 
 
 def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
@@ -122,8 +125,19 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     kept = []
     for s in range(0, dim, GRAM_BLOCK):
         e = min(s + GRAM_BLOCK, dim)
-        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:])   # (n, e-s, dim-s)
-        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:])
+        # Without grad, the square last strip of both sides shares one
+        # allocation, at desk shapes the largest a forward call makes. Freeing
+        # it raises glibc's dynamic mmap threshold to its size and the
+        # heap-trim threshold to twice that, so repeated evaluations reuse heap
+        # pages instead of faulting in fresh ones after each trim. With grad
+        # every strip is kept for the backward, so one shared strip is never
+        # that large a share.
+        P = np.empty((n + m, e - s, dim - s)) if e == dim and not grad else None
+        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:],
+                       out=None if P is None else P[:n])   # (n, e-s, dim-s)
+        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:],
+                       out=None if P is None else P[n:])
+        del P
         PA[:, :, e - s:] *= 2.0
         if grad:
             kept.append((s, e, PA, PB))

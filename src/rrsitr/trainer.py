@@ -163,10 +163,14 @@ def resolve_variant(name: str) -> VariantSpec:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _project_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray):
-    Z = X @ W.T + b
+def _project_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray,
+                  out: Optional[np.ndarray] = None):
+    """Unit rows of X W^T + b, formed in place (in out if given), and their norms."""
+    Z = np.matmul(X, W.T, out=out)
+    Z += b
     r = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), NORM_EPS)
-    return Z / r, r
+    Z /= r
+    return Z, r
 
 
 @dataclass
@@ -185,10 +189,13 @@ class _Projected:
     d2: int
 
 
+def _check_dim(dim: int, heads: ProjectionHeads) -> None:
+    if dim != heads.dim_in:
+        raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
+
+
 def _project_batch(heads: ProjectionHeads, batch: PairBatch) -> _Projected:
-    if batch.image_global.shape[1] != heads.dim_in:
-        raise ConfigError(f"dataset dim {batch.image_global.shape[1]} does not match "
-                          f"heads dim_in {heads.dim_in}")
+    _check_dim(batch.image_global.shape[1], heads)
     b, d1, dim = batch.image_local.shape
     d2 = batch.text_local.shape[1]
     Uig, rig = _project_rows(batch.image_global, heads.W_img, heads.b_img)
@@ -276,8 +283,13 @@ def _infonce_grad(S: np.ndarray, c: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # U = Z / r with r = max(||Z||, eps): dZ = (dU - (dU . U) U) / r
-    return (dU - (dU * U).sum(axis=1, keepdims=True) * U) / r
+    """U = Z / r with r = max(||Z||, eps): dZ = (dU - (dU . U) U) / r, formed in
+    dU's memory with one temporary."""
+    t = dU * U
+    np.multiply(t.sum(axis=1, keepdims=True), U, out=t)
+    dU -= t
+    dU /= r
+    return dU
 
 
 def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
@@ -661,5 +673,5 @@ def load_heads(path: str) -> ProjectionHeads:
             W_txt=block((dout, din), "W_txt"),
             b_txt=block((dout,), "b_txt"),
         )
-        expect_eof(f)
+        expect_eof(f, 16 + 8 * 2 * (dout * din + dout))
     return heads

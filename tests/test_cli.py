@@ -112,6 +112,71 @@ def test_train_eval_trace_flow(tmp_path, capsys):
                            "t2i_r10", "mr"}
 
 
+def test_eval_rejects_flags_it_does_not_read(tmp_path, capsys):
+    from rrsitr.trainer import init_heads, save_heads
+
+    data = _gen(tmp_path, n=20)
+    ckpt = str(tmp_path / "h.rrsp")
+    save_heads(init_heads(8), ckpt)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", ckpt, "--data", data, "--lr", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lr 5" in capsys.readouterr().err
+
+
+def test_eval_has_no_training_thresholds(tmp_path, capsys):
+    # --gamma1 is a training flag: eval refuses it as unknown usage, not by
+    # checking it against a gamma2 it never uses
+    from rrsitr.trainer import init_heads, save_heads
+
+    data = _gen(tmp_path, n=20)
+    ckpt = str(tmp_path / "h.rrsp")
+    save_heads(init_heads(8), ckpt)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", ckpt, "--data", data, "--gamma1", "20"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --gamma1 20" in err and "gamma2" not in err
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--alpha", "0.5",
+                 "--threads", "1"]) == 0
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--alpha", "1.5"]) == 2
+
+
+def _run_cli(args, stdin_bytes):
+    # the child imports the same rrsitr as this process, installed or not
+    src = os.path.dirname(os.path.dirname(rrsitr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "rrsitr.cli", *args], input=stdin_bytes,
+                          capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("case", ["complete", "truncated", "trailing"])
+def test_inject_reads_a_pipe(tmp_path, case):
+    # offsets are counted from the bytes read, so a pipe (no tell()) fails as a
+    # file does: exit 3 naming the section and offset, not an OSError traceback
+    src = _gen(tmp_path, n=60)   # dim 8, d1 = d2 = 2
+    blob = open(src, "rb").read()
+    start = 24 + 4 * 60 * 8      # image_local
+    piped = {"complete": blob, "truncated": blob[:start + 100],
+             "trailing": blob + b"\x00"}[case]
+    out = str(tmp_path / "x.rrse")
+    proc = _run_cli(["inject", "/dev/stdin", "--rho", "0.2", "--seed", "1", "-o", out], piped)
+    err = proc.stderr.decode()
+    if case == "complete":
+        assert proc.returncode == 0, err
+        assert read_dataset(out).n_pairs == 60
+        return
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err
+    if case == "truncated":
+        assert (f"expected {4 * 60 * 2 * 8} bytes for section 'image_local' "
+                f"at byte offset {start}, got 100") in err
+    else:
+        assert f"trailing bytes after the last section at byte offset {len(blob)}" in err
+
+
 def test_eval_refuses_noisy_data(tmp_path):
     train_file = _gen(tmp_path, n=40)
     noisy = str(tmp_path / "noisy.rrse")
@@ -243,14 +308,8 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 
 def test_cli_entry_point_subprocess(tmp_path):
     out = str(tmp_path / "s.rrse")
-    # the child imports the same rrsitr as this process, installed or not
-    src = os.path.dirname(os.path.dirname(rrsitr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rrsitr.cli", "gen", "--n", "10", "--classes", "2",
-         "--dim", "4", "--d1", "1", "--d2", "1", "--seed", "1", "-o", out],
-        capture_output=True, text=True, env=env)
+    proc = _run_cli(["gen", "--n", "10", "--classes", "2", "--dim", "4", "--d1", "1",
+                     "--d2", "1", "--seed", "1", "-o", out], None)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(out)
 

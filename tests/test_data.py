@@ -174,6 +174,37 @@ def test_trailing_bytes_rejected(tmp_path, junk):
         read_dataset(path)
 
 
+def test_data_layer_returns_float32(tmp_path):
+    ds = generate_synthetic(12, 3, 8, 2, 3, intra_class_spread=0.3, seed=1)
+    path = str(tmp_path / "f.rrse")
+    write_dataset(ds, path)
+    for out in (ds, ds.subset(np.arange(5)), inject_noise(ds, NoiseSpec(0.5, 2)),
+                read_dataset(path)):
+        for name in ("image_global", "image_local", "text_global", "text_local"):
+            assert getattr(out, name).dtype == np.float32, name
+
+
+def test_float64_dataset_writes_same_bytes(tmp_path):
+    ds = _multi_chunk_world()
+    wide = Dataset(*(getattr(ds, k).astype(np.float64) for k in
+                     ("image_global", "image_local", "text_global", "text_local")),
+                   y=ds.y, class_id=ds.class_id)
+    write_dataset(ds, str(tmp_path / "a.rrse"))
+    write_dataset(wide, str(tmp_path / "b.rrse"))
+    assert open(tmp_path / "a.rrse", "rb").read() == open(tmp_path / "b.rrse", "rb").read()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32])
+@pytest.mark.parametrize("field", ["image_global", "text_local"])
+def test_dataset_rejects_other_dtypes(dtype, field):
+    ds = generate_synthetic(6, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    blocks = {f: getattr(ds, f) for f in
+              ("image_global", "image_local", "text_global", "text_local")}
+    blocks[field] = blocks[field].astype(dtype)
+    with pytest.raises(ConfigError, match=f"{field} must be float32 or float64"):
+        Dataset(y=ds.y, **blocks)
+
+
 def test_dataset_rejects_labels_outside_0_1():
     ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
     y = ds.y.copy()
@@ -326,8 +357,11 @@ def test_subset_selects_rows(idx):
 
 def test_data_layer_memory_bounded(tmp_path, monkeypatch):
     # tracemalloc peak per step as a multiple of the dataset's bytes; whole-block
-    # temporaries read 2.1x (generate), 0.45x (write) and 1.2x (read) here
+    # temporaries read 2.1x (generate), 0.45x (write) and 1.2x (read) here, and a
+    # float64 copy of a whole block adds 0.11x (a global) to 0.89x (a local)
     import tracemalloc
+    from rrsitr.evaluation import evaluate
+    from rrsitr.trainer import Hyper, init_heads
     monkeypatch.setattr(data, "_CHUNK_BYTES", 4 * 8 * 32 * 8)  # 4 local rows
     shape = dict(n_pairs=400, n_classes=20, dim=32, d1=8, d2=8, intra_class_spread=0.3)
     path = str(tmp_path / "m.rrse")
@@ -354,3 +388,25 @@ def test_data_layer_memory_bounded(tmp_path, monkeypatch):
     del ds
     back, peak = peak_ratio(lambda: read_dataset(path))
     assert peak <= 1.05 * nbytes(back)
+
+    # the unit-norm check upcasts one row chunk at a time
+    _, peak = peak_ratio(lambda: Dataset(back.image_global, back.image_local,
+                                         back.text_global, back.text_local, back.y))
+    assert peak <= 0.05 * nbytes(back)
+
+    # batch_iter upcasts each gathered batch, not the dataset (two batches of 10
+    # are alive at a time, 0.12x)
+    def one_epoch():
+        for _ in batch_iter(back, 10, epoch_seed=0):
+            pass
+    _, peak = peak_ratio(one_epoch)
+    assert peak <= 0.2 * nbytes(back)
+
+    # evaluate holds its projected float64 rows and little else: at this shape a
+    # whole-block upcast of the text locals reads 1.67x them, of every block 2.0x
+    test = generate_synthetic(40, 4, 512, 2, 8, intra_class_spread=0.3, seed=2)
+    heads = init_heads(test.dim)
+    evaluate(heads, test, Hyper())
+    projected = 8 * test.n_pairs * (2 + test.d1 + test.d2) * test.dim
+    _, peak = peak_ratio(lambda: evaluate(heads, test, Hyper()))
+    assert peak <= 1.3 * projected

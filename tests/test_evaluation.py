@@ -134,6 +134,28 @@ def test_evaluate_random_baseline():
     assert abs(mean_r1 - 100.0 / 20) < 2.0
 
 
+def test_evaluate_projects_chunks_as_one_block(monkeypatch):
+    # evaluate projects the test set in row chunks; each chunk's rows come out
+    # as the trainer's whole-block forward gives them, whatever the budget
+    from rrsitr import data
+    from rrsitr.data import PairBatch
+    from rrsitr.evaluation import _project_set
+    from rrsitr.trainer import forward
+    ds = generate_synthetic(53, 4, 16, 3, 5, intra_class_spread=0.5, seed=8)
+    heads = init_heads(16, seed=2, noise_std=0.3)
+    whole = forward(heads, PairBatch(np.arange(53), *(
+        getattr(ds, k).astype(np.float64) for k in
+        ("image_global", "image_local", "text_global", "text_local")), y=ds.y))
+    want = [whole.image_global, whole.image_local, whole.text_global, whole.text_local]
+    reports = set()
+    for budget in (40 * 16 * 8, 100 * 16 * 8, 4 << 20):  # chunks of >= 40 rows, or whole
+        monkeypatch.setattr(data, "_CHUNK_BYTES", budget)
+        for got, ref in zip(_project_set(heads, ds), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        reports.add(tuple(evaluate(heads, ds, Hyper()).to_dict().values()))
+    assert len(reports) == 1
+
+
 def test_evaluate_alpha_changes_report():
     ds = generate_synthetic(40, 4, 8, 3, 3, intra_class_spread=2.0, seed=5)
     heads = init_heads(8, seed=6, noise_std=0.3)

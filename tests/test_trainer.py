@@ -313,6 +313,36 @@ def test_train_validation_checkpoint_selection():
     assert log.best_epoch == best
 
 
+def _widened(ds):
+    """The same dataset with float64 blocks, as a caller may build it."""
+    from rrsitr.data import Dataset
+    return Dataset(*(getattr(ds, k).astype(np.float64) for k in
+                     ("image_global", "image_local", "text_global", "text_local")),
+                   y=ds.y, class_id=ds.class_id)
+
+
+@pytest.mark.parametrize("dim,d1,d2", [(32, 8, 8), (10, 3, 2)], ids=["gram", "direct"])
+def test_float64_dataset_trains_and_evaluates_identically(dim, d1, d2):
+    from rrsitr.evaluation import evaluate
+    ds = _small_problem(n=60, dim=dim, d1=d1, d2=d2)
+    val = generate_synthetic(30, 4, dim, d1, d2, intra_class_spread=1.0, seed=99)
+    assert ds.image_local.dtype == np.float32
+    hyper = _hyper(epochs=2)
+    runs = [train(d, hyper, val_dataset=v, trace_epochs=[1, 2])
+            for d, v in ((ds, val), (_widened(ds), _widened(val)))]
+    (h32, log32), (h64, log64) = runs
+    for k in h32.params():
+        assert h32.params()[k].tobytes() == h64.params()[k].tobytes(), k
+    strip = [{k: v for k, v in r.to_dict().items() if k != "wall_clock_sec"}
+             for r in log32.records]
+    assert strip == [{k: v for k, v in r.to_dict().items() if k != "wall_clock_sec"}
+                     for r in log64.records]
+    for e in (1, 2):
+        assert log32.traces[e].l_total.tobytes() == log64.traces[e].l_total.tobytes()
+        assert log32.traces[e].w.tobytes() == log64.traces[e].w.tobytes()
+    assert evaluate(h32, val, hyper) == evaluate(h32, _widened(val), hyper)
+
+
 def test_train_divergence_reports_context():
     # runaway decoupled weight decay flips and amplifies W until it overflows
     ds = _small_problem()
