@@ -1,6 +1,10 @@
 """Command-line entry point: dataset generation, noise injection, training,
 ablations, evaluation, and weight-trace export as reproducible runs.
 
+train, trace and ablate share one load -> manifest -> trainer.train path
+(_train_runs), and trace is train's trace-only alias. Hyperparameter defaults
+live in trainer.Hyper alone.
+
 Exit codes: 0 success, 2 usage/config, 3 data/format, 4 numeric divergence.
 """
 from __future__ import annotations
@@ -10,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 
 def _apply_threads_early(argv):
@@ -43,27 +48,28 @@ def _git_describe() -> str:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> None:
-    g = p.add_argument_group("hyperparameters")
-    g.add_argument("--tau", type=float, default=0.07, help="InfoNCE temperature")
-    g.add_argument("--gamma1", type=float, default=5.0, help="clean/ambiguous loss threshold")
-    g.add_argument("--gamma2", type=float, default=18.0, help="ambiguous/noisy loss threshold")
-    g.add_argument("--sigma", type=float, default=0.6, help="triplet base margin")
-    g.add_argument("--lambda1", type=float, default=0.8, help="ambiguous-loss weight")
-    g.add_argument("--lambda2", type=float, default=0.9, help="triplet-loss weight")
-    g.add_argument("--alpha", type=float, default=0.9, help="global/local fusion weight")
-    g.add_argument("--lr", type=float, default=1e-3,
+    # dest = a Hyper field and no default: a flag not given leaves Hyper's default
+    g = p.add_argument_group("hyperparameters", argument_default=argparse.SUPPRESS)
+    g.add_argument("--tau", type=float, help="InfoNCE temperature")
+    g.add_argument("--gamma1", type=float, help="clean/ambiguous loss threshold")
+    g.add_argument("--gamma2", type=float, help="ambiguous/noisy loss threshold")
+    g.add_argument("--sigma", type=float, help="triplet base margin")
+    g.add_argument("--lambda1", type=float, help="ambiguous-loss weight")
+    g.add_argument("--lambda2", type=float, help="triplet-loss weight")
+    g.add_argument("--alpha", type=float, help="global/local fusion weight")
+    g.add_argument("--lr", type=float,
                    help="learning rate (desk-scale default; 7e-6 suits encoder fine-tuning)")
-    g.add_argument("--weight-decay", type=float, default=0.7)
-    g.add_argument("--warmup", type=int, default=200, help="linear warmup steps")
-    g.add_argument("--max-grad-norm", type=float, default=50.0)
+    g.add_argument("--weight-decay", type=float)
+    g.add_argument("--warmup", dest="warmup_steps", metavar="WARMUP", type=int,
+                   help="linear warmup steps")
+    g.add_argument("--max-grad-norm", type=float)
     if with_epochs:
-        g.add_argument("--epochs", type=int, default=50)
-    g.add_argument("--batch", type=int, default=100)
-    g.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (falls back to $RRSITR_SEED, then 0)")
+        g.add_argument("--epochs", type=int)
+    g.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
+    g.add_argument("--seed", type=int, help="RNG seed (falls back to $RRSITR_SEED, then 0)")
     g.add_argument("--rtl-noisy-only", action="store_true",
                    help="restrict the triplet loss to noisy-bucket anchors")
-    g.add_argument("--pace-epochs", type=int, default=0,
+    g.add_argument("--pace-epochs", type=int,
                    help=">0: grow gamma2 linearly over this many epochs")
     g.add_argument("--spl-sum-over-all", action="store_true",
                    help="L_S2 sums over all pairs below gamma2 instead of the ambiguous bucket")
@@ -72,42 +78,39 @@ def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> No
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread cap (1 for bitwise-reproducible runs)")
+                   help="BLAS thread cap (1 for bitwise-reproducible runs); it takes effect "
+                        "only if this process has not loaded numpy yet")
 
 
-def _hyper_from_args(args, epochs_override=None) -> "Hyper":
+def _hyper_from_args(args) -> "Hyper":
+    """Hyper from the hyperparameter flags given; Hyper's defaults fill the
+    rest, except that seed falls back to $RRSITR_SEED first."""
     from .trainer import Hyper
-    epochs = epochs_override if epochs_override is not None else args.epochs
-    return Hyper(
-        tau=args.tau, gamma1=args.gamma1, gamma2=args.gamma2, sigma=args.sigma,
-        lambda1=args.lambda1, lambda2=args.lambda2, alpha=args.alpha, lr=args.lr,
-        weight_decay=args.weight_decay, warmup_steps=args.warmup,
-        max_grad_norm=args.max_grad_norm, epochs=epochs, batch_size=args.batch,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        rtl_noisy_only=args.rtl_noisy_only, pace_epochs=args.pace_epochs,
-        spl_sum_over_all=args.spl_sum_over_all,
-    )
+
+    given = {f.name: getattr(args, f.name) for f in fields(Hyper) if f.name in args}
+    if "seed" not in given:
+        given["seed"] = _default_seed()
+    return Hyper(**given)
 
 
-def _write_run_manifest(out_dir: str, command: str, args, hyper, data_path, extra=None) -> str:
+def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     noise = None
-    if data_path and data_path.endswith(".json"):
+    if data_path.endswith(".json"):
         with open(data_path) as f:
             noise = json.load(f).get("noise")
     doc = {
         "command": command,
-        "hyper": dict(hyper.__dict__) if hyper is not None else None,
+        "variant": variant,
+        "hyper": dict(hyper.__dict__),
         "dataset": {"path": data_path, "noise": noise},
-        "seed": hyper.seed if hyper is not None else getattr(args, "seed", None),
+        "seed": hyper.seed,
         "git": _git_describe(),
-        "outputs": extra or {},
+        "outputs": outputs or {},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as f:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    return path
 
 
 def _mean_pair_similarities(image_global, text_global):
@@ -159,40 +162,41 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def _train_common(args, variant: str, trace_epochs=(), epochs_override=None):
+def _train_runs(args, variants, trace_epochs=(), outputs=None):
+    """The one training path of train, trace and ablate. Before any training it
+    builds Hyper, checks the trace epochs, loads the data sets and writes the run
+    manifest; then it trains the variants in turn and yields (variant, heads,
+    log, report), report being the evaluation on ablate's --test set or None."""
     from .data import load_dataset_arg
     from .errors import ConfigError
+    from .evaluation import evaluate
     from .trainer import train
 
-    hyper = _hyper_from_args(args, epochs_override)
+    hyper = _hyper_from_args(args)
     for epoch in trace_epochs:
         if not 1 <= epoch <= hyper.epochs:
             raise ConfigError(f"epoch {epoch} was not reached (ran {hyper.epochs})")
     ds = load_dataset_arg(args.data)
     val = load_dataset_arg(args.val) if args.val else None
-    _write_run_manifest(args.out_dir, variant if variant != "full" else "train",
-                        args, hyper, args.data)
-    heads, log = train(ds, hyper, val_dataset=val, variant=variant,
-                       trace_epochs=trace_epochs)
-    return heads, log, hyper
-
-
-def _save_run_outputs(args, heads, log, tag: str) -> None:
-    from .trainer import save_heads
-
-    ckpt = os.path.join(args.out_dir, f"{tag}.rrsp")
-    save_heads(heads, ckpt)
-    log_path = os.path.join(args.out_dir, f"{tag}.log.jsonl")
-    log.to_jsonl(log_path)
-    for epoch, trace in sorted(log.traces.items()):
-        trace.to_csv(os.path.join(args.out_dir, f"{tag}.trace_epoch_{epoch}.csv"))
-    print(f"wrote {ckpt} and {log_path}")
+    test = load_dataset_arg(args.test) if getattr(args, "test", None) else None
+    _write_run_manifest(args.out_dir, args.command, variants[0] if len(variants) == 1 else None,
+                        hyper, args.data, outputs)
+    for variant in variants:
+        heads, log = train(ds, hyper, val_dataset=val, variant=variant, trace_epochs=trace_epochs)
+        yield variant, heads, log, (evaluate(heads, test, hyper) if test is not None else None)
 
 
 def cmd_train(args) -> int:
-    trace_epochs = _parse_epoch_list(args.trace_epochs)
-    heads, log, hyper = _train_common(args, args.variant, trace_epochs)
-    _save_run_outputs(args, heads, log, "train")
+    from .trainer import save_heads
+
+    _, heads, log, _ = next(_train_runs(args, [args.variant], _parse_epoch_list(args.trace_epochs)))
+    ckpt = os.path.join(args.out_dir, "train.rrsp")
+    save_heads(heads, ckpt)
+    log_path = os.path.join(args.out_dir, "train.log.jsonl")
+    log.to_jsonl(log_path)
+    for epoch, trace in sorted(log.traces.items()):
+        trace.to_csv(os.path.join(args.out_dir, f"train.trace_epoch_{epoch}.csv"))
+    print(f"wrote {ckpt} and {log_path}")
     if log.records:
         final = log.records[-1]
         print(f"final epoch: loss={final.loss_overall:.4f} "
@@ -201,34 +205,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+def cmd_trace(args) -> int:
+    """train's trace-only alias: --epochs LIST and --train-epochs N are train's
+    --trace-epochs and --epochs, and only the trace CSVs are written."""
+    trace_epochs = _parse_epoch_list(args.trace_epochs)
+    if not trace_epochs:
+        print("trace: --epochs must name at least one epoch, e.g. --epochs 1,50",
+              file=sys.stderr)
+        return 2
+    args.epochs = getattr(args, "epochs", max(trace_epochs))
+    log = next(_train_runs(args, [args.variant], trace_epochs))[2]
+    for epoch in trace_epochs:
+        path = os.path.join(args.out_dir, f"trace_epoch_{epoch}.csv")
+        log.traces[epoch].to_csv(path)
+        print(f"wrote {path}")
+    return 0
+
+
 def cmd_ablate(args) -> int:
-    from .data import load_dataset_arg
-    from .evaluation import RetrievalReport, evaluate
-    from .trainer import save_heads, train
+    from .evaluation import RetrievalReport
+    from .trainer import VARIANTS, save_heads
 
-    hyper = _hyper_from_args(args)
-    ds = load_dataset_arg(args.data)
-    val = load_dataset_arg(args.val) if args.val else None
-    test = load_dataset_arg(args.test) if args.test else None
-    variants = (["full", "no_local", "no_spl", "no_rtl", "none_of_three",
-                 "spl_hard_to_easy", "spl_random_weights", "spl_no_ambiguous",
-                 "fixed_margin_rtl"] if args.all else [args.variant])
-    _write_run_manifest(args.out_dir, "ablate", args, hyper, args.data,
-                        extra={"variants": variants})
-
+    variants = list(VARIANTS) if args.all else [args.variant]
     rows = []
-    for variant in variants:
-        heads, log = train(ds, hyper, val_dataset=val, variant=variant)
+    for variant, heads, log, report in _train_runs(args, variants, outputs={"variants": variants}):
         save_heads(heads, os.path.join(args.out_dir, f"{variant}.rrsp"))
         log.to_jsonl(os.path.join(args.out_dir, f"{variant}.log.jsonl"))
-        if test is not None:
-            report = evaluate(heads, test, hyper)
-            rows.append((variant, report))
+        rows.append((variant, report))
+        if report is not None:
             print(f"{variant}: test mR={report.mr:.2f}")
+        elif args.val:  # the saved heads, and so the val mR printed, are the best epoch's
+            mr = log.records[log.best_epoch - 1].val_mr if log.best_epoch else float("nan")
+            print(f"{variant}: val mR={mr:.2f}")
         else:
-            mr = log.records[-1].val_mr if (log.records and log.records[-1].val_mr is not None) else float("nan")
-            rows.append((variant, None))
-            print(f"{variant}: val mR={mr:.2f}" if val else f"{variant}: done")
+            print(f"{variant}: done")
 
     results = os.path.join(args.out_dir, "results.csv")
     with open(results, "w") as f:
@@ -245,7 +255,8 @@ def cmd_eval(args) -> int:
     from .trainer import Hyper, load_heads
 
     heads = load_heads(args.checkpoint)
-    report = evaluate(heads, load_dataset_arg(args.data), Hyper(alpha=args.alpha))
+    hyper = Hyper(alpha=args.alpha) if "alpha" in args else Hyper()
+    report = evaluate(heads, load_dataset_arg(args.data), hyper)
     doc = json.dumps(report.to_dict(), indent=2)
     if args.output:
         with open(args.output, "w") as f:
@@ -263,22 +274,6 @@ def _parse_epoch_list(spec: str | None) -> list[int]:
         if not tok.isdecimal():
             raise ConfigError(f"epoch list {spec!r}: {tok!r} is not a non-negative integer")
     return [int(tok) for tok in tokens]
-
-
-def cmd_trace(args) -> int:
-    epochs = _parse_epoch_list(args.epochs)
-    if not epochs:
-        print("trace: --epochs must name at least one epoch, e.g. --epochs 1,50",
-              file=sys.stderr)
-        return 2
-    train_epochs = args.train_epochs if args.train_epochs is not None else max(epochs)
-    heads, log, hyper = _train_common(args, args.variant, trace_epochs=epochs,
-                                      epochs_override=train_epochs)
-    for epoch in epochs:
-        path = os.path.join(args.out_dir, f"trace_epoch_{epoch}.csv")
-        log.traces[epoch].to_csv(path)
-        print(f"wrote {path}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,16 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help=".rrsp head parameters")
     p.add_argument("--data", required=True, help="clean test .rrse file or manifest")
     p.add_argument("-o", "--output", help="write the JSON report here")
-    p.add_argument("--alpha", type=float, default=0.9, help="global/local fusion weight")
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
+                   help="global/local fusion weight")
     _add_threads_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trace", help="export per-pair weight traces for chosen epochs")
+    p = sub.add_parser("trace", help="train's trace-only alias: export per-pair weight "
+                                     "traces for chosen epochs")
     p.add_argument("--data", required=True)
     p.add_argument("--val")
     p.add_argument("--variant", default="full")
-    p.add_argument("--epochs", required=True, help="comma-separated epoch list, e.g. 1,50")
-    p.add_argument("--train-epochs", type=int, default=None,
+    p.add_argument("--epochs", dest="trace_epochs", metavar="EPOCHS", required=True,
+                   help="comma-separated epoch list, e.g. 1,50 (train's --trace-epochs)")
+    p.add_argument("--train-epochs", dest="epochs", metavar="TRAIN_EPOCHS", type=int,
+                   default=argparse.SUPPRESS,
                    help="training length (default: the largest traced epoch)")
     p.add_argument("--out-dir", default="runs/trace")
     _add_hyper_flags(p, with_epochs=False)

@@ -24,10 +24,20 @@ def global_similarity(img_globals: np.ndarray, txt_globals: np.ndarray) -> np.nd
     return u @ v.T
 
 
-def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray,
-                     aggregation: str = "frobenius",
-                     block_rows: int | None = None) -> np.ndarray:
-    """Aggregate local-feature similarity for every (image, text) pair.
+def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray) -> np.ndarray:
+    """Aggregate local-feature similarity for every (image, text) pair, from
+    blocks (n, d1, dim) and (m, d2, dim) whose rows are renormalized first;
+    local_similarity_units computes it from unit rows."""
+    a = np.asarray(img_locals, dtype=np.float64)
+    b = np.asarray(txt_locals, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[2] != b.shape[2]:
+        raise ConfigError("local blocks must be (n, d1, dim) and (m, d2, dim)")
+    return local_similarity_units(_unit_rows(a, "img_locals"), _unit_rows(b, "txt_locals"),
+                                  grad=False)[0]
+
+
+def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
+    """Sl for unit-row blocks A (n, d1, dim) and B (m, d2, dim), and its backward.
 
     For pair (i, j) the d1 x d2 matrix of local cosines M = A_i B_j^T is
     reduced to a single score ||M||_F / sqrt(d1*d2), which lies in [0, 1].
@@ -45,30 +55,27 @@ def local_similarity(img_locals: np.ndarray, txt_locals: np.ndarray,
     rounding, except that near Sl = 0 the Gram form's cancelled sum leaves an
     error of order sqrt(eps).
 
-    block_rows applies to the direct kernel only. It bounds peak memory by
-    processing image rows in chunks; the result is bit-identical for any
-    chunking (each output entry sums its own terms in a fixed order).
-    """
-    if aggregation != "frobenius":
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
-    a = np.asarray(img_locals, dtype=np.float64)
-    b = np.asarray(txt_locals, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[2] != b.shape[2]:
-        raise ConfigError("local blocks must be (n, d1, dim) and (m, d2, dim)")
-    au = _unit_rows(a, "img_locals")
-    bu = _unit_rows(b, "txt_locals")
-    return _local(au, bu, block_rows, grad=False)[0]
-
-
-def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
-    """Sl for unit-row blocks A (n, d1, dim) and B (m, d2, dim), and its backward.
-
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
-    (dA, dB) shaped like A and B. The kernel is chosen as in local_similarity.
-    Unlike local_similarity, the rows are taken as given, not renormalized.
-    With grad=False nothing is kept for a backward and backward is None.
+    (dA, dB) shaped like A and B. The rows are taken as given, not
+    renormalized. With grad=False nothing is kept for a backward and backward
+    is None.
     """
-    return _local(A, B, None, grad)
+    n, d1, dim = A.shape
+    m, d2, _ = B.shape
+    scale = np.sqrt(d1 * d2)
+    if _gram_chosen(n, m, d1, d2, dim, grad):
+        norms, kernel_backward = _gram_kernel(A, B, grad)
+    else:
+        norms, kernel_backward = _direct_kernel(A, B, grad)
+
+    if not grad:
+        return np.divide(norms, scale, out=norms), None
+
+    def backward(Gl: np.ndarray):
+        # Sl = ||M||_F / scale: dM = Gl * M / (||M||_F * scale)
+        return kernel_backward(Gl / (np.maximum(norms, NORM_EPS) * scale))
+
+    return norms / scale, backward
 
 
 def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int, grad: bool) -> bool:
@@ -86,25 +93,6 @@ def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int, grad: bool) -> bool
     strips = [(min(s + GRAM_BLOCK, dim) - s) * (dim - s) for s in range(0, dim, GRAM_BLOCK)]
     held = sum(strips) if grad else strips[0]
     return 8 * (n + m) * held <= DIRECT_BLOCK_BYTES
-
-
-def _local(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
-    n, d1, dim = A.shape
-    m, d2, _ = B.shape
-    scale = np.sqrt(d1 * d2)
-    if _gram_chosen(n, m, d1, d2, dim, grad):
-        norms, kernel_backward = _gram_kernel(A, B, grad)
-    else:
-        norms, kernel_backward = _direct_kernel(A, B, block_rows, grad)
-
-    if not grad:
-        return np.divide(norms, scale, out=norms), None
-
-    def backward(Gl: np.ndarray):
-        # Sl = ||M||_F / scale: dM = Gl * M / (||M||_F * scale)
-        return kernel_backward(Gl / (np.maximum(norms, NORM_EPS) * scale))
-
-    return norms / scale, backward
 
 
 def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
@@ -186,18 +174,17 @@ def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
     return dX
 
 
-def _direct_kernel(A: np.ndarray, B: np.ndarray, block_rows, grad: bool):
+def _direct_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     """As _gram_kernel, from every M. With grad the intermediate is kept whole
-    for the backward; without it, it is formed in chunks of block_rows rows
-    and no backward is returned."""
+    for the backward; without it, it is formed in chunks of image rows that
+    fit DIRECT_BLOCK_BYTES and no backward is returned. The result is
+    bit-identical for any chunking: each entry sums its own terms in a fixed
+    order."""
     n, d1, dim = A.shape
     m, d2, _ = B.shape
     au = A.reshape(n * d1, dim)
     bu = B.reshape(m * d2, dim)
-    if grad:
-        block_rows = n
-    elif block_rows is None:
-        block_rows = max(1, int(DIRECT_BLOCK_BYTES / (8 * d1 * m * d2)))
+    block_rows = n if grad else max(1, int(DIRECT_BLOCK_BYTES / (8 * d1 * m * d2)))
     norms = np.empty((n, m), dtype=np.float64)
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import rrsitr
+from rrsitr import cli
 from rrsitr.cli import main
 from rrsitr.data import read_dataset
+from rrsitr.trainer import Hyper
 
 
 def _gen(tmp_path, name="train.rrse", n=60, seed=1, extra=()):
@@ -143,13 +146,25 @@ def test_eval_has_no_training_thresholds(tmp_path, capsys):
     assert main(["eval", "--checkpoint", ckpt, "--data", data, "--alpha", "1.5"]) == 2
 
 
-def _run_cli(args, stdin_bytes):
+def _run_python(args, stdin_bytes=None):
     # the child imports the same rrsitr as this process, installed or not
     src = os.path.dirname(os.path.dirname(rrsitr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "rrsitr.cli", *args], input=stdin_bytes,
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], input=stdin_bytes, capture_output=True,
+                          env=env)
+
+
+def _run_cli(args, stdin_bytes):
+    return _run_python(["-m", "rrsitr.cli", *args], stdin_bytes)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy starts its BLAS thread pool when it loads, so --threads can cap the
+    # pool only if importing the CLI (and the package) leaves numpy unloaded
+    proc = _run_python(["-c", "import sys, rrsitr.cli; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
 
 
 @pytest.mark.parametrize("case", ["complete", "truncated", "trailing"])
@@ -240,6 +255,74 @@ def test_trace_command(tmp_path):
         assert lines[1].startswith(f"{e},0,")
 
 
+def test_trace_is_train_with_trace_epochs(tmp_path):
+    train_file = _gen(tmp_path, n=40)
+    common = ["--data", train_file, "--batch", "10", "--gamma1", "2", "--gamma2", "9",
+              "--seed", "0"]
+    assert main(["trace", "--epochs", "1,2", "--out-dir", str(tmp_path / "tc"), *common]) == 0
+    assert main(["train", "--epochs", "2", "--trace-epochs", "1,2",
+                 "--out-dir", str(tmp_path / "tr"), *common]) == 0
+    for e in (1, 2):
+        assert ((tmp_path / "tc" / f"trace_epoch_{e}.csv").read_bytes()
+                == (tmp_path / "tr" / f"train.trace_epoch_{e}.csv").read_bytes())
+    assert sorted(os.listdir(tmp_path / "tc")) == [
+        "manifest.json", "trace_epoch_1.csv", "trace_epoch_2.csv"]
+
+
+@pytest.mark.parametrize("argv,variant", [(["train", "--variant", "no_spl", "--epochs", "1"],
+                                           "no_spl"),
+                                          (["trace", "--epochs", "1"], "full")])
+def test_manifest_records_command_and_variant(tmp_path, argv, variant):
+    train_file = _gen(tmp_path, n=40)
+    out_dir = tmp_path / "run"
+    assert main([*argv, "--data", train_file, "--out-dir", str(out_dir), "--batch", "10",
+                 "--seed", "0"]) == 0
+    manifest = json.load(open(out_dir / "manifest.json"))
+    assert (manifest["command"], manifest["variant"]) == (argv[0], variant)
+
+
+def _built_hyper(monkeypatch, tmp_path, argv):
+    """The Hyper a training command builds from argv; the run then stops at its
+    absent data file, before any training."""
+    built = []
+    real = cli._hyper_from_args
+    monkeypatch.setattr(cli, "_hyper_from_args", lambda args: built.append(real(args)) or built[-1])
+    assert main([*argv, "--data", str(tmp_path / "absent.rrse"),
+                 "--out-dir", str(tmp_path / "x")]) == 3
+    return built[0]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "trace"])
+def test_hyper_defaults_come_from_hyper(monkeypatch, tmp_path, command):
+    monkeypatch.delenv("RRSITR_SEED", raising=False)
+    if command == "trace":
+        got = _built_hyper(monkeypatch, tmp_path, ["trace", "--epochs", "1,3"])
+        assert got == Hyper(seed=0, epochs=3)
+    else:
+        assert _built_hyper(monkeypatch, tmp_path, [command]) == Hyper(seed=0)
+
+
+EVERY_HYPER_FLAG = ["--tau", "0.1", "--gamma1", "1.5", "--gamma2", "7", "--sigma", "0.4",
+                    "--lambda1", "0.3", "--lambda2", "0.2", "--alpha", "0.6", "--lr", "0.002",
+                    "--weight-decay", "0.1", "--warmup", "7", "--max-grad-norm", "9",
+                    "--batch", "12", "--seed", "3", "--rtl-noisy-only", "--pace-epochs", "2",
+                    "--spl-sum-over-all"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "trace"])
+def test_every_hyper_flag_reaches_its_field(monkeypatch, tmp_path, command):
+    epochs = ["--epochs", "1", "--train-epochs", "4"] if command == "trace" else ["--epochs", "4"]
+    got = _built_hyper(monkeypatch, tmp_path, [command, *epochs, *EVERY_HYPER_FLAG])
+    want = Hyper(tau=0.1, gamma1=1.5, gamma2=7.0, sigma=0.4, lambda1=0.3, lambda2=0.2,
+                 alpha=0.6, lr=0.002, weight_decay=0.1, warmup_steps=7, max_grad_norm=9.0,
+                 epochs=4, batch_size=12, seed=3, rtl_noisy_only=True, pace_epochs=2,
+                 spl_sum_over_all=True)
+    for f in fields(Hyper):
+        # every value differs from the default, so a flag that misses its field shows
+        assert getattr(want, f.name) != getattr(Hyper(), f.name), f.name
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
 def test_trace_epoch_beyond_run(tmp_path):
     train_file = _gen(tmp_path, n=40)
     rc = main(["trace", "--data", train_file, "--epochs", "9", "--train-epochs", "3",
@@ -285,6 +368,30 @@ def test_ablate_single_variant(tmp_path):
                "--gamma1", "2", "--gamma2", "9", "--seed", "4"])
     assert rc == 0
     assert os.path.exists(os.path.join(out_dir, "#2.rrsp"))
+
+
+def test_ablate_prints_val_mr_of_saved_heads(tmp_path, capsys):
+    # at seed 0 validation peaks at epoch 2 of 4 (mR 65.00, 64.44 at the end);
+    # ablate saves that epoch's heads and prints their mR
+    from rrsitr.evaluation import evaluate
+    from rrsitr.trainer import load_heads
+
+    train_file = _gen(tmp_path, "train.rrse", n=60, seed=1)
+    val_file = _gen(tmp_path, "val.rrse", n=30, seed=2)
+    noisy = str(tmp_path / "noisy.rrse")
+    assert main(["inject", train_file, "--rho", "0.4", "--seed", "3", "-o", noisy]) == 0
+    out_dir = tmp_path / "ab"
+    capsys.readouterr()
+    assert main(["ablate", "--data", noisy, "--val", val_file, "--out-dir", str(out_dir),
+                 "--epochs", "4", "--batch", "10", "--gamma1", "2", "--gamma2", "9",
+                 "--warmup", "4", "--seed", "0"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    val_mrs = [json.loads(line)["val_mr"] for line in open(out_dir / "full.log.jsonl")]
+    best = int(np.argmax(val_mrs))   # the first best, as train keeps
+    assert f"{val_mrs[best]:.2f}" != f"{val_mrs[-1]:.2f}"
+    saved = evaluate(load_heads(str(out_dir / "full.rrsp")), read_dataset(val_file), Hyper()).mr
+    assert saved == val_mrs[best]
+    assert printed == f"full: val mR={saved:.2f}"
 
 
 def test_unknown_variant_exit_code(tmp_path):

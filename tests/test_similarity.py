@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrsitr import similarity
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.similarity import (GRAM_BLOCK, _direct_kernel, _gram_chosen, _gram_kernel,
                                fused_similarity, global_similarity, local_similarity,
@@ -100,14 +101,18 @@ def test_local_matches_scalar_oracle():
     assert _gram_chosen(4, 4, 4, 4, 5, grad=False)  # the last shape runs the Gram kernel
 
 
-def test_local_blocking_bit_identical():
+def test_local_blocking_bit_identical(monkeypatch):
+    # without grad the direct kernel takes DIRECT_BLOCK_BYTES / (8*d1*m*d2) image rows at a time
     rng = np.random.default_rng(1)
     a = rng.normal(size=(13, 3, 6))
     b = rng.normal(size=(9, 2, 6))
-    assert not _gram_chosen(13, 9, 3, 2, 6, grad=False)  # block_rows bounds the direct kernel only
-    full = local_similarity(a, b, block_rows=13)
-    for block in (1, 2, 5):
-        assert np.array_equal(local_similarity(a, b, block_rows=block), full)
+    assert not _gram_chosen(13, 9, 3, 2, 6, grad=False)  # the chunking is the direct kernel's
+    by_rows = {}
+    for rows in (13, 1, 2, 5):
+        monkeypatch.setattr(similarity, "DIRECT_BLOCK_BYTES", rows * 8 * 3 * 9 * 2)
+        by_rows[rows] = local_similarity(a, b)
+    for rows in (1, 2, 5):
+        assert np.array_equal(by_rows[rows], by_rows[13])
 
 
 def test_local_role_swap_symmetry():
@@ -139,7 +144,7 @@ def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     W = rng.normal(size=(n, m))
     norms_g, back_g = _gram_kernel(A, B, grad=True)
-    norms_d, back_d = _direct_kernel(A, B, None, grad=True)
+    norms_d, back_d = _direct_kernel(A, B, grad=True)
     assert np.max(np.abs(norms_g - norms_d)) <= 1e-12
     for got, want in zip(back_g(W), back_d(W)):
         assert got.shape == want.shape
@@ -184,7 +189,7 @@ def test_local_gram_orthogonal_blocks_finite():
         S = local_similarity(a, b)
         assert np.all(np.isfinite(S)) and np.all(S >= 0.0)
         A, B = _unit_rows(a), _unit_rows(b)
-        direct, _ = _direct_kernel(A, B, None, grad=False)
+        direct, _ = _direct_kernel(A, B, grad=False)
         assert np.max(np.abs(S - direct / np.sqrt(d1 * d2))) <= GRAM_NEAR_ZERO_TOL
         Sl, backward = local_similarity_units(A, B)
         assert np.array_equal(Sl, S)
@@ -200,7 +205,7 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     scale = np.sqrt(d1 * d2)
     S_gram = _gram_kernel(A, B, grad=False)[0] / scale
-    S_direct = _direct_kernel(A, B, None, grad=False)[0] / scale
+    S_direct = _direct_kernel(A, B, grad=False)[0] / scale
     # the Gram form is exact to rounding in Sl^2; its sqrt magnifies that near 0
     assert np.max(np.abs(S_gram ** 2 - S_direct ** 2)) <= 1e-12
     assert np.max(np.abs(S_gram - S_direct)) <= GRAM_NEAR_ZERO_TOL
@@ -208,12 +213,6 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
     assert np.all(S >= 0.0) and np.all(S <= 1.0 + 1e-12)
     p, q = rng.permutation(n), rng.permutation(m)
     assert np.allclose(local_similarity(A[p], B[q]), S[p][:, q], rtol=0.0, atol=1e-12)
-
-
-def test_local_unknown_aggregation():
-    a = np.ones((1, 1, 3))
-    with pytest.raises(ConfigError):
-        local_similarity(a, a, aggregation="mean")
 
 
 def test_fused_identity_cases():
