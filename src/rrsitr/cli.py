@@ -18,7 +18,11 @@ from dataclasses import fields
 
 
 def _apply_threads_early(argv):
-    """--threads must take effect before numpy loads its BLAS thread pool."""
+    """--threads must take effect before numpy loads its BLAS thread pool. Once
+    numpy is loaded the cap cannot apply, so the thread variables are left as
+    they are for the rest of the process and its children."""
+    if "numpy" in sys.modules:
+        return
     for i, a in enumerate(argv):
         n = None
         if a == "--threads" and i + 1 < len(argv):
@@ -37,8 +41,11 @@ def _default_seed() -> int:
 
 
 def _git_describe() -> str:
+    """The commit of the checkout this package runs from, whatever the current
+    directory."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()

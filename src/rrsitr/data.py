@@ -17,9 +17,9 @@ from .errors import ConfigError, DataError, FormatError
 RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
 UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
-# Byte budget of one float64 row chunk in the streaming loops below: the
-# generator, writer, reader, unit-norm check and batch upcasts hold no per-block
-# temporary larger than this.
+# Byte budget of one float64 row chunk in the streaming loops below and in
+# trainer.project: the generator, writer, reader, unit-norm check, batch
+# upcasts and project's upcasts hold no per-block temporary larger than this.
 _CHUNK_BYTES = 4 << 20
 _BLOCKS = ("image_global", "image_local", "text_global", "text_local")
 
@@ -359,77 +359,79 @@ def write_dataset(dataset: Dataset, path: str) -> None:
             f.write(struct.pack("<B", 0))
 
 
-def _truncated(nbytes: int, section: str, offset: int, got: int) -> FormatError:
-    return FormatError(f"truncated file: expected {nbytes} bytes for section '{section}' "
-                       f"at byte offset {offset}, got {got}")
+class SectionReader:
+    """Consecutive sections of a binary file, read with the byte offset counted
+    from the bytes read (a pipe cannot tell()), so that every error names the
+    section and its offset. A section longer than the bytes left in a regular
+    file fails before anything is allocated."""
 
+    def __init__(self, f):
+        self.f = f
+        self.pos = 0
+        st = os.fstat(f.fileno())
+        self.size = st.st_size if stat.S_ISREG(st.st_mode) else None
 
-def expect_eof(f, offset: int) -> None:
-    """Raise FormatError if f, read up to byte offset `offset`, has more bytes."""
-    if f.read(1):
-        raise FormatError(f"trailing bytes after the last section at byte offset {offset}")
+    def _truncated(self, nbytes: int, section: str, got: int) -> FormatError:
+        return FormatError(f"truncated file: expected {nbytes} bytes for section '{section}' "
+                           f"at byte offset {self.pos}, got {got}")
+
+    def array(self, shape: Tuple[int, ...], dtype, section: str) -> np.ndarray:
+        """The next section as an array of this shape and dtype, read straight
+        into it in row chunks of about _CHUNK_BYTES."""
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        if self.size is not None and self.size - self.pos < nbytes:
+            raise self._truncated(nbytes, section, self.size - self.pos)
+        out = np.empty(shape, dtype=dtype)
+        done = 0
+        for r0, r1 in _row_chunks(shape):
+            view = out[r0:r1].reshape(-1)
+            got = self.f.readinto(view)
+            done += got
+            if got != view.nbytes:
+                raise self._truncated(nbytes, section, done)
+        self.pos += nbytes
+        return out
+
+    def raw(self, nbytes: int, section: str) -> bytes:
+        return self.array((nbytes,), np.uint8, section).tobytes()
+
+    def expect_eof(self) -> None:
+        """Raise FormatError if the file has bytes after the sections read."""
+        if self.f.read(1):
+            raise FormatError(f"trailing bytes after the last section at byte offset {self.pos}")
 
 
 def read_dataset(path: str) -> Dataset:
     """Read an RRSE file; embeddings come back as float32 blocks.
 
-    Each float32 section is checked against the bytes left in a regular file,
-    then read straight into its block in row chunks of about _CHUNK_BYTES.
-    Offsets in error messages are counted from the bytes read, so a pipe
-    (e.g. /dev/stdin) reads and fails as a file does.
+    Every section is read through a SectionReader, so a truncated regular
+    file fails before its short section is allocated, and a pipe (e.g.
+    /dev/stdin) reads and fails as a file does.
     """
     with open(path, "rb") as f:
-        pos = 0  # bytes read so far, counted because a pipe cannot tell()
-
-        def read_exact(nbytes, section):
-            nonlocal pos
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise _truncated(nbytes, section, pos, len(buf))
-            pos += nbytes
-            return buf
-
-        magic = read_exact(4, "magic")
+        r = SectionReader(f)
+        magic = r.raw(4, "magic")
         if magic != RRSE_MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {RRSE_MAGIC!r}")
-        version, n, dim, d1, d2 = struct.unpack("<5I", read_exact(20, "header"))
+        version, n, dim, d1, d2 = struct.unpack("<5I", r.raw(20, "header"))
         if version != RRSE_VERSION:
             raise FormatError(f"unsupported version {version} at byte offset 4")
         if n < 1 or dim < 2 or d1 < 1 or d2 < 1:
             raise FormatError(
                 f"invalid header at byte offset 8: n={n}, dim={dim}, d1={d1}, d2={d2} "
                 "(need n>=1, dim>=2, d1>=1, d2>=1)")
-        st = os.fstat(f.fileno())
-
-        def read_f32(shape, section):
-            nonlocal pos
-            nbytes = 4 * math.prod(shape)
-            # a regular file too short for the section fails before the block is allocated
-            if stat.S_ISREG(st.st_mode) and st.st_size - pos < nbytes:
-                raise _truncated(nbytes, section, pos, st.st_size - pos)
-            out = np.empty(shape, dtype="<f4")
-            done = 0
-            for r0, r1 in _row_chunks(shape):
-                view = out[r0:r1].reshape(-1)
-                got = f.readinto(view)
-                done += got
-                if got != view.nbytes:
-                    raise _truncated(nbytes, section, pos, done)
-            pos += nbytes
-            return out
-
-        image_global = read_f32((n, dim), "image_global")
-        image_local = read_f32((n, d1, dim), "image_local")
-        text_global = read_f32((n, dim), "text_global")
-        text_local = read_f32((n, d2, dim), "text_local")
-        y = np.frombuffer(read_exact(n, "y"), dtype=np.uint8).copy()
-        (flag,) = struct.unpack("<B", read_exact(1, "class_id flag"))
+        image_global = r.array((n, dim), "<f4", "image_global")
+        image_local = r.array((n, d1, dim), "<f4", "image_local")
+        text_global = r.array((n, dim), "<f4", "text_global")
+        text_local = r.array((n, d2, dim), "<f4", "text_local")
+        y = r.array((n,), np.uint8, "y")
+        (flag,) = r.raw(1, "class_id flag")
         class_id = None
         if flag == 1:
-            class_id = np.frombuffer(read_exact(4 * n, "class_id"), dtype="<u4").copy()
+            class_id = r.array((n,), "<u4", "class_id")
         elif flag != 0:
-            raise FormatError(f"bad class_id presence flag {flag} at byte offset {pos - 1}")
-        expect_eof(f, pos)
+            raise FormatError(f"bad class_id presence flag {flag} at byte offset {r.pos - 1}")
+        r.expect_eof()
     return Dataset(image_global, image_local, text_global, text_local, y, class_id)
 
 

@@ -6,10 +6,11 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset, _row_chunks
+from .data import Dataset
 from .errors import ConfigError, DataError
 from .selfpaced import BUCKET_NOISY, Partition
 from .similarity import local_similarity_units
+from .trainer import project
 
 
 @dataclass(frozen=True)
@@ -103,51 +104,23 @@ def _report_from_similarity(Sf: np.ndarray) -> RetrievalReport:
     return RetrievalReport(*vals, mr=float(np.mean(vals)))
 
 
-def _project_set(heads, dataset: Dataset):
-    """The four blocks of a dataset through the heads, as float64 unit rows
-    shaped (n, dout), (n, d1, dout), (n, dout), (n, d2, dout).
-
-    Rows are upcast and projected in chunks of about data._CHUNK_BYTES through
-    one reused float64 buffer, so no float64 copy of a whole block is made;
-    each chunk is projected as the trainer projects a batch.
-    """
-    from .trainer import _check_dim, _project_rows  # local import to avoid a module cycle
-
-    _check_dim(dataset.dim, heads)
-    buf = np.empty((0, dataset.dim))
-    out = []
-    for name, W, b in (("image_global", heads.W_img, heads.b_img),
-                       ("image_local", heads.W_img, heads.b_img),
-                       ("text_global", heads.W_txt, heads.b_txt),
-                       ("text_local", heads.W_txt, heads.b_txt)):
-        block = getattr(dataset, name)
-        rows = block.reshape(-1, dataset.dim)
-        U = np.empty((rows.shape[0], heads.dim_out))
-        for r0, r1 in _row_chunks(rows.shape):
-            if len(buf) < r1 - r0:
-                buf = np.empty((r1 - r0, dataset.dim))
-            x = buf[:r1 - r0]
-            x[...] = rows[r0:r1]
-            _project_rows(x, W, b, out=U[r0:r1])
-        out.append(U.reshape(block.shape[:-1] + (heads.dim_out,)))
-    return out
-
-
 def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     """Project the test set, fuse global and local similarity, report recalls.
 
     The test set must be clean (all y=1); ranking uses alpha-fused similarity.
-    The projected rows are unit-norm, so they are scored as the trainer scores
-    them: Sg = Uig Utg^T and Sl from local_similarity_units, forward only.
+    The rows go through trainer.project, the projection the trainer uses, and
+    are scored as the trainer scores them: Sg = Uig Utg^T and Sl from
+    local_similarity_units, forward only.
     """
     if np.any(test_dataset.y == 0):
         raise DataError("evaluation requires a clean test set (all y=1)")
     n = test_dataset.n_pairs
     if n < 10:
         raise ConfigError(f"test set must have at least 10 pairs for R@10, got {n}")
-    Uig, Uil, Utg, Utl = _project_set(heads, test_dataset)
+    Uig, Uil, Utg, Utl = (U for U, _ in project(heads, test_dataset))
     # Sl first, so Sf does not coexist with the local kernel's intermediates
-    Sl, _ = local_similarity_units(Uil, Utl, grad=False)
+    Sl, _ = local_similarity_units(Uil.reshape(n, test_dataset.d1, -1),
+                                   Utl.reshape(n, test_dataset.d2, -1), grad=False)
     Sf = Uig @ Utg.T
     # alpha*Sg + (1-alpha)*Sl in place, the same bits as fused_similarity
     Sf *= hyper.alpha

@@ -2,12 +2,13 @@
 L = L_S1 + lambda1*L_S2 + lambda2*L_soft with its analytic gradients, Adam with a
 warmup+cosine schedule, and the alternating training loop.
 
-The objective is built in one place, `_objective`: projection, Sg and Sl, per-pair
-InfoNCE losses, the frozen plan (partition and weights from
-`selfpaced.compute_weights`, margins and negatives from `losses.robust_triplet_loss`),
-the value, and the backward. Per step the plan is frozen from the current losses
-and one gradient step is taken on the resulting objective. Everything is float64
-and deterministic per seed.
+Embedding rows become unit projections in one place, `project`, which the
+objective, `forward` and `evaluation.evaluate` all call. The objective is built
+in one place, `_objective`: projection, Sg and Sl, per-pair InfoNCE losses, the
+frozen plan (partition and weights from `selfpaced.compute_weights`, margins and
+negatives from `losses.robust_triplet_loss`), the value, and the backward. Per
+step the plan is frozen from the current losses and one gradient step is taken
+on the resulting objective. Everything is float64 and deterministic per seed.
 """
 from __future__ import annotations
 
@@ -19,13 +20,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import selfpaced
-from .data import Dataset, PairBatch, batch_iter, expect_eof
+from .data import _BLOCKS, Dataset, PairBatch, SectionReader, _row_chunks, batch_iter
 from .errors import ConfigError, FormatError, NumericError
 from .losses import RtlResult, infonce_per_pair, robust_triplet_loss, triplet_hinges
 from .selfpaced import BUCKET_NOISY, Partition, SplWeights
-from .similarity import local_similarity_units
+from .similarity import NORM_EPS, local_similarity_units
 
-NORM_EPS = 1e-12
 RRSP_MAGIC = b"RRSP"
 RRSP_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -173,50 +173,46 @@ def _project_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray,
     return Z, r
 
 
-@dataclass
-class _Projected:
-    """Unit-norm projected blocks plus what backward needs."""
+def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The one projection of embedding rows through the heads, for training
+    batches and evaluation sets alike.
 
-    Uig: np.ndarray   # (b, dout) image globals
-    Uil: np.ndarray   # (b*d1, dout) image locals, flattened
-    Utg: np.ndarray
-    Utl: np.ndarray   # (b*d2, dout)
-    rig: np.ndarray
-    ril: np.ndarray
-    rtg: np.ndarray
-    rtl: np.ndarray
-    d1: int
-    d2: int
-
-
-def _check_dim(dim: int, heads: ProjectionHeads) -> None:
+    rows holds the four embedding blocks (a PairBatch or a Dataset). For each
+    block, in data._BLOCKS order, returns (U, r): its float64 unit rows
+    flattened to (rows, dout) and their norms before normalisation, (rows, 1).
+    A float64 block is projected whole, with no copy. A float32 block is
+    upcast and projected in row chunks of about data._CHUNK_BYTES through one
+    reused float64 buffer, so no float64 copy of the whole block is made;
+    each chunk's rows come out as a whole-block projection gives them.
+    """
+    dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
-
-
-def _project_batch(heads: ProjectionHeads, batch: PairBatch) -> _Projected:
-    _check_dim(batch.image_global.shape[1], heads)
-    b, d1, dim = batch.image_local.shape
-    d2 = batch.text_local.shape[1]
-    Uig, rig = _project_rows(batch.image_global, heads.W_img, heads.b_img)
-    Uil, ril = _project_rows(batch.image_local.reshape(b * d1, dim), heads.W_img, heads.b_img)
-    Utg, rtg = _project_rows(batch.text_global, heads.W_txt, heads.b_txt)
-    Utl, rtl = _project_rows(batch.text_local.reshape(b * d2, dim), heads.W_txt, heads.b_txt)
-    return _Projected(Uig, Uil, Utg, Utl, rig, ril, rtg, rtl, d1, d2)
+    buf = np.empty((0, dim))
+    out = []
+    image, text = (heads.W_img, heads.b_img), (heads.W_txt, heads.b_txt)
+    for name, (W, b) in zip(_BLOCKS, (image, image, text, text)):
+        X = getattr(rows, name).reshape(-1, dim)
+        if X.dtype == np.float64:
+            out.append(_project_rows(X, W, b))
+            continue
+        U = np.empty((X.shape[0], heads.dim_out))
+        r = np.empty((X.shape[0], 1))
+        for r0, r1 in _row_chunks(X.shape):
+            if len(buf) < r1 - r0:
+                buf = np.empty((r1 - r0, dim))
+            x = buf[:r1 - r0]
+            x[...] = X[r0:r1]
+            r[r0:r1] = _project_rows(x, W, b, out=U[r0:r1])[1]
+        out.append((U, r))
+    return out
 
 
 def forward(heads: ProjectionHeads, batch: PairBatch) -> PairBatch:
     """Apply both heads to all four embedding blocks and renormalize."""
-    p = _project_batch(heads, batch)
-    b = batch.size
-    return PairBatch(
-        indices=batch.indices,
-        image_global=p.Uig,
-        image_local=p.Uil.reshape(b, p.d1, -1),
-        text_global=p.Utg,
-        text_local=p.Utl.reshape(b, p.d2, -1),
-        y=batch.y,
-    )
+    blocks = [U.reshape(getattr(batch, name).shape[:-1] + (-1,))
+              for name, (U, _) in zip(_BLOCKS, project(heads, batch))]
+    return PairBatch(batch.indices, *blocks, y=batch.y)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +294,15 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
                ) -> Tuple[Optional[Dict[str, np.ndarray]], BatchState]:
     """Per-pair losses, the plan (frozen from them unless given), the objective
     value and, if grad, its analytic gradients w.r.t. all head parameters."""
-    p = _project_batch(heads, batch)
-    b = batch.size
-    Sg = p.Uig @ p.Utg.T
+    proj = project(heads, batch)
+    (Uig, _), (Uil, _), (Utg, _), (Utl, _) = proj
+    b, d1, d2 = batch.size, batch.image_local.shape[1], batch.text_local.shape[1]
+    Sg = Uig @ Utg.T
     l_g = infonce_per_pair(Sg, hyper.tau)
     l_l = None
     if variant.use_local:
-        Sl, local_backward = local_similarity_units(p.Uil.reshape(b, p.d1, -1),
-                                                    p.Utl.reshape(b, p.d2, -1), grad)
+        Sl, local_backward = local_similarity_units(Uil.reshape(b, d1, -1),
+                                                    Utl.reshape(b, d2, -1), grad)
         l_l = infonce_per_pair(Sl, hyper.tau)
         l_total = l_g + l_l
     else:
@@ -352,25 +349,21 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         Gg[plan.rtl.hard_img_idx, rows] += coef * a2
         Gg[rows, rows] -= coef * (a1 + a2)
 
-    dUig = Gg @ p.Utg
-    dUtg = Gg.T @ p.Uig
+    dUig = Gg @ Utg
+    dUtg = Gg.T @ Uig
 
     if variant.use_local:
         dUil, dUtl = local_backward(_infonce_grad(Sl, c, hyper.tau))
-        dUil = dUil.reshape(p.Uil.shape)
-        dUtl = dUtl.reshape(p.Utl.shape)
+        dUil = dUil.reshape(Uil.shape)
+        dUtl = dUtl.reshape(Utl.shape)
     else:
-        dUil = np.zeros_like(p.Uil)
-        dUtl = np.zeros_like(p.Utl)
+        dUil = np.zeros_like(Uil)
+        dUtl = np.zeros_like(Utl)
 
-    dZig = _renorm_backward(dUig, p.Uig, p.rig)
-    dZil = _renorm_backward(dUil, p.Uil, p.ril)
-    dZtg = _renorm_backward(dUtg, p.Utg, p.rtg)
-    dZtl = _renorm_backward(dUtl, p.Utl, p.rtl)
-
-    dim = heads.dim_in
-    Xil = batch.image_local.reshape(b * p.d1, dim)
-    Xtl = batch.text_local.reshape(b * p.d2, dim)
+    dZig, dZil, dZtg, dZtl = (_renorm_backward(dU, U, r) for dU, (U, r)
+                              in zip((dUig, dUil, dUtg, dUtl), proj))
+    Xil = batch.image_local.reshape(b * d1, -1)
+    Xtl = batch.text_local.reshape(b * d2, -1)
     grads = {
         "W_img": dZig.T @ batch.image_global + dZil.T @ Xil,
         "b_img": dZig.sum(axis=0) + dZil.sum(axis=0),
@@ -557,7 +550,6 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
             g2 = hyper.gamma2
 
         sums = np.zeros(4)  # loss, s1, s2, soft
-        counts = np.zeros(3, dtype=np.int64)
         margin_sum, margin_n = 0.0, 0
         grad_norm_sum = 0.0
         n_batches = 0
@@ -577,7 +569,6 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
 
             sums += (state.loss, state.parts.L_S1, state.parts.L_S2, state.parts.L_soft)
             part = state.partition
-            counts += (len(part.clean_idx), len(part.ambiguous_idx), len(part.noisy_idx))
             if state.rtl is not None:
                 margin_sum += float(state.rtl.mu_hat.sum() + state.rtl.zeta_hat.sum())
                 margin_n += 2 * batch.size
@@ -609,6 +600,7 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
 
         w_all = trace.w
         y_all = trace.y
+        counts = np.bincount(trace.bucket, minlength=3)
         log.records.append(EpochRecord(
             epoch=epoch,
             loss_overall=float(sums[0] / n_batches),
@@ -647,31 +639,23 @@ def save_heads(heads: ProjectionHeads, path: str) -> None:
 
 
 def load_heads(path: str) -> ProjectionHeads:
+    """Read an RRSP checkpoint through data.SectionReader, so a regular file
+    too short for the dims in its header fails before any block is allocated."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        r = SectionReader(f)
+        magic = r.raw(4, "magic")
         if magic != RRSP_MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {RRSP_MAGIC!r}")
-        header = f.read(12)
-        if len(header) != 12:
-            raise FormatError("truncated checkpoint header")
-        version, dout, din = struct.unpack("<3I", header)
+        version, dout, din = struct.unpack("<3I", r.raw(12, "header"))
         if version != RRSP_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         if dout < 1 or din < 1:
             raise FormatError(f"invalid checkpoint dims {dout}x{din}")
-
-        def block(shape, name):
-            count = int(np.prod(shape))
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise FormatError(f"truncated checkpoint: section '{name}'")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
         heads = ProjectionHeads(
-            W_img=block((dout, din), "W_img"),
-            b_img=block((dout,), "b_img"),
-            W_txt=block((dout, din), "W_txt"),
-            b_txt=block((dout,), "b_txt"),
+            W_img=r.array((dout, din), "<f8", "W_img"),
+            b_img=r.array((dout,), "<f8", "b_img"),
+            W_txt=r.array((dout, din), "<f8", "W_txt"),
+            b_txt=r.array((dout,), "<f8", "b_txt"),
         )
-        expect_eof(f, 16 + 8 * 2 * (dout * din + dout))
+        r.expect_eof()
     return heads

@@ -159,6 +159,51 @@ def _run_cli(args, stdin_bytes):
     return _run_python(["-m", "rrsitr.cli", *args], stdin_bytes)
 
 
+def test_threads_leaves_env_alone_once_numpy_is_loaded(tmp_path, monkeypatch):
+    # in this process numpy is loaded, so --threads cannot cap BLAS and must
+    # not rewrite the thread variables the process and its children inherit
+    from rrsitr.trainer import init_heads, save_heads
+
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.setenv(var, "7")
+    data = _gen(tmp_path, n=20)
+    ckpt = str(tmp_path / "h.rrsp")
+    save_heads(init_heads(8), ckpt)
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--threads", "3"]) == 0
+    assert [os.environ[v] for v in names] == ["7", "7", "7"]
+
+
+def test_git_describe_names_the_package_checkout(tmp_path, monkeypatch):
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    try:
+        want = subprocess.run(["git", "-C", pkg, "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=5)
+    except OSError:
+        pytest.skip("git is not installed")
+    if want.returncode != 0:
+        pytest.skip("the package is not in a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert cli._git_describe() == want.stdout.strip()
+
+
+def test_eval_checkpoint_dims_beyond_file_exit_3(tmp_path, capsys):
+    # a header claiming 60000x60000 heads in a 96-byte file fails on the file
+    # size, before the 28.8 GB block is allocated
+    import struct
+
+    from rrsitr.errors import FormatError
+    from rrsitr.trainer import load_heads
+
+    ckpt = tmp_path / "big.rrsp"
+    ckpt.write_bytes(b"RRSP" + struct.pack("<3I", 1, 60000, 60000) + b"\0" * 80)
+    with pytest.raises(FormatError, match="'W_img' at byte offset 16, got 80"):
+        load_heads(str(ckpt))
+    data = _gen(tmp_path, n=20)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", data]) == 3
+    assert "'W_img'" in capsys.readouterr().err
+
+
 def test_importing_the_cli_loads_no_numpy():
     # numpy starts its BLAS thread pool when it loads, so --threads can cap the
     # pool only if importing the CLI (and the package) leaves numpy unloaded

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrsitr.data import NoiseSpec, generate_synthetic, inject_noise
+from rrsitr.data import Dataset, NoiseSpec, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, DataError
 from rrsitr.evaluation import (DetectionReport, RetrievalReport, _report_from_similarity,
                                detection_metrics, evaluate, recall_at_k)
@@ -135,23 +135,25 @@ def test_evaluate_random_baseline():
 
 
 def test_evaluate_projects_chunks_as_one_block(monkeypatch):
-    # evaluate projects the test set in row chunks; each chunk's rows come out
-    # as the trainer's whole-block forward gives them, whatever the budget
+    # project takes a float32 test set through row chunks; each chunk's rows
+    # and norms come out as the trainer's whole float64 blocks give them,
+    # whatever the budget
     from rrsitr import data
     from rrsitr.data import PairBatch
-    from rrsitr.evaluation import _project_set
-    from rrsitr.trainer import forward
+    from rrsitr.trainer import forward, project
+    blocks = ("image_global", "image_local", "text_global", "text_local")
     ds = generate_synthetic(53, 4, 16, 3, 5, intra_class_spread=0.5, seed=8)
+    wide = Dataset(*(getattr(ds, k).astype(np.float64) for k in blocks), y=ds.y)
     heads = init_heads(16, seed=2, noise_std=0.3)
-    whole = forward(heads, PairBatch(np.arange(53), *(
-        getattr(ds, k).astype(np.float64) for k in
-        ("image_global", "image_local", "text_global", "text_local")), y=ds.y))
-    want = [whole.image_global, whole.image_local, whole.text_global, whole.text_local]
+    whole = forward(heads, PairBatch(np.arange(53), *(getattr(wide, k) for k in blocks), y=ds.y))
+    want = [getattr(whole, k).reshape(-1, 16) for k in blocks]
+    want_norms = [r for _, r in project(heads, wide)]
     reports = set()
     for budget in (40 * 16 * 8, 100 * 16 * 8, 4 << 20):  # chunks of >= 40 rows, or whole
         monkeypatch.setattr(data, "_CHUNK_BYTES", budget)
-        for got, ref in zip(_project_set(heads, ds), want):
+        for (got, r), ref, ref_r in zip(project(heads, ds), want, want_norms):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert r.shape == ref_r.shape and r.tobytes() == ref_r.tobytes()
         reports.add(tuple(evaluate(heads, ds, Hyper()).to_dict().values()))
     assert len(reports) == 1
 

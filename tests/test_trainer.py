@@ -159,10 +159,10 @@ def test_gradients_reduce_to_plain_infonce():
 
     # independent reference: differentiate mean InfoNCE directly by softmax identities
     from rrsitr.similarity import local_similarity_units
-    from rrsitr.trainer import _project_batch, _renorm_backward
+    from rrsitr.trainer import _renorm_backward, project
 
-    p = _project_batch(heads, batch)
-    b = batch.size
+    (Uig, rig), (Uil, ril), (Utg, _), (Utl, _) = project(heads, batch)
+    b, d1, d2 = batch.size, batch.image_local.shape[1], batch.text_local.shape[1]
     tau = hyper.tau
 
     def ref_grad_S(S):
@@ -175,16 +175,15 @@ def test_gradients_reduce_to_plain_infonce():
         G[np.arange(b), np.arange(b)] -= 2.0 / b
         return G / tau
 
-    Sg = p.Uig @ p.Utg.T
-    Sl, local_backward = local_similarity_units(p.Uil.reshape(b, p.d1, -1),
-                                                p.Utl.reshape(b, p.d2, -1))
+    Sg = Uig @ Utg.T
+    Sl, local_backward = local_similarity_units(Uil.reshape(b, d1, -1), Utl.reshape(b, d2, -1))
     Gg = ref_grad_S(Sg)
     Gl = ref_grad_S(Sl)
-    dUig = Gg @ p.Utg
-    dUil = local_backward(Gl)[0].reshape(p.Uil.shape)
-    dZig = _renorm_backward(dUig, p.Uig, p.rig)
-    dZil = _renorm_backward(dUil, p.Uil, p.ril)
-    want_W_img = dZig.T @ batch.image_global + dZil.T @ batch.image_local.reshape(b * p.d1, -1)
+    dUig = Gg @ Utg
+    dUil = local_backward(Gl)[0].reshape(Uil.shape)
+    dZig = _renorm_backward(dUig, Uig, rig)
+    dZil = _renorm_backward(dUil, Uil, ril)
+    want_W_img = dZig.T @ batch.image_global + dZil.T @ batch.image_local.reshape(b * d1, -1)
     assert np.allclose(grads["W_img"], want_W_img, atol=1e-12)
 
 
