@@ -238,20 +238,22 @@ def cmd_ablate(args) -> int:
     for variant, heads, log, report in _train_runs(args, variants, outputs={"variants": variants}):
         save_heads(heads, os.path.join(args.out_dir, f"{variant}.rrsp"))
         log.to_jsonl(os.path.join(args.out_dir, f"{variant}.log.jsonl"))
-        rows.append((variant, report))
+        # the saved heads, and so the val mR recorded, are the best epoch's
+        val_mr = log.records[log.best_epoch - 1].val_mr if log.best_epoch else None
+        rows.append((variant, report, val_mr))
         if report is not None:
             print(f"{variant}: test mR={report.mr:.2f}")
-        elif args.val:  # the saved heads, and so the val mR printed, are the best epoch's
-            mr = log.records[log.best_epoch - 1].val_mr if log.best_epoch else float("nan")
-            print(f"{variant}: val mR={mr:.2f}")
+        elif args.val:
+            print(f"{variant}: val mR={float('nan') if val_mr is None else val_mr:.2f}")
         else:
             print(f"{variant}: done")
 
     results = os.path.join(args.out_dir, "results.csv")
     with open(results, "w") as f:
-        f.write("variant," + RetrievalReport.CSV_HEADER + "\n")
-        for variant, report in rows:
-            f.write(variant + "," + (report.to_csv_row() if report else ",,,,,,") + "\n")
+        f.write("variant," + RetrievalReport.CSV_HEADER + ",val_mr\n")
+        for variant, report, val_mr in rows:
+            f.write(",".join((variant, report.to_csv_row() if report else ",,,,,,",
+                              "" if val_mr is None else f"{val_mr:.4f}")) + "\n")
     print(f"wrote {results}")
     return 0
 
@@ -331,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="clean test .rrse file or manifest")
     p.add_argument("-o", "--output", help="write the JSON report here")
     p.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                   help="global/local fusion weight")
+                   help="global/local fusion weight, by default train's default. The "
+                        "checkpoint does not record the alpha its heads were trained "
+                        "with: pass that value")
     _add_threads_flag(p)
     p.set_defaults(func=cmd_eval)
 

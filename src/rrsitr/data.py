@@ -362,8 +362,9 @@ def write_dataset(dataset: Dataset, path: str) -> None:
 class SectionReader:
     """Consecutive sections of a binary file, read with the byte offset counted
     from the bytes read (a pipe cannot tell()), so that every error names the
-    section and its offset. A section longer than the bytes left in a regular
-    file fails before anything is allocated."""
+    section and its offset. A section longer than the bytes left fails before
+    its array is allocated: in a regular file by its size, in a pipe by reading
+    the section's bytes first."""
 
     def __init__(self, f):
         self.f = f
@@ -376,10 +377,24 @@ class SectionReader:
                            f"at byte offset {self.pos}, got {got}")
 
     def array(self, shape: Tuple[int, ...], dtype, section: str) -> np.ndarray:
-        """The next section as an array of this shape and dtype, read straight
-        into it in row chunks of about _CHUNK_BYTES."""
+        """The next section as an array of this shape and dtype. From a regular
+        file it is read straight into the array in row chunks of about
+        _CHUNK_BYTES. A pipe's length is unknown until it ends, so its bytes
+        are read in chunks of at most _CHUNK_BYTES into a growing buffer that
+        then becomes the array: a header claiming more bytes than the pipe
+        holds fails after the bytes that came, not on an allocation of its
+        claimed size."""
         nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-        if self.size is not None and self.size - self.pos < nbytes:
+        if self.size is None:
+            buf = bytearray()
+            while len(buf) < nbytes:
+                chunk = self.f.read(min(_CHUNK_BYTES, nbytes - len(buf)))
+                if not chunk:
+                    raise self._truncated(nbytes, section, len(buf))
+                buf += chunk
+            self.pos += nbytes
+            return np.frombuffer(buf, dtype=dtype).reshape(shape)
+        if self.size - self.pos < nbytes:
             raise self._truncated(nbytes, section, self.size - self.pos)
         out = np.empty(shape, dtype=dtype)
         done = 0

@@ -107,7 +107,10 @@ def _report_from_similarity(Sf: np.ndarray) -> RetrievalReport:
 def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     """Project the test set, fuse global and local similarity, report recalls.
 
-    The test set must be clean (all y=1); ranking uses alpha-fused similarity.
+    The test set must be clean (all y=1); ranking uses alpha-fused similarity
+    with hyper.alpha. A checkpoint does not record the alpha its heads were
+    trained with, so pass that value: another alpha ranks by another fusion
+    and reports another mR without any error.
     The rows go through trainer.project, the projection the trainer uses, and
     are scored as the trainer scores them: Sg = Uig Utg^T and Sl from
     local_similarity_units, forward only.

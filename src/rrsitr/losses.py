@@ -20,12 +20,6 @@ class RtlResult:
     hard_img_idx: np.ndarray  # (b,) hardest image negative per text anchor
 
 
-def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    zmax = z.max(axis=axis, keepdims=True)
-    shifted = z - zmax
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def infonce_per_pair(S: np.ndarray, tau: float) -> np.ndarray:
     """Per-pair symmetric InfoNCE: l[j] = -(log p_row[j,j] + log p_col[j,j]).
 
@@ -37,10 +31,49 @@ def infonce_per_pair(S: np.ndarray, tau: float) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 2:
         raise ConfigError(f"S must be square with b >= 2, got shape {S.shape}")
-    z = S / tau
-    lr = np.diag(_log_softmax(z, axis=1))
-    lc = np.diag(_log_softmax(z, axis=0))
-    return -(lr + lc)
+    return _infonce_pass([S], tau)[0][0]
+
+
+def _infonce_pass(layers, tau: float):
+    """Per-pair symmetric InfoNCE of each square similarity matrix in layers,
+    in one pass over their (k, b, b) stack, and its backward.
+
+    Returns (l, grad). l is (k, b): l[i] holds layers[i]'s per-pair losses.
+    grad(c) is the (k, b, b) stack of the gradients of sum_j c_j * l[i, j]
+    w.r.t. layers[i], for per-pair weights c of shape (b,); it may be called
+    once. The forward keeps the row and column softmax numerators
+    exp(z - max) and their sums, so the backward only divides them: each
+    probability is the one a fresh softmax gives.
+    """
+    k, b = len(layers), layers[0].shape[0]
+    z = np.empty((k, b, b))
+    for zi, S in zip(z, layers):
+        np.divide(S, tau, out=zi)
+    diag = z.reshape(k, b * b)[:, ::b + 1].copy()   # z[:, j, j], before z is reused
+    rmax = z.max(axis=2, keepdims=True)
+    cmax = z.max(axis=1, keepdims=True)
+    er = np.subtract(z, rmax)
+    np.exp(er, out=er)
+    ec = np.exp(np.subtract(z, cmax, out=z), out=z)
+    rsum = er.sum(axis=2, keepdims=True)
+    csum = ec.sum(axis=1, keepdims=True)
+    # log p_row[j, j] = (z[j, j] - rmax[j]) - log rsum[j], likewise by column
+    l = -(((diag - rmax[:, :, 0]) - np.log(rsum[:, :, 0]))
+          + ((diag - cmax[:, 0, :]) - np.log(csum[:, 0, :])))
+
+    def grad(c: np.ndarray) -> np.ndarray:
+        # p_row * c_i + p_col * c_j, formed in the kept numerators' memory:
+        # grad is called at most once
+        G = np.divide(er, rsum, out=er)
+        G *= c[:, None]
+        P = np.divide(ec, csum, out=ec)
+        P *= c
+        G += P
+        G.reshape(k, b * b)[:, ::b + 1] -= 2.0 * c   # the diagonal, in place
+        G /= tau
+        return G
+
+    return l, grad
 
 
 def hardest_negatives(Sg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,7 +131,13 @@ def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
     optional boolean mask restricting which anchors contribute; the sum is
     always normalized by the full batch size.
     """
-    Sg = np.asarray(Sg, dtype=np.float64)
+    return _robust_triplet(np.asarray(Sg, dtype=np.float64), sigma, adaptive, include)[0]
+
+
+def _robust_triplet(Sg: np.ndarray, sigma: float, adaptive: bool,
+                    include: Optional[np.ndarray]
+                    ) -> Tuple[RtlResult, np.ndarray, np.ndarray]:
+    """robust_triplet_loss, and the hinges (h1, h2) its loss sums."""
     b = Sg.shape[0]
     if b < 2:
         raise ConfigError("need b >= 2")
@@ -116,4 +155,4 @@ def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
             raise ConfigError("include mask must be (b,)")
     rtl = RtlResult(loss=0.0, mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht, hard_img_idx=hi)
     h1, h2 = triplet_hinges(Sg, rtl, include)
-    return replace(rtl, loss=float((h1 + h2).sum() / b))
+    return replace(rtl, loss=float((h1 + h2).sum() / b)), h1, h2

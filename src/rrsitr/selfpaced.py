@@ -61,12 +61,14 @@ def _check_gammas(gamma1: float, gamma2: float) -> None:
 
 def partition(l_total: np.ndarray, gamma1: float, gamma2: float) -> Partition:
     """Split pairs: l < gamma1 clean, gamma1 <= l < gamma2 ambiguous, l >= gamma2 noisy."""
+    masks = _bucket_masks(np.asarray(l_total, dtype=np.float64), gamma1, gamma2)
+    return Partition(*(np.flatnonzero(mask) for mask in masks), gamma1, gamma2)
+
+
+def _bucket_masks(l: np.ndarray, gamma1: float, gamma2: float):
+    """Boolean (clean, ambiguous, noisy) masks of partition's split."""
     _check_gammas(gamma1, gamma2)
-    l = np.asarray(l_total, dtype=np.float64)
-    clean = np.flatnonzero(l < gamma1)
-    ambiguous = np.flatnonzero((l >= gamma1) & (l < gamma2))
-    noisy = np.flatnonzero(l >= gamma2)
-    return Partition(clean, ambiguous, noisy, gamma1, gamma2)
+    return l < gamma1, (l >= gamma1) & (l < gamma2), l >= gamma2
 
 
 def regularizer(w, gamma: float, l) -> np.ndarray | float:
@@ -80,9 +82,13 @@ def regularizer(w, gamma: float, l) -> np.ndarray | float:
     if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
         raise NumericError(f"weights must lie in [0, 1], got {w}")
     l_arr = np.asarray(l, dtype=np.float64)
-    val = -(2.0 / np.pi) * gamma * (w_arr * np.arccos(w_arr) - np.sqrt(1.0 - w_arr ** 2))
-    out = np.where(l_arr < gamma, val, 0.0)
+    out = np.where(l_arr < gamma, _regularizer_values(w_arr, gamma), 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _regularizer_values(w: np.ndarray, gamma: float) -> np.ndarray:
+    """The penalty's formula at weights w in [0, 1], whatever l is."""
+    return -(2.0 / np.pi) * gamma * (w * np.arccos(w) - np.sqrt(1.0 - w ** 2))
 
 
 def optimal_weight(l, gamma: float) -> np.ndarray | float:
@@ -117,13 +123,11 @@ def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
     """
     l = np.asarray(l_total, dtype=np.float64)
     b = len(l)
-    part = partition(l, gamma1, gamma2)
+    clean, ambiguous, noisy = _bucket_masks(l, gamma1, gamma2)
     if merge_ambiguous:
-        part = Partition(part.clean_idx, np.empty(0, dtype=np.int64),
-                         np.sort(np.concatenate([part.ambiguous_idx, part.noisy_idx])),
-                         gamma1, gamma2)
-    codes = part.bucket_codes(b)
-    clean, ambiguous = codes == BUCKET_CLEAN, codes == BUCKET_AMBIGUOUS
+        ambiguous, noisy = np.zeros(b, dtype=bool), ambiguous | noisy
+    part = Partition(*(np.flatnonzero(mask) for mask in (clean, ambiguous, noisy)),
+                     gamma1, gamma2)
     zeros = np.zeros(b)
     if weighting == "uniform":
         w = w1 = np.ones(b)
@@ -134,16 +138,19 @@ def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
         w = w1 = rng.uniform(size=b)
         r1 = w2 = r2 = zeros
     elif weighting in ("spl", "hard_to_easy"):
+        # The clean bucket is l < gamma1 and the L_S2 scope lies below gamma2,
+        # so each term's weights and penalties need no second threshold test;
+        # clipping to [0, 1] stands in for regularizer's range check.
         wc = np.asarray(optimal_weight(l, gamma1))
         wa = np.asarray(optimal_weight(l, gamma2))
         if weighting == "hard_to_easy":
-            wc = np.where(l < gamma1, 1.0 - wc, 0.0)
+            wc = np.where(clean, 1.0 - wc, 0.0)
             wa = np.where(l < gamma2, 1.0 - wa, 0.0)
-        w1 = np.where(clean, wc, 0.0)
-        r1 = np.where(clean, regularizer(np.clip(w1, 0, 1), gamma1, l), 0.0)
+        w1 = wc
+        r1 = np.where(clean, _regularizer_values(np.clip(w1, 0, 1), gamma1), 0.0)
         scope2 = (l < gamma2) if sum_over_all and not merge_ambiguous else ambiguous
         w2 = np.where(scope2, wa, 0.0)
-        r2 = np.where(scope2, regularizer(np.clip(w2, 0, 1), gamma2, l), 0.0)
+        r2 = np.where(scope2, _regularizer_values(np.clip(w2, 0, 1), gamma2), 0.0)
         w = np.where(clean, w1, np.where(ambiguous, wa, 0.0))
     else:
         raise ConfigError(f"unknown weighting {weighting!r}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import selfpaced
 from .data import _BLOCKS, Dataset, PairBatch, SectionReader, _row_chunks, batch_iter
 from .errors import ConfigError, FormatError, NumericError
-from .losses import RtlResult, infonce_per_pair, robust_triplet_loss, triplet_hinges
+from .losses import RtlResult, _infonce_pass, _robust_triplet, triplet_hinges
 from .selfpaced import BUCKET_NOISY, Partition, SplWeights
 from .similarity import NORM_EPS, local_similarity_units
 
@@ -163,16 +163,6 @@ def resolve_variant(name: str) -> VariantSpec:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _project_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray,
-                  out: Optional[np.ndarray] = None):
-    """Unit rows of X W^T + b, formed in place (in out if given), and their norms."""
-    Z = np.matmul(X, W.T, out=out)
-    Z += b
-    r = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), NORM_EPS)
-    Z /= r
-    return Z, r
-
-
 def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The one projection of embedding rows through the heads, for training
     batches and evaluation sets alike.
@@ -180,31 +170,54 @@ def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]
     rows holds the four embedding blocks (a PairBatch or a Dataset). For each
     block, in data._BLOCKS order, returns (U, r): its float64 unit rows
     flattened to (rows, dout) and their norms before normalisation, (rows, 1).
-    A float64 block is projected whole, with no copy. A float32 block is
-    upcast and projected in row chunks of about data._CHUNK_BYTES through one
-    reused float64 buffer, so no float64 copy of the whole block is made;
-    each chunk's rows come out as a whole-block projection gives them.
+    Each modality's two blocks are views into one buffer, global rows first
+    (_project_modalities).
+    """
+    out = []
+    for U, r, n_global in _project_modalities(heads, rows):
+        out += [(U[:n_global], r[:n_global]), (U[n_global:], r[n_global:])]
+    return out
+
+
+def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """(U, r, n_global) per modality, image then text: the unit rows of its
+    global block and then of its local block in one (rows, dout) buffer U, their
+    norms before normalisation r, (rows, 1), and the global block's row count.
+
+    A float64 block is projected whole by one GEMM into its part of U, with no
+    copy. A float32 block is upcast and projected in row chunks of about
+    data._CHUNK_BYTES through one reused float64 buffer, so no float64 copy of
+    the whole block is made. The bias, norms and division then run over U in
+    row chunks of the same size, once per modality at batch sizes. Every row
+    comes out as a whole-block projection gives it.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
     buf = np.empty((0, dim))
     out = []
-    image, text = (heads.W_img, heads.b_img), (heads.W_txt, heads.b_txt)
-    for name, (W, b) in zip(_BLOCKS, (image, image, text, text)):
-        X = getattr(rows, name).reshape(-1, dim)
-        if X.dtype == np.float64:
-            out.append(_project_rows(X, W, b))
-            continue
-        U = np.empty((X.shape[0], heads.dim_out))
-        r = np.empty((X.shape[0], 1))
-        for r0, r1 in _row_chunks(X.shape):
-            if len(buf) < r1 - r0:
-                buf = np.empty((r1 - r0, dim))
-            x = buf[:r1 - r0]
-            x[...] = X[r0:r1]
-            r[r0:r1] = _project_rows(x, W, b, out=U[r0:r1])[1]
-        out.append((U, r))
+    for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
+                        (heads.W_txt, heads.b_txt, _BLOCKS[2:])):
+        X_global, X_local = (getattr(rows, name).reshape(-1, dim) for name in names)
+        U = np.empty((len(X_global) + len(X_local), heads.dim_out))
+        for X, at in ((X_global, 0), (X_local, len(X_global))):
+            if X.dtype == np.float64:
+                np.matmul(X, W.T, out=U[at:at + len(X)])
+                continue
+            for r0, r1 in _row_chunks(X.shape):
+                if len(buf) < r1 - r0:
+                    buf = np.empty((r1 - r0, dim))
+                x = buf[:r1 - r0]
+                x[...] = X[r0:r1]
+                np.matmul(x, W.T, out=U[at + r0:at + r1])
+        r = np.empty((len(U), 1))
+        for r0, r1 in _row_chunks(U.shape):
+            Z = U[r0:r1]
+            Z += b
+            # the reduction np.linalg.norm runs, without its copy of Z
+            norm = np.sqrt(np.add.reduce(Z * Z, axis=1, keepdims=True), out=r[r0:r1])
+            Z /= np.maximum(norm, NORM_EPS, out=norm)
+        out.append((U, r, len(X_global)))
     return out
 
 
@@ -262,30 +275,32 @@ class BatchState:
         return self.plan.rtl
 
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _infonce_grad(S: np.ndarray, c: np.ndarray, tau: float) -> np.ndarray:
-    """Gradient of sum_i c_i * l_i(S) w.r.t. S for the symmetric per-pair InfoNCE."""
-    z = S / tau
-    P_row = _softmax(z, axis=1)
-    P_col = _softmax(z, axis=0)
-    G = P_row * c[:, None] + P_col * c[None, :]
-    idx = np.arange(S.shape[0])
-    G[idx, idx] -= 2.0 * c
-    return G / tau
-
-
 def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
     """U = Z / r with r = max(||Z||, eps): dZ = (dU - (dU . U) U) / r, formed in
     dU's memory with one temporary."""
     t = dU * U
-    np.multiply(t.sum(axis=1, keepdims=True), U, out=t)
+    np.multiply(np.add.reduce(t, axis=1, keepdims=True), U, out=t)
     dU -= t
     dU /= r
     return dU
+
+
+def _flat_views(flat: np.ndarray, dout: int, din: int) -> Dict[str, np.ndarray]:
+    """The four head parameters (or their gradients) as views into one flat
+    buffer laid out W_img, W_txt, b_img, b_txt, so that the weight-decayed
+    matrices are its first 2*dout*din entries. Keys in params() order."""
+    nw = dout * din
+    return {"W_img": flat[:nw].reshape(dout, din), "b_img": flat[2 * nw:2 * nw + dout],
+            "W_txt": flat[nw:2 * nw].reshape(dout, din), "b_txt": flat[2 * nw + dout:]}
+
+
+class _FlatGrads(dict):
+    """Gradients keyed as params(), all views into the one buffer `flat`, laid
+    out by _flat_views, so that clipping and Adam update all four at once."""
+
+    def __init__(self, dout: int, din: int):
+        self.flat = np.empty(2 * dout * (din + 1))
+        super().__init__(_flat_views(self.flat, dout, din))
 
 
 def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
@@ -293,21 +308,27 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
                gamma2: Optional[float], plan: Optional[FrozenPlan], grad: bool
                ) -> Tuple[Optional[Dict[str, np.ndarray]], BatchState]:
     """Per-pair losses, the plan (frozen from them unless given), the objective
-    value and, if grad, its analytic gradients w.r.t. all head parameters."""
-    proj = project(heads, batch)
-    (Uig, _), (Uil, _), (Utg, _), (Utl, _) = proj
-    b, d1, d2 = batch.size, batch.image_local.shape[1], batch.text_local.shape[1]
-    Sg = Uig @ Utg.T
-    l_g = infonce_per_pair(Sg, hyper.tau)
-    l_l = None
-    if variant.use_local:
-        Sl, local_backward = local_similarity_units(Uil.reshape(b, d1, -1),
-                                                    Utl.reshape(b, d2, -1), grad)
-        l_l = infonce_per_pair(Sl, hyper.tau)
-        l_total = l_g + l_l
-    else:
-        l_total = l_g.copy()
+    value and, if grad, its analytic gradients w.r.t. all head parameters.
 
+    Each modality's global and local unit rows share one buffer, so the
+    renormalisation backward runs once per modality. The per-pair InfoNCE of
+    Sg and Sl is one pass over their stack, whose kept softmax terms give its
+    backward.
+    """
+    (Ui, ri, b), (Ut, rt, _) = modalities = _project_modalities(heads, batch)
+    d1, d2 = batch.image_local.shape[1], batch.text_local.shape[1]
+    Uig, Utg = Ui[:b], Ut[:b]
+    Sg = Uig @ Utg.T
+    layers = [Sg]
+    if variant.use_local:
+        Sl, local_backward = local_similarity_units(Ui[b:].reshape(b, d1, -1),
+                                                    Ut[b:].reshape(b, d2, -1), grad)
+        layers.append(Sl)
+    l, infonce_grad = _infonce_pass(layers, hyper.tau)
+    l_g, l_l = l[0], (l[1] if variant.use_local else None)
+    l_total = l_g + l_l if variant.use_local else l_g.copy()
+
+    hinges = None
     if plan is None:
         part, weights = selfpaced.compute_weights(
             l_total, hyper.gamma1, hyper.gamma2 if gamma2 is None else gamma2,
@@ -316,7 +337,7 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         if variant.use_rtl and hyper.lambda2 > 0:
             if hyper.rtl_noisy_only:
                 rtl_mask = part.bucket_codes(b) == BUCKET_NOISY
-            rtl = robust_triplet_loss(Sg, hyper.sigma, variant.adaptive_margin, rtl_mask)
+            rtl, *hinges = _robust_triplet(Sg, hyper.sigma, variant.adaptive_margin, rtl_mask)
         plan = FrozenPlan(part, weights, rtl, rtl_mask)
     elif len(plan.weights.w) != b:
         raise ConfigError(f"plan was frozen for {len(plan.weights.w)} pairs, batch has {b}")
@@ -324,7 +345,9 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     L_S1, L_S2 = plan.weights.spl_losses(l_total)
     L_soft = 0.0
     if plan.rtl is not None:
-        h1, h2 = triplet_hinges(Sg, plan.rtl, plan.rtl_mask)
+        if hinges is None:   # a given plan: the hinges at its margins and negatives
+            hinges = triplet_hinges(Sg, plan.rtl, plan.rtl_mask)
+        h1, h2 = hinges
         L_soft = float((h1 + h2).sum() / b)
     total = L_S1 + hyper.lambda1 * L_S2 + hyper.lambda2 * L_soft
     if not np.isfinite(total):
@@ -337,9 +360,10 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
 
     # d(total)/d(l_i): weights frozen
     c = (plan.weights.w1 + hyper.lambda1 * plan.weights.w2) / b
+    G = infonce_grad(c)
 
     # global similarity gradient: contrastive part + triplet hinges
-    Gg = _infonce_grad(Sg, c, hyper.tau)
+    Gg = G[0]
     if plan.rtl is not None:
         a1 = (h1 > 0).astype(np.float64)
         a2 = (h2 > 0).astype(np.float64)
@@ -347,29 +371,27 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         rows = np.arange(b)
         Gg[rows, plan.rtl.hard_txt_idx] += coef * a1
         Gg[plan.rtl.hard_img_idx, rows] += coef * a2
-        Gg[rows, rows] -= coef * (a1 + a2)
+        Gg.reshape(-1)[::b + 1] -= coef * (a1 + a2)   # the diagonal, in place
 
-    dUig = Gg @ Utg
-    dUtg = Gg.T @ Uig
-
+    dUi, dUt = np.empty_like(Ui), np.empty_like(Ut)
+    np.matmul(Gg, Utg, out=dUi[:b])
+    np.matmul(Gg.T, Uig, out=dUt[:b])
     if variant.use_local:
-        dUil, dUtl = local_backward(_infonce_grad(Sl, c, hyper.tau))
-        dUil = dUil.reshape(Uil.shape)
-        dUtl = dUtl.reshape(Utl.shape)
+        local_backward(G[1], out=(dUi[b:].reshape(b, d1, -1), dUt[b:].reshape(b, d2, -1)))
     else:
-        dUil = np.zeros_like(Uil)
-        dUtl = np.zeros_like(Utl)
+        dUi[b:] = 0.0
+        dUt[b:] = 0.0
 
-    dZig, dZil, dZtg, dZtl = (_renorm_backward(dU, U, r) for dU, (U, r)
-                              in zip((dUig, dUil, dUtg, dUtl), proj))
-    Xil = batch.image_local.reshape(b * d1, -1)
-    Xtl = batch.text_local.reshape(b * d2, -1)
-    grads = {
-        "W_img": dZig.T @ batch.image_global + dZil.T @ Xil,
-        "b_img": dZig.sum(axis=0) + dZil.sum(axis=0),
-        "W_txt": dZtg.T @ batch.text_global + dZtl.T @ Xtl,
-        "b_txt": dZtg.sum(axis=0) + dZtl.sum(axis=0),
-    }
+    grads = _FlatGrads(heads.dim_out, heads.dim_in)
+    for side, dU, (U, r, _), names in zip(("img", "txt"), (dUi, dUt), modalities,
+                                          (_BLOCKS[:2], _BLOCKS[2:])):
+        dZ = _renorm_backward(dU, U, r)
+        X_global, X_local = (getattr(batch, name) for name in names)
+        gW, gb = grads["W_" + side], grads["b_" + side]
+        np.matmul(dZ[:b].T, X_global, out=gW)
+        gW += dZ[b:].T @ X_local.reshape(len(dZ) - b, -1)
+        np.sum(dZ[:b], axis=0, out=gb)
+        gb += dZ[b:].sum(axis=0)
     return grads, state
 
 
@@ -398,11 +420,12 @@ def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
 
 
 def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
-    """In-place global-norm clipping; returns the pre-clip norm."""
+    """In-place global-norm clipping; returns the pre-clip norm. The norm sums
+    one partial sum per gradient, in key order."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
+        for g in [grads.flat] if isinstance(grads, _FlatGrads) else grads.values():
             g *= scale
     return total
 
@@ -419,29 +442,52 @@ def lr_at(step: int, total_steps: int, hyper: Hyper) -> float:
 
 
 class Adam:
-    """AdamW-style optimizer: decoupled weight decay on the W matrices only."""
+    """AdamW-style optimizer: decoupled weight decay on the W matrices only.
+
+    The parameters, their first and second moments are each one flat buffer
+    laid out by _flat_views, so a step is a handful of whole-buffer
+    operations. On construction the heads' four arrays are rebound to views of
+    the parameter buffer, which holds their values; each element's update is
+    the same arithmetic as a per-parameter update.
+    """
 
     def __init__(self, heads: ProjectionHeads, weight_decay: float = 0.0):
         self.heads = heads
         self.weight_decay = weight_decay
         self.t = 0
-        params = heads.params()
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        dout, din = heads.dim_out, heads.dim_in
+        self._params = np.concatenate([heads.W_img.ravel(), heads.W_txt.ravel(),
+                                      heads.b_img, heads.b_txt])
+        for k, view in _flat_views(self._params, dout, din).items():
+            setattr(heads, k, view)
+        self._n_decayed = 2 * dout * din
+        self.m = np.zeros_like(self._params)
+        self.v = np.zeros_like(self._params)
 
     def step(self, grads: Dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        params = self.heads.params()
+        if isinstance(grads, _FlatGrads):
+            g = grads.flat
+        else:
+            g = np.concatenate([np.ravel(grads[k]) for k in ("W_img", "W_txt", "b_img", "b_txt")])
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, param in params.items():
-            g = grads[k]
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * (g * g)
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
-            param -= lr * update
-            if self.weight_decay > 0 and k.startswith("W"):
-                param -= lr * self.weight_decay * param
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        g2 = g * g
+        g2 *= 1 - ADAM_BETA2
+        self.v += g2
+        # update = (m / bc1) / (sqrt(v / bc2) + eps), formed in g2's memory
+        np.divide(self.v, bc2, out=g2)
+        np.sqrt(g2, out=g2)
+        g2 += ADAM_EPS
+        np.divide(self.m / bc1, g2, out=g2)
+        g2 *= lr
+        self._params -= g2
+        if self.weight_decay > 0:
+            W = self._params[:self._n_decayed]
+            W -= lr * self.weight_decay * W
 
 
 # ---------------------------------------------------------------------------

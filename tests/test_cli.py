@@ -204,6 +204,21 @@ def test_eval_checkpoint_dims_beyond_file_exit_3(tmp_path, capsys):
     assert "'W_img'" in capsys.readouterr().err
 
 
+def test_eval_piped_checkpoint_dims_beyond_its_bytes_exit_3(tmp_path):
+    # a pipe has no size to check, so the 96 bytes are read before any block
+    # is allocated: the 28.8 GB claim fails on the 80 bytes that came
+    import struct
+
+    data = _gen(tmp_path, n=20)
+    blob = b"RRSP" + struct.pack("<3I", 1, 60000, 60000) + b"\0" * 80
+    proc = _run_cli(["eval", "--checkpoint", "/dev/stdin", "--data", data], blob)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err
+    assert (f"expected {8 * 60000 * 60000} bytes for section 'W_img' at byte offset 16, "
+            "got 80") in err
+
+
 def test_importing_the_cli_loads_no_numpy():
     # numpy starts its BLAS thread pool when it loads, so --threads can cap the
     # pool only if importing the CLI (and the package) leaves numpy unloaded
@@ -437,6 +452,25 @@ def test_ablate_prints_val_mr_of_saved_heads(tmp_path, capsys):
     saved = evaluate(load_heads(str(out_dir / "full.rrsp")), read_dataset(val_file), Hyper()).mr
     assert saved == val_mrs[best]
     assert printed == f"full: val mR={saved:.2f}"
+
+
+def test_ablate_validation_only_table(tmp_path):
+    # without --test the retrieval columns stay empty and val_mr holds each
+    # variant's best-epoch validation mR, the one its saved heads reach
+    train_file = _gen(tmp_path, "train.rrse", n=40, seed=1)
+    val_file = _gen(tmp_path, "val.rrse", n=20, seed=2)
+    noisy = str(tmp_path / "noisy.rrse")
+    assert main(["inject", train_file, "--rho", "0.4", "--seed", "3", "-o", noisy]) == 0
+    out_dir = tmp_path / "ab"
+    assert main(["ablate", "--data", noisy, "--val", val_file, "--variant", "no_rtl",
+                 "--out-dir", str(out_dir), "--epochs", "2", "--batch", "10",
+                 "--gamma1", "2", "--gamma2", "9", "--seed", "4"]) == 0
+    header, row = open(out_dir / "results.csv").read().splitlines()
+    assert header.split(",")[-1] == "val_mr"
+    cells = row.split(",")
+    assert cells[0] == "no_rtl" and cells[1:-1] == [""] * 7
+    val_mrs = [json.loads(line)["val_mr"] for line in open(out_dir / "no_rtl.log.jsonl")]
+    assert cells[-1] == f"{max(val_mrs):.4f}"
 
 
 def test_unknown_variant_exit_code(tmp_path):

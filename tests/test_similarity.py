@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rrsitr import similarity
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.similarity import (GRAM_BLOCK, _direct_kernel, _gram_chosen, _gram_kernel,
+                               _packed_triangle, _square_gram_kernel, _strip_gram_kernel,
                                fused_similarity, global_similarity, local_similarity,
                                local_similarity_units)
 
@@ -213,6 +214,98 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
     assert np.all(S >= 0.0) and np.all(S <= 1.0 + 1e-12)
     p, q = rng.permutation(n), rng.permutation(m)
     assert np.allclose(local_similarity(A[p], B[q]), S[p][:, q], rtol=0.0, atol=1e-12)
+
+
+# |square - strip| / max|strip| for Sl and for the backward: the square kernel
+# packs the same sums, but its gemm forms the Grams in another order than the
+# strip kernel's per-item syrk, and its K products run on half-width operands
+SQUARE_VS_STRIP_TOL = 1e-14
+
+
+@pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),   # desk batch
+                                           (7, 5, 4, 4, 6),
+                                           (9, 11, 7, 6, 20),
+                                           (6, 4, 3, 2, 1),
+                                           (5, 8, 9, 2, 31)])
+def test_square_kernel_agrees_with_strip_kernel(n, m, d1, d2, dim):
+    # at dim <= GRAM_BLOCK the strip kernel runs one square strip, the path
+    # the square kernel replaced
+    assert dim <= GRAM_BLOCK
+    rng = np.random.default_rng(dim)
+    A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
+    W = rng.normal(size=(n, m))
+    norms_q, back_q = _square_gram_kernel(A, B, grad=True)
+    norms_s, back_s = _strip_gram_kernel(A, B, grad=True)
+    assert np.max(np.abs(norms_q - norms_s)) <= SQUARE_VS_STRIP_TOL * np.max(norms_s)
+    for got, want in zip(back_q(W), back_s(W)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= SQUARE_VS_STRIP_TOL * np.max(np.abs(want))
+    assert np.array_equal(_square_gram_kernel(A, B, grad=False)[0], norms_q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, GRAM_BLOCK), st.integers(0, 2**32 - 1))
+def test_square_kernel_grad_and_no_grad_sl_bit_identical(n, m, d1, d2, dim, seed):
+    rng = np.random.default_rng(seed)
+    A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
+    with_grad = _square_gram_kernel(A, B, grad=True)[0]
+    assert np.array_equal(_square_gram_kernel(A, B, grad=False)[0], with_grad)
+    # squared, as the kernels sum them: the sqrt magnifies rounding near 0
+    strip = _strip_gram_kernel(A, B, grad=True)[0]
+    assert np.max(np.abs(with_grad ** 2 - strip ** 2)) <= SQUARE_VS_STRIP_TOL * d1 * d2
+
+
+@pytest.mark.parametrize("dim,d", [(6, 4), (20, 7), (32, 8)])
+def test_square_kernel_gradient_matches_finite_differences(dim, d):
+    # d*d >= 2*dim and dim <= GRAM_BLOCK: the Gram kernel in one square strip
+    n, m = 5, 4
+    assert _gram_chosen(n, m, d, d, dim, grad=True) and dim <= GRAM_BLOCK
+    rng = np.random.default_rng(dim)
+    A, B = _unit_blocks(rng, n, d, dim), _unit_blocks(rng, m, d, dim)
+    G = rng.normal(size=(n, m))
+    _, backward = local_similarity_units(A, B)
+    grads = backward(G)
+    h, worst = 1e-5, 0.0
+    for X, dX in zip((A, B), grads):
+        for idx in [tuple(rng.integers(0, s) for s in X.shape) for _ in range(12)]:
+            orig = X[idx]
+            X[idx] = orig + h
+            fp = float((local_similarity_units(A, B, grad=False)[0] * G).sum())
+            X[idx] = orig - h
+            fm = float((local_similarity_units(A, B, grad=False)[0] * G).sum())
+            X[idx] = orig
+            fd = (fp - fm) / (2 * h)
+            worst = max(worst, abs(dX[idx] - fd) / max(abs(dX[idx]), abs(fd), 1e-6))
+    assert worst < 1e-6, worst
+
+
+@pytest.mark.parametrize("d1,d2,dim,kernel", [(4, 3, 9, "direct"), (4, 4, 6, "square"),
+                                              (9, 9, 40, "strip")])
+def test_backward_writes_into_out(d1, d2, dim, kernel):
+    assert _gram_chosen(6, 5, d1, d2, dim, grad=True) == (kernel != "direct")
+    assert kernel == "direct" or (dim <= GRAM_BLOCK) == (kernel == "square")
+    rng = np.random.default_rng(4)
+    A, B = _unit_blocks(rng, 6, d1, dim), _unit_blocks(rng, 5, d2, dim)
+    W = rng.normal(size=(6, 5))
+    _, backward = local_similarity_units(A, B)
+    out = (np.empty_like(A), np.empty_like(B))
+    got = backward(W, out=out)
+    for x, y, fresh in zip(out, got, backward(W)):
+        assert np.shares_memory(x, y)
+        assert np.array_equal(x, fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_packed_triangle_full_index_maps_to_min_max_slot(w, data):
+    upper, double, full = _packed_triangle(w)
+    assert len(upper) == w * (w + 1) // 2
+    p = data.draw(st.integers(0, w - 1))
+    q = data.draw(st.integers(0, w - 1))
+    slot = full[p * w + q]
+    assert upper[slot] == min(p, q) * w + max(p, q)
+    assert double[slot] == (1.0 if p == q else 2.0)
 
 
 def test_fused_identity_cases():

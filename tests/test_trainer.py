@@ -257,6 +257,45 @@ def test_clip_gradients():
 # ---------------------------------------------------------------------------
 # training loop
 
+def _adam_reference(params, m, v, grads, t, lr, weight_decay):
+    # the per-parameter AdamW update the flat-buffer Adam must reproduce
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = 0.9 * m[k] + (1 - 0.9) * g
+        v[k] = 0.999 * v[k] + (1 - 0.999) * (g * g)
+        p -= lr * ((m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8))
+        if weight_decay > 0 and k.startswith("W"):
+            p -= lr * weight_decay * p
+
+
+@pytest.mark.parametrize("plain_dict", [False, True])
+def test_adam_and_clip_match_per_parameter_updates_bit_for_bit(plain_dict):
+    ds = _small_problem()
+    hyper = _hyper()
+    heads = init_heads(ds.dim, seed=1, noise_std=0.05)
+    ref = heads.copy().params()
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    opt = Adam(heads, weight_decay=0.7)
+    for t, batch in enumerate(batch_iter(ds, 10, epoch_seed=3), start=1):
+        grads, _ = gradients(heads, batch, hyper)
+        if plain_dict:
+            grads = {k: g.copy() for k, g in grads.items()}
+        want = {k: g.copy() for k, g in grads.items()}
+        max_norm = 0.5 * np.sqrt(sum(float((g * g).sum()) for g in want.values()))
+        want_norm = np.sqrt(sum(float((g * g).sum()) for g in want.values()))
+        for g in want.values():
+            g *= max_norm / want_norm
+        assert clip_gradients(grads, max_norm) == want_norm  # clips: norm > max_norm
+        for k in want:
+            assert grads[k].tobytes() == want[k].tobytes(), k
+        opt.step(grads, 1e-2)
+        _adam_reference(ref, m, v, want, t, 1e-2, 0.7)
+        for k, p in heads.params().items():
+            assert p.tobytes() == ref[k].tobytes(), (t, k)
+
+
 def test_train_zero_epochs_returns_init():
     ds = _small_problem()
     hyper = _hyper(epochs=0)
@@ -399,6 +438,32 @@ def test_fixed_margin_differs_only_in_margins():
     assert np.all(fixed.rtl.mu_hat == hyper.sigma)
     assert np.all(full.rtl.mu_hat >= hyper.sigma - 1e-15)
     assert np.allclose(full.l_total, fixed.l_total)  # contrastive side identical
+
+
+def test_fixed_margin_trains_byte_identically_to_full():
+    """`fixed_margin_rtl` and `full` train to the same bytes at the desk shape.
+
+    The adaptive margin is mu = sigma * (1 + max(0, neg - pos)), and likewise
+    zeta. Case neg <= pos: mu = sigma, so the two hinges are the same number.
+    Case neg > pos: both margins are >= sigma > 0, so mu - pos + neg and
+    sigma - pos + neg are both > 0 and the hinge is active under either
+    margin. The margins are frozen in the plan, so the gradient sees only which
+    hinges are active, and that set is the same; the partition and weights
+    come from the InfoNCE losses alone. Only the logged hinge values (loss_soft,
+    loss_overall, mean_margin) may differ.
+    """
+    ds = inject_noise(generate_synthetic(300, 20, 32, 8, 8, intra_class_spread=0.3, seed=3),
+                      NoiseSpec(rho=0.4, seed=4))
+    hyper = Hyper(epochs=2, batch_size=100, warmup_steps=2, seed=5)
+    assert _gram_chosen(100, 100, 8, 8, 32, grad=True)
+    runs = {v: train(ds, hyper, variant=v) for v in ("full", "fixed_margin_rtl")}
+    (h_full, log_full), (h_fixed, log_fixed) = runs.values()
+    for k in h_full.params():
+        assert h_full.params()[k].tobytes() == h_fixed.params()[k].tobytes(), k
+    for name in ("pair_id", "y", "l_total", "w", "bucket"):
+        assert (getattr(log_full.final_trace, name).tobytes()
+                == getattr(log_fixed.final_trace, name).tobytes()), name
+    assert [r.grad_norm for r in log_full.records] == [r.grad_norm for r in log_fixed.records]
 
 
 def test_hard_to_easy_reverses_ordering():
