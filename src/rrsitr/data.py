@@ -380,20 +380,22 @@ class SectionReader:
         """The next section as an array of this shape and dtype. From a regular
         file it is read straight into the array in row chunks of about
         _CHUNK_BYTES. A pipe's length is unknown until it ends, so its bytes
-        are read in chunks of at most _CHUNK_BYTES into a growing buffer that
-        then becomes the array: a header claiming more bytes than the pipe
-        holds fails after the bytes that came, not on an allocation of its
-        claimed size."""
+        are read into a buffer that grows (by realloc) one chunk of at most
+        _CHUNK_BYTES at a time, ends at exactly the section's size and then
+        becomes the array: a header claiming more bytes than the pipe holds
+        fails after the bytes that came, not on an allocation of its claimed
+        size."""
         nbytes = np.dtype(dtype).itemsize * math.prod(shape)
         if self.size is None:
-            buf = bytearray()
-            while len(buf) < nbytes:
-                chunk = self.f.read(min(_CHUNK_BYTES, nbytes - len(buf)))
-                if not chunk:
-                    raise self._truncated(nbytes, section, len(buf))
-                buf += chunk
+            buf = np.empty(0, dtype=np.uint8)
+            while buf.size < nbytes:
+                done = buf.size
+                buf.resize(min(nbytes, done + _CHUNK_BYTES), refcheck=False)  # no views of buf live
+                got = self.f.readinto(buf[done:])
+                if got != buf.size - done:
+                    raise self._truncated(nbytes, section, done + got)
             self.pos += nbytes
-            return np.frombuffer(buf, dtype=dtype).reshape(shape)
+            return buf.view(dtype).reshape(shape)
         if self.size - self.pos < nbytes:
             raise self._truncated(nbytes, section, self.size - self.pos)
         out = np.empty(shape, dtype=dtype)

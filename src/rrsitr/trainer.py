@@ -285,22 +285,13 @@ def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray
     return dU
 
 
-def _flat_views(flat: np.ndarray, dout: int, din: int) -> Dict[str, np.ndarray]:
-    """The four head parameters (or their gradients) as views into one flat
-    buffer laid out W_img, W_txt, b_img, b_txt, so that the weight-decayed
-    matrices are its first 2*dout*din entries. Keys in params() order."""
-    nw = dout * din
-    return {"W_img": flat[:nw].reshape(dout, din), "b_img": flat[2 * nw:2 * nw + dout],
-            "W_txt": flat[nw:2 * nw].reshape(dout, din), "b_txt": flat[2 * nw + dout:]}
-
-
-class _FlatGrads(dict):
-    """Gradients keyed as params(), all views into the one buffer `flat`, laid
-    out by _flat_views, so that clipping and Adam update all four at once."""
-
-    def __init__(self, dout: int, din: int):
-        self.flat = np.empty(2 * dout * (din + 1))
-        super().__init__(_flat_views(self.flat, dout, din))
+def _flat_views(flat: np.ndarray, like: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Views into flat with the keys and shapes of like, laid out in its order."""
+    views, start = {}, 0
+    for k, p in like.items():
+        views[k] = flat[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return views
 
 
 def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
@@ -382,16 +373,16 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         dUi[b:] = 0.0
         dUt[b:] = 0.0
 
-    grads = _FlatGrads(heads.dim_out, heads.dim_in)
+    grads = {}
     for side, dU, (U, r, _), names in zip(("img", "txt"), (dUi, dUt), modalities,
                                           (_BLOCKS[:2], _BLOCKS[2:])):
         dZ = _renorm_backward(dU, U, r)
         X_global, X_local = (getattr(batch, name) for name in names)
-        gW, gb = grads["W_" + side], grads["b_" + side]
-        np.matmul(dZ[:b].T, X_global, out=gW)
+        gW = dZ[:b].T @ X_global
         gW += dZ[b:].T @ X_local.reshape(len(dZ) - b, -1)
-        np.sum(dZ[:b], axis=0, out=gb)
+        gb = dZ[:b].sum(axis=0)
         gb += dZ[b:].sum(axis=0)
+        grads["W_" + side], grads["b_" + side] = gW, gb
     return grads, state
 
 
@@ -420,12 +411,11 @@ def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
 
 
 def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
-    """In-place global-norm clipping; returns the pre-clip norm. The norm sums
-    one partial sum per gradient, in key order."""
+    """In-place global-norm clipping; returns the pre-clip norm."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
-        for g in [grads.flat] if isinstance(grads, _FlatGrads) else grads.values():
+        for g in grads.values():
             g *= scale
     return total
 
@@ -444,50 +434,44 @@ def lr_at(step: int, total_steps: int, hyper: Hyper) -> float:
 class Adam:
     """AdamW-style optimizer: decoupled weight decay on the W matrices only.
 
-    The parameters, their first and second moments are each one flat buffer
-    laid out by _flat_views, so a step is a handful of whole-buffer
-    operations. On construction the heads' four arrays are rebound to views of
-    the parameter buffer, which holds their values; each element's update is
-    the same arithmetic as a per-parameter update.
+    The first and second moments are each one flat buffer holding the four
+    parameters in params() order (m and v are dicts of views into them), so a
+    step forms every update in a handful of whole-buffer operations. Each
+    element's update is the same arithmetic as a per-parameter update.
     """
 
     def __init__(self, heads: ProjectionHeads, weight_decay: float = 0.0):
         self.heads = heads
         self.weight_decay = weight_decay
         self.t = 0
-        dout, din = heads.dim_out, heads.dim_in
-        self._params = np.concatenate([heads.W_img.ravel(), heads.W_txt.ravel(),
-                                      heads.b_img, heads.b_txt])
-        for k, view in _flat_views(self._params, dout, din).items():
-            setattr(heads, k, view)
-        self._n_decayed = 2 * dout * din
-        self.m = np.zeros_like(self._params)
-        self.v = np.zeros_like(self._params)
+        params = heads.params()
+        self._m = np.zeros(sum(p.size for p in params.values()))
+        self._v = np.zeros_like(self._m)
+        self.m = _flat_views(self._m, params)
+        self.v = _flat_views(self._v, params)
 
     def step(self, grads: Dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        if isinstance(grads, _FlatGrads):
-            g = grads.flat
-        else:
-            g = np.concatenate([np.ravel(grads[k]) for k in ("W_img", "W_txt", "b_img", "b_txt")])
+        params = self.heads.params()
+        g = np.concatenate([np.ravel(grads[k]) for k in params])
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        self.m *= ADAM_BETA1
-        self.m += (1 - ADAM_BETA1) * g
-        self.v *= ADAM_BETA2
+        self._m *= ADAM_BETA1
+        self._m += (1 - ADAM_BETA1) * g
+        self._v *= ADAM_BETA2
         g2 = g * g
         g2 *= 1 - ADAM_BETA2
-        self.v += g2
-        # update = (m / bc1) / (sqrt(v / bc2) + eps), formed in g2's memory
-        np.divide(self.v, bc2, out=g2)
+        self._v += g2
+        # lr * update, update = (m / bc1) / (sqrt(v / bc2) + eps), in g2's memory
+        np.divide(self._v, bc2, out=g2)
         np.sqrt(g2, out=g2)
         g2 += ADAM_EPS
-        np.divide(self.m / bc1, g2, out=g2)
+        np.divide(self._m / bc1, g2, out=g2)
         g2 *= lr
-        self._params -= g2
-        if self.weight_decay > 0:
-            W = self._params[:self._n_decayed]
-            W -= lr * self.weight_decay * W
+        for (k, param), step in zip(params.items(), _flat_views(g2, params).values()):
+            param -= step
+            if self.weight_decay > 0 and k.startswith("W"):
+                param -= lr * self.weight_decay * param
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,45 @@ def test_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
         read_dataset(path)
 
 
+def _read_through_pipe(blob):
+    # read_dataset on the read end of a pipe that a thread fills with blob
+    import os
+    import threading
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as f:
+            try:
+                f.write(blob)
+            except BrokenPipeError:  # the reader stopped at a bad section
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read_dataset(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
+def test_pipe_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
+    # a pipe's sections grow chunk by chunk to their exact size
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 3 * 5 * 16 * 8)  # 3 text_local rows
+    noised = _multi_chunk_world()
+    path = str(tmp_path / "c.rrse")
+    write_dataset(noised, path)
+    blob = open(path, "rb").read()
+    back = _read_through_pipe(blob)
+    for name in ("image_global", "image_local", "text_global", "text_local", "y", "class_id"):
+        got, want = getattr(back, name), getattr(noised, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    start = 24 + 4 * 57 * 16 * (1 + 3 + 1)  # text_local, 19 chunks
+    with pytest.raises(FormatError, match=f"expected {4 * 57 * 5 * 16} bytes for section "
+                                          f"'text_local' at byte offset {start}, got 1000$"):
+        _read_through_pipe(blob[:start + 1000])
+
+
 @pytest.mark.parametrize("idx", [
     np.array([5, 0, 5, -1]),
     np.arange(12) % 3 == 1,
