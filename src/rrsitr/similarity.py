@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -117,11 +117,11 @@ def _packed_triangle(w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, double, full.reshape(-1)
 
 
-def _grams(X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _grams(X: np.ndarray) -> np.ndarray:
     """Every item's Gram X_i^T X_i, (items, dim, dim). One operand is a copy:
     on two views of one buffer matmul runs a per-item syrk, several times
     slower than the copy and a gemm together."""
-    return np.matmul(X.transpose(0, 2, 1), X.copy(), out=out)
+    return np.matmul(X.transpose(0, 2, 1), X.copy())
 
 
 def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
@@ -151,16 +151,8 @@ def _strip_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     kept = []
     for s in range(0, dim, GRAM_BLOCK):
         e = min(s + GRAM_BLOCK, dim)
-        # Without grad, the square last strip of both sides shares one
-        # allocation, for the reason _square_gram_kernel gives. With grad every
-        # strip is kept for the backward, so one shared strip is never that
-        # large a share.
-        P = np.empty((n + m, e - s, dim - s)) if e == dim and not grad else None
-        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:],
-                       out=None if P is None else P[:n])   # (n, e-s, dim-s)
-        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:],
-                       out=None if P is None else P[n:])
-        del P
+        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:])   # (n, e-s, dim-s)
+        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:])
         PA[:, :, e - s:] *= 2.0
         if grad:
             kept.append((s, e, PA, PB))
@@ -207,15 +199,8 @@ def _square_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     n, _, w = A.shape
     m = B.shape[0]
     upper, double, full = _packed_triangle(w)
-    # Without grad both sides' Grams share one allocation, at desk shapes the
-    # largest a forward call makes. Freeing it raises glibc's dynamic mmap
-    # threshold to its size and the heap-trim threshold to twice that, so
-    # repeated evaluations reuse heap pages instead of faulting in fresh ones
-    # after each trim.
-    P = None if grad else np.empty((n + m, w, w))
-    PA = _grams(A, None if P is None else P[:n]).reshape(n, -1).take(upper, axis=1)
-    PB = _grams(B, None if P is None else P[n:]).reshape(m, -1).take(upper, axis=1)
-    del P
+    PA = _grams(A).reshape(n, -1).take(upper, axis=1)
+    PB = _grams(B).reshape(m, -1).take(upper, axis=1)
     if not grad:
         PA *= double
         return _clamped_sqrt(PA @ PB.T), None

@@ -670,7 +670,9 @@ def save_heads(heads: ProjectionHeads, path: str) -> None:
 
 def load_heads(path: str) -> ProjectionHeads:
     """Read an RRSP checkpoint through data.SectionReader, so a regular file
-    too short for the dims in its header fails before any block is allocated."""
+    too short for the dims in its header fails before any block is allocated.
+    A block holding NaN or inf is refused: such heads would rank every item
+    first and report a perfect score."""
     with open(path, "rb") as f:
         r = SectionReader(f)
         magic = r.raw(4, "magic")
@@ -681,11 +683,11 @@ def load_heads(path: str) -> ProjectionHeads:
             raise FormatError(f"unsupported checkpoint version {version}")
         if dout < 1 or din < 1:
             raise FormatError(f"invalid checkpoint dims {dout}x{din}")
-        heads = ProjectionHeads(
-            W_img=r.array((dout, din), "<f8", "W_img"),
-            b_img=r.array((dout,), "<f8", "b_img"),
-            W_txt=r.array((dout, din), "<f8", "W_txt"),
-            b_txt=r.array((dout,), "<f8", "b_txt"),
-        )
+        blocks = {}
+        for name, shape in (("W_img", (dout, din)), ("b_img", (dout,)),
+                            ("W_txt", (dout, din)), ("b_txt", (dout,))):
+            blocks[name] = r.array(shape, "<f8", name)
+            if not np.isfinite(blocks[name]).all():
+                raise FormatError(f"non-finite value in checkpoint block {name!r}")
         r.expect_eof()
-    return heads
+    return ProjectionHeads(**blocks)

@@ -204,6 +204,24 @@ def test_eval_checkpoint_dims_beyond_file_exit_3(tmp_path, capsys):
     assert "'W_img'" in capsys.readouterr().err
 
 
+def test_eval_non_finite_checkpoint_exit_3(tmp_path, capsys):
+    # a NaN compares false with everything, so heads holding one used to rank
+    # every item first and report mr 100 with exit 0
+    import struct
+
+    data = _gen(tmp_path, n=20)
+    W_img = np.eye(8)
+    W_img[3, 5] = np.nan
+    ckpt = tmp_path / "nan.rrsp"
+    ckpt.write_bytes(b"RRSP" + struct.pack("<3I", 1, 8, 8)
+                     + b"".join(a.astype("<f8").tobytes()
+                                for a in (W_img, np.zeros(8), np.eye(8), np.zeros(8))))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", data]) == 3
+    captured = capsys.readouterr()
+    assert "non-finite value in checkpoint block 'W_img'" in captured.err
+    assert "mr" not in captured.out
+
+
 def test_eval_piped_checkpoint_dims_beyond_its_bytes_exit_3(tmp_path):
     # a pipe has no size to check, so the 96 bytes are read before any block
     # is allocated: the 28.8 GB claim fails on the 80 bytes that came

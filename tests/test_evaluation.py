@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rrsitr.data import Dataset, NoiseSpec, generate_synthetic, inject_noise
-from rrsitr.errors import ConfigError, DataError
-from rrsitr.evaluation import (DetectionReport, RetrievalReport, _report_from_similarity,
-                               detection_metrics, evaluate, recall_at_k)
+from rrsitr import evaluation
+from rrsitr.errors import ConfigError, DataError, NumericError
+from rrsitr.evaluation import (DetectionReport, RetrievalReport, _ranks,
+                               _report_from_similarity, detection_metrics, evaluate,
+                               recall_at_k)
 from rrsitr.selfpaced import partition
-from rrsitr.trainer import Hyper, init_heads
+from rrsitr.trainer import Hyper, init_heads, project
 
 
 def _sort_oracle(S, gt, k):
@@ -164,6 +166,142 @@ def test_evaluate_alpha_changes_report():
     r_global = evaluate(heads, ds, Hyper(alpha=1.0))
     r_local = evaluate(heads, ds, Hyper(alpha=0.0))
     assert r_global.to_dict() != r_local.to_dict()
+
+
+def _pairwise_fused(heads, ds, alpha):
+    """Oracle: alpha*Sg + (1-alpha)*Sl built pair by pair from the projected
+    unit rows, with Sl in the direct form."""
+    (Uig, _), (Uil, _), (Utg, _), (Utl, _) = project(heads, ds)
+    n = ds.n_pairs
+    A, B = Uil.reshape(n, ds.d1, -1), Utl.reshape(n, ds.d2, -1)
+    F = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            M = A[i] @ B[j].T
+            Sl = np.sqrt((M * M).sum()) / np.sqrt(ds.d1 * ds.d2)
+            F[i, j] = alpha * (Uig[i] @ Utg[j]) + (1.0 - alpha) * Sl
+    return F
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("n,dim,d1,d2", [(10, 8, 3, 5), (37, 32, 4, 2), (60, 40, 2, 6),
+                                         (23, 48, 5, 3)])
+def test_evaluate_matches_pairwise_oracle(alpha, n, dim, d1, d2):
+    ds = generate_synthetic(n, 4, dim, d1, d2, intra_class_spread=0.8, seed=n + dim)
+    heads = init_heads(dim, seed=d1, noise_std=0.3)
+    want = _report_from_similarity(_pairwise_fused(heads, ds, alpha))
+    assert evaluate(heads, ds, Hyper(alpha=alpha)) == want
+
+
+def _signed_basis(rng, shape, dim):
+    rows = np.zeros(shape + (dim,))
+    np.put_along_axis(rows, rng.integers(0, dim, size=shape + (1,)),
+                      rng.choice([-1.0, 1.0], size=shape + (1,)), axis=-1)
+    return rows
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("block_pairs", [None, 70])
+@pytest.mark.parametrize("n,dim,d1,d2,seed", [(40, 32, 8, 8, 0), (30, 16, 1, 1, 4)])
+def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, dim, d1, d2,
+                                                         seed, monkeypatch):
+    # each image once per caption, as in RSITMD, and a few repeated captions,
+    # with generic values: equal rows must score exactly equal wherever the
+    # pair is scored, so that the index rule orders them as in the oracle.
+    # (One GEMM over a row's gathered candidate texts rounds some pairs
+    # otherwise than the per-pair products do, and fails these cases.)
+    if block_pairs is not None:        # several row blocks, the last one short
+        monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
+    images = generate_synthetic(n // 5, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed)
+    texts = generate_synthetic(n, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed + 1)
+    rep = np.repeat(np.arange(n // 5), 5)
+    tg, tl = texts.text_global.copy(), texts.text_local.copy()
+    tg[[9, 20, 27]], tl[[9, 20, 27]] = tg[[3, 13, 26]], tl[[3, 13, 26]]
+    ds = Dataset(images.image_global[rep], images.image_local[rep], tg, tl,
+                 y=np.ones(n, dtype=np.uint8))
+    heads = init_heads(dim, seed=seed + 2, noise_std=0.3)
+    F = _pairwise_fused(heads, ds, alpha)
+    d = np.diag(F)
+    assert ((F == d[:, None]).sum(axis=1) > 1).any()       # a query row tied with its match
+    assert ((F == d[None, :]).sum(axis=0) > 1).any()       # and a query column
+    assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
+
+
+def test_evaluate_exact_ties_in_both_directions():
+    # rows of signed standard-basis vectors and identity heads: every cosine is
+    # -1, 0 or 1 exactly, so scores tie exactly and only the index rule orders them
+    rng = np.random.default_rng(11)
+    n, dim, d1, d2 = 40, 3, 2, 3
+    ds = Dataset(_signed_basis(rng, (n,), dim), _signed_basis(rng, (n, d1), dim),
+                 _signed_basis(rng, (n,), dim), _signed_basis(rng, (n, d2), dim),
+                 y=np.ones(n, dtype=np.uint8))
+    heads = init_heads(dim, noise_std=0.0)
+    for alpha in (0.0, 0.3, 0.9, 1.0):
+        F = _pairwise_fused(heads, ds, alpha)
+        d = np.diag(F)
+        assert ((F == d[:, None]).sum(axis=1) > 1).any()   # a query row tied with its match
+        assert ((F == d[None, :]).sum(axis=0) > 1).any()   # and a query column
+        assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
+
+
+def test_evaluate_pairs_planted_at_the_bounds():
+    # alpha 1/2, d1 = d2 = 1, dim 2, identity heads: every row below projects
+    # to itself, Sg is the first coordinate of the text row when the image row
+    # is (1, 0), and Sl is |cosine| of the two local rows.
+    # Query 6 scores ref = 0.5*1 + 0.5*0 = 0.5; the cutoff is ref - (0.5 + delta).
+    n, q = 12, 6
+    cut = 0.5 - (0.5 + evaluation._SL_SLACK)
+    e0, e1, low = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])
+    ig, il, tg, tl = ([low] * n, [e1] * n, [low] * n, [e1] * n)
+    ig[q], il[q], tg[q], tl[q] = e0, e1, e0, e0
+    for at, (g, l) in {2: (e0, e0),      # S == ref, Sl 0: a tie at a lower index ranks above
+                       9: (e0, e0),      # the same tie at a higher index does not
+                       4: (e0, e1),      # S == ref, Sl 1: above
+                       7: ((2 * cut, 1.0), e1),                      # S == cut
+                       8: ((2 * np.nextafter(cut, 1), 1.0), e1),     # one ulp inside
+                       10: ((2 * np.nextafter(cut, -1), 1.0), e1),   # one ulp outside
+                       # one ulp below ref - (1 - alpha): S + 0.5 rounds up to
+                       # ref, a tie at a lower index, which a cutoff without
+                       # delta's slack would prune as ranking below
+                       3: ((2 * np.nextafter(0.0, -1), 1.0), e1),
+                       }.items():
+        tg[at], tl[at] = np.asarray(g), l            # texts in query 6's row
+        ig[at], il[at] = np.asarray(g), l[::-1]      # and images in its column
+    ds = Dataset(np.array(ig), np.array(il)[:, None], np.array(tg), np.array(tl)[:, None],
+                 y=np.ones(n, dtype=np.uint8))
+    heads = init_heads(2, noise_std=0.0)
+    F = _pairwise_fused(heads, ds, 0.5)
+    assert F[q, q] == 0.5 and F[q, 7] == cut + 0.5 < 0.5 and F[7, q] == cut + 0.5
+    assert F[q, 3] == F[3, q] == 0.5
+    gt = np.arange(n)
+    assert _ranks(F, gt, axis=1)[q] == 4 and _ranks(F, gt, axis=0)[q] == 4
+    assert evaluate(heads, ds, Hyper(alpha=0.5)) == _report_from_similarity(F)
+
+
+def test_evaluate_never_calls_the_dense_local_kernel(monkeypatch):
+    from rrsitr import similarity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate called a dense Sl kernel")
+    for name in ("local_similarity_units", "_gram_kernel", "_direct_kernel"):
+        monkeypatch.setattr(similarity, name, refuse)
+    ds = generate_synthetic(50, 4, 16, 3, 4, intra_class_spread=0.8, seed=9)
+    heads = init_heads(16, seed=4, noise_std=0.3)
+    for alpha in (0.0, 0.9):
+        want = _report_from_similarity(_pairwise_fused(heads, ds, alpha))
+        assert evaluate(heads, ds, Hyper(alpha=alpha)) == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block", ["W_img", "b_img", "W_txt", "b_txt"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_evaluate_rejects_non_finite_heads(block, value):
+    # comparisons with NaN are false, so such heads used to rank every item first
+    ds = generate_synthetic(20, 4, 8, 2, 2, intra_class_spread=0.3, seed=0)
+    heads = init_heads(8, seed=1)
+    getattr(heads, block)[3] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        evaluate(heads, ds, Hyper())
 
 
 def test_detection_perfect():
