@@ -7,7 +7,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -34,6 +34,13 @@ class Dataset:
     blocks instead, with the same results for the same values. Any other
     dtype is refused. y[i] = 1 means pair i is a true correspondence; 0 means
     its text was shuffled in by noise injection.
+
+    Every construction checks shapes, dtypes, y and class_id. The unit-row
+    pass reads every value, so it runs only at the boundary: on a Dataset a
+    caller builds and on each block read_dataset reads. generate_synthetic,
+    subset and inject_noise skip it (through the private _from_unit_rows),
+    since their rows are unit by construction or copied from a dataset that
+    was already checked.
     """
 
     image_global: np.ndarray   # (n, dim)
@@ -44,6 +51,21 @@ class Dataset:
     class_id: Optional[np.ndarray] = None  # (n,) uint32, synthetic only
 
     def __post_init__(self):
+        self._check_structure()
+        for name in _BLOCKS:
+            _check_unit_rows(name, getattr(self, name))
+
+    @classmethod
+    def _from_unit_rows(cls, **blocks) -> "Dataset":
+        """A Dataset of blocks whose rows are known to be unit: every check of
+        __post_init__ but the unit-row pass."""
+        ds = cls.__new__(cls)
+        for f in fields(cls):
+            object.__setattr__(ds, f.name, blocks.get(f.name, f.default))
+        ds._check_structure()
+        return ds
+
+    def _check_structure(self) -> None:
         n, dim = self.image_global.shape
         if dim < 2:
             raise ConfigError(f"dim must be >= 2, got {dim}")
@@ -63,7 +85,19 @@ class Dataset:
         if bad.size:
             raise DataError(f"y must be 0 or 1, found {sorted(set(bad.tolist()))[:5]}")
         for name in _BLOCKS:
-            _check_unit_rows(name, getattr(self, name))
+            dtype = getattr(self, name).dtype
+            if dtype.type not in (np.float32, np.float64):
+                raise ConfigError(f"{name} must be float32 or float64, got {dtype}")
+        c = self.class_id
+        if c is not None:
+            # RRSE stores class ids as uint32, so anything else cannot round-trip
+            if c.shape != (n,):
+                raise ConfigError("class_id must be (n,)")
+            if c.dtype.kind not in "iu":
+                raise ConfigError(f"class_id must hold integers, got {c.dtype}")
+            if n and (int(c.min()) < 0 or int(c.max()) >= 2**32):
+                bad = sorted({v for v in c.tolist() if not 0 <= v < 2**32})
+                raise DataError(f"class_id must be in [0, 2**32), found {bad[:5]}")
 
     @property
     def n_pairs(self) -> int:
@@ -85,15 +119,18 @@ class Dataset:
         """New dataset holding the selected rows.
 
         idx is anything that indexes the first axis: an integer array, a boolean
-        mask or a slice. Each block is gathered once straight into the result,
-        with no intermediate copy; the values are those of self[idx].
+        mask or a slice; the values are those of self[idx]. Rows that form one
+        ascending contiguous run are block-copied, any other selection is
+        gathered once with np.take; either way each block is copied straight
+        into memory the result owns, so a small subset pins no parent alive.
         """
         rows = np.arange(self.n_pairs)[idx]
+        run = rows.size > 0 and bool((np.diff(rows) == 1).all())
 
         def take(a):
-            return np.take(a, rows, axis=0)
+            return a[rows[0]:rows[-1] + 1].copy() if run else np.take(a, rows, axis=0)
 
-        return Dataset(
+        return Dataset._from_unit_rows(
             image_global=take(self.image_global),
             image_local=take(self.image_local),
             text_global=take(self.text_global),
@@ -104,15 +141,13 @@ class Dataset:
 
 
 def _check_unit_rows(name: str, rows: np.ndarray) -> None:
-    """Refuse a block that is not float32/float64, holds a non-finite value or
-    has a row whose norm is off 1 by more than UNIT_NORM_TOL.
+    """Refuse a float32/float64 block that holds a non-finite value or has a
+    row whose norm is off 1 by more than UNIT_NORM_TOL.
 
     Squared row norms are summed in float64 one upcast row chunk at a time,
     so the check holds no temporary larger than a chunk. A non-finite value
     anywhere is reported first, then the first non-unit row.
     """
-    if rows.dtype.type not in (np.float32, np.float64):
-        raise ConfigError(f"{name} must be float32 or float64, got {rows.dtype}")
     finite, first_bad = True, None
     for r0, r1 in _row_chunks(rows.shape):
         chunk = rows[r0:r1].astype(np.float64, copy=False)
@@ -196,6 +231,20 @@ def _plane_rotation(dim: int, theta: float, rng: np.random.Generator) -> np.ndar
     for k in range(0, dim - 1, 2):
         g[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
     return q @ g @ q.T
+
+
+def _gap_as_one_gemm(d2: int, dim: int) -> bool:
+    """Whether one (rows*d2, dim) @ (dim, dim) GEMM gives the text-local base
+    the bits of the stacked product, one (d2, dim) @ (dim, dim) GEMM per pair.
+
+    Measured on OpenBLAS 0.3.31 (x86-64, AVX-512 kernels) at 1 and 2 threads
+    for chunks of 2-128 pairs: the two agree bit for bit when dim is a
+    multiple of 8 up to 256 and d2 * dim > 1200, so both run the blocked
+    kernel. Below that bound the per-pair product (M * N <= 1200) runs
+    OpenBLAS's small-matrix kernel, at d2 = 1 numpy runs it as a gemv, and
+    other dims sum in another order; there the stacked product stays.
+    """
+    return dim % 8 == 0 and dim <= 256 and d2 * dim > 1200
 
 
 def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
@@ -283,11 +332,19 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     image_local = noisy((n_pairs, d1, dim), lambda r0, r1: sub_rows(img_sub, r0, r1))
     text_global = noisy((n_pairs, dim), lambda r0, r1: core_gap[r0:r1])
     del core, core_gap
-    # a stacked matmul runs one product per pair, so chunking it rounds the same
-    text_local = noisy((n_pairs, d2, dim), lambda r0, r1: sub_rows(txt_sub, r0, r1) @ gap.T)
-    return Dataset(image_global=image_global, image_local=image_local,
-                   text_global=text_global, text_local=text_local,
-                   y=np.ones(n_pairs, dtype=np.uint8), class_id=cls.astype(np.uint32))
+    def text_sub_rows(r0, r1):
+        # a stacked matmul runs one product per pair, so chunking it rounds the
+        # same; where _gap_as_one_gemm holds, one GEMM per chunk gives its bits
+        base = sub_rows(txt_sub, r0, r1)
+        if _gap_as_one_gemm(d2, dim):
+            return (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
+        return base @ gap.T
+
+    text_local = noisy((n_pairs, d2, dim), text_sub_rows)
+    return Dataset._from_unit_rows(image_global=image_global, image_local=image_local,
+                                   text_global=text_global, text_local=text_local,
+                                   y=np.ones(n_pairs, dtype=np.uint8),
+                                   class_id=cls.astype(np.uint32))
 
 
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -326,7 +383,7 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
         source[subset] = subset[perm]
         y[subset] = 0
 
-    return Dataset(
+    return Dataset._from_unit_rows(
         image_global=dataset.image_global.copy(),
         image_local=dataset.image_local.copy(),
         text_global=np.take(dataset.text_global, source, axis=0),
@@ -420,6 +477,9 @@ class SectionReader:
 
 def read_dataset(path: str) -> Dataset:
     """Read an RRSE file; embeddings come back as float32 blocks.
+
+    The file comes from outside the program, so the Dataset built from it
+    runs every check, the unit-row pass over each embedding block included.
 
     Every section is read through a SectionReader, so a truncated regular
     file fails before its short section is allocated, and a pipe (e.g.

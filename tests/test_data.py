@@ -225,6 +225,80 @@ def test_dataset_rejects_non_unit_rows(field):
         Dataset(y=ds.y, **blocks)
 
 
+@pytest.mark.parametrize("field", ["image_global", "text_local"])
+def test_dataset_rejects_non_finite_rows(field):
+    ds = generate_synthetic(6, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    blocks = {f: getattr(ds, f).copy() for f in data._BLOCKS}
+    blocks[field][2] = np.nan
+    with pytest.raises(ConfigError, match=f"{field} contains non-finite values"):
+        Dataset(y=ds.y, **blocks)
+
+
+@pytest.mark.parametrize("class_id,error,match", [
+    (np.arange(5, dtype=np.uint32), ConfigError, r"class_id must be \(n,\)"),
+    (np.zeros((6, 1), dtype=np.uint32), ConfigError, r"class_id must be \(n,\)"),
+    (np.full(6, 1.0), ConfigError, "class_id must hold integers, got float64"),
+    (np.array([0, 1, -1, 1, 0, -3]), DataError, r"found \[-3, -1\]"),
+    (np.array([0, 2**32, 1, 1, 0, 1], dtype=np.uint64), DataError, r"found \[4294967296\]"),
+], ids=["one-short", "2-d", "float", "negative", "too-large"])
+def test_dataset_rejects_class_id_that_cannot_round_trip(class_id, error, match):
+    ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
+    with pytest.raises(error, match=match):
+        Dataset(ds.image_global, ds.image_local, ds.text_global, ds.text_local, ds.y, class_id)
+
+
+def test_dataset_class_id_of_any_integer_dtype_round_trips(tmp_path):
+    ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
+    class_id = np.array([0, 2**32 - 1, 5, 0, 1, 7], dtype=np.int64)
+    path = str(tmp_path / "c.rrse")
+    write_dataset(Dataset(ds.image_global, ds.image_local, ds.text_global, ds.text_local,
+                          ds.y, class_id), path)
+    assert read_dataset(path).class_id.tolist() == class_id.tolist()
+
+
+def test_unit_rows_checked_only_at_the_boundary(tmp_path, monkeypatch):
+    calls = []
+    check = data._check_unit_rows
+
+    def spy(name, rows):
+        calls.append(name)
+        check(name, rows)
+
+    monkeypatch.setattr(data, "_check_unit_rows", spy)
+    world = generate_synthetic(30, 3, 8, 2, 3, intra_class_spread=0.2, seed=1)
+    train = world.subset(np.arange(20))
+    held = world.subset(np.array([25, 21, 29]))
+    noisy = inject_noise(train, NoiseSpec(rho=0.4, seed=2))
+    assert calls == []
+
+    path = str(tmp_path / "n.rrse")
+    write_dataset(noisy, path)
+    read_dataset(path)
+    assert calls == list(data._BLOCKS)
+
+    calls.clear()
+    Dataset(held.image_global, held.image_local, held.text_global, held.text_local, held.y)
+    assert calls == list(data._BLOCKS)
+
+
+def test_internal_construction_runs_every_other_check():
+    ds = generate_synthetic(6, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    blocks = {f: getattr(ds, f).copy() for f in data._BLOCKS}
+    blocks["image_global"][3] *= 2.0  # the unit-row pass is the one check skipped
+    assert Dataset._from_unit_rows(y=ds.y, **blocks).class_id is None
+    y = ds.y.copy()
+    y[1] = 2
+    with pytest.raises(DataError, match="y must be 0 or 1"):
+        Dataset._from_unit_rows(y=y, **blocks)
+    with pytest.raises(ConfigError, match="class_id must be"):
+        Dataset._from_unit_rows(y=ds.y, class_id=ds.class_id[:5], **blocks)
+    half = ds.text_local.astype(np.float16)
+    with pytest.raises(ConfigError, match="text_local must be float32 or float64"):
+        Dataset._from_unit_rows(y=ds.y, **{**blocks, "text_local": half})
+    with pytest.raises(ConfigError, match="text_global shape mismatch"):
+        Dataset._from_unit_rows(y=ds.y, **{**blocks, "text_global": ds.text_global[:5]})
+
+
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "bad.rrse")
     with open(path, "wb") as f:
@@ -384,14 +458,60 @@ def test_pipe_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
     np.array([5, 0, 5, -1]),
     np.arange(12) % 3 == 1,
     slice(2, 11, 3),
-], ids=["int-array", "bool-mask", "slice"])
+    np.arange(3, 9),
+    np.array([1, 4, 5, 9]),
+    np.arange(8, 2, -1),
+    slice(2, 9),
+    np.array([5]),
+    np.array([], dtype=np.intp),
+], ids=["int-array", "bool-mask", "slice", "contiguous", "non-contiguous", "descending",
+        "contiguous-slice", "single-row", "empty"])
 def test_subset_selects_rows(idx):
+    # byte for byte what np.take gives, in memory the subset owns
     ds = generate_synthetic(12, 3, 4, 2, 3, intra_class_spread=0.2, seed=4)
+    rows = np.arange(ds.n_pairs)[idx]
     sub = ds.subset(idx)
     for name in ("image_global", "image_local", "text_global", "text_local", "y", "class_id"):
-        got, want = getattr(sub, name), getattr(ds, name)[idx]
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert not np.shares_memory(got, getattr(ds, name)), name
+        got, parent = getattr(sub, name), getattr(ds, name)
+        want = np.take(parent, rows, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert got.base is None and not np.shares_memory(got, parent), name
+
+
+@pytest.mark.parametrize("chunk", ["default", "single-pair"])
+@pytest.mark.parametrize("dim", [32, 256])
+@pytest.mark.parametrize("d2", [1, 2, 3, 4, 16])
+def test_text_local_gemm_matches_stacked_product(monkeypatch, d2, dim, chunk):
+    shape = dict(n_pairs=24, n_classes=4, dim=dim, d1=2, d2=d2, intra_class_spread=0.1, seed=3)
+    if chunk == "single-pair":
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 8 * d2 * dim)  # M = d2 per product
+    got = generate_synthetic(**shape)
+    monkeypatch.setattr(data, "_gap_as_one_gemm", lambda d2, dim: False)
+    want = generate_synthetic(**shape)
+    assert got.text_local.tobytes() == want.text_local.tobytes()
+
+
+@pytest.mark.parametrize("d2,dim", [(16, 256), (5, 256), (36, 256), (10, 128), (7, 200),
+                                    (38, 32)])
+def test_one_gemm_rule_gives_stacked_bits(d2, dim):
+    # where the rule picks one reshaped GEMM, its float64 rows are the stacked
+    # product's at every chunk height
+    assert data._gap_as_one_gemm(d2, dim)
+    rng = np.random.default_rng(d2 * dim)
+    gap = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    for rows in (1, 2, 3, 17, 128):
+        base = rng.normal(size=(rows, d2, dim))
+        one = (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
+        assert np.array_equal(one, base @ gap.T), rows
+
+
+@pytest.mark.parametrize("d2,dim", [(1, 256), (2, 256), (4, 256), (8, 32), (16, 32),
+                                    (8, 128), (16, 300), (16, 255)])
+def test_one_gemm_rule_keeps_stacked_product(d2, dim):
+    # one GEMM rounds these differently from the per-pair products on OpenBLAS:
+    # gemv at d2 = 1, the small-matrix kernel (desk shapes), other K tails
+    assert not data._gap_as_one_gemm(d2, dim)
 
 
 def test_data_layer_memory_bounded(tmp_path, monkeypatch):
