@@ -20,7 +20,8 @@ from dataclasses import fields
 def _apply_threads_early(argv):
     """--threads must take effect before numpy loads its BLAS thread pool. Once
     numpy is loaded the cap cannot apply, so the thread variables are left as
-    they are for the rest of the process and its children."""
+    they are for the rest of the process and its children. So are they for a
+    count that is not a positive integer, which parse_args then rejects."""
     if "numpy" in sys.modules:
         return
     for i, a in enumerate(argv):
@@ -30,14 +31,48 @@ def _apply_threads_early(argv):
         elif a.startswith("--threads="):
             n = a.split("=", 1)[1]
         if n is not None:
+            try:
+                n = _thread_count(n)
+            except argparse.ArgumentTypeError:
+                return
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(n)
             return
 
 
+def _thread_count(value: str) -> int:
+    """--threads' type. OpenBLAS reads a count of 0 or below as "all cores", so
+    only a positive count is taken."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
+    return n
+
+
 def _default_seed() -> int:
+    """$RRSITR_SEED, or 0 when it is unset or empty."""
+    from .errors import ConfigError
+
     env = os.environ.get("RRSITR_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    if not env.strip().isdecimal():
+        raise ConfigError(f"RRSITR_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
+
+
+def _seed_arg(args) -> int:
+    """gen's and inject's seed: --seed, else $RRSITR_SEED, else 0."""
+    from .errors import ConfigError
+
+    if args.seed is None:
+        return _default_seed()
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _git_describe() -> str:
@@ -84,7 +119,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> No
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_thread_count, default=None,
                    help="BLAS thread cap (1 for bitwise-reproducible runs); it takes effect "
                         "only if this process has not loaded numpy yet")
 
@@ -142,7 +177,7 @@ def _mean_pair_similarities(image_global, text_global):
 def cmd_gen(args) -> int:
     from .data import generate_synthetic, write_dataset, write_manifest
 
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed_arg(args)
     ds = generate_synthetic(args.n, args.classes, args.dim, args.d1, args.d2,
                             args.spread, seed)
     write_dataset(ds, args.output)
@@ -159,7 +194,7 @@ def cmd_gen(args) -> int:
 def cmd_inject(args) -> int:
     from .data import NoiseSpec, inject_noise, load_dataset_arg, write_dataset, write_manifest
 
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed_arg(args)
     ds = load_dataset_arg(args.input)
     noised = inject_noise(ds, NoiseSpec(rho=args.rho, seed=seed))
     write_dataset(noised, args.output)

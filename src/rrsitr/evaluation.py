@@ -112,6 +112,12 @@ _SL_SLACK = 1e-9
 # candidate pairs scored and tallied at once, at most: bounds the candidate
 # arrays (about 40 bytes a pair) when most pairs are candidates, at small alpha
 _BLOCK_PAIRS = 1 << 18
+# the window path's buffers, in bytes: as many candidate pairs as fit are
+# gathered and scored in one stacked product (113 at dim 32, 8x8 locals)
+_WINDOW_BYTES = 512 << 10
+# the window path is taken while one image local block is at most this many
+# bytes (_windowed): the desk shapes' 2 KiB, not the paper shape's 72 KiB
+_WINDOW_BLOCK_BYTES = 4 << 10
 
 
 def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
@@ -142,6 +148,13 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     equal rows score equally. Test sets that repeat an image once per caption,
     as RSITMD's does, tie exactly where a pairwise oracle ties.
 
+    The candidates are stacked one of two ways, with the same bits. Where the
+    image local blocks are small (_windowed: the desk shapes), they go in
+    windows: each pair's A_i and B_j are gathered into buffers made once per
+    call, and each window is one stacked product and one _sum_squares.
+    Elsewhere (the paper shape, where copying A_i per pair costs more than it
+    saves) each image row's candidates are one stacked product against A_i.
+
     delta = _SL_SLACK. Unit rows are unit to within (dim/2 + 2)u, u = 2^-53,
     so each computed local cosine is at most 1 + (2*dim + 5)u in magnitude; the
     sum of d1*d2 squares, the sqrt and the division by sqrt(d1*d2) bring the
@@ -155,8 +168,10 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     Sl is the direct form sqrt(sum of squared cosines) / sqrt(d1*d2); the
     ranks are exact for it. The trainer's Gram form differs from it only by
     rounding. Besides S, evaluate holds boolean masks over S and, per block
-    of image rows, the arrays of at most _BLOCK_PAIRS candidates; the gather
-    of one row's candidate texts copies at most all of the text local rows.
+    of image rows, the arrays of at most _BLOCK_PAIRS candidates. The window
+    path's buffers hold window * (d1 + d2 + d1*d2/dim) * dim doubles, at
+    most _WINDOW_BYTES (or one pair); on the row path the gather of one row's
+    candidate texts copies at most all of the text local rows.
     At alpha = 0 every off-diagonal pair is a candidate, and the cost is the
     direct form's over all n^2 pairs, one small product each: at desk shapes
     (n = 1000, dim 32, 8x8 locals, one BLAS thread) about 0.6 s, where the
@@ -180,6 +195,7 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     S *= hyper.alpha
     ref = _fuse(S.diagonal(), _sum_squares(np.matmul(B, A.transpose(0, 2, 1))), c, scale)
     cut = ref - (c + _SL_SLACK)
+    windows = None                    # the window path's buffers, made on first use
     i2t = 1 + np.count_nonzero(S > ref[:, None], axis=1)
     t2i = 1 + np.count_nonzero(S > ref, axis=0)
     step = max(1, _BLOCK_PAIRS // n)
@@ -190,20 +206,70 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
         cand |= (Sr >= cut) & (Sr <= ref)
         np.fill_diagonal(cand[:, r0:], False)
         flat = np.flatnonzero(cand)
+        if not len(flat):
+            continue
         I, J = np.divmod(flat, n)
-        # I is sorted: each image row's candidates are one run, scored against A_i
-        F = np.empty(len(flat))
-        lo = 0
-        for i, hi in enumerate(np.cumsum(np.bincount(I, minlength=len(Sr))).tolist(), r0):
-            if hi > lo:
-                _sum_squares(np.matmul(B.take(J[lo:hi], axis=0), A[i].T), out=F[lo:hi])
-            lo = hi
         I += r0
+        F = np.empty(len(flat))
+        if _windowed(A.shape[1], A.shape[2]):
+            if windows is None:
+                windows = _window_buffers(A.shape[1], B.shape[1], A.shape[2])
+            _score_windows(A, B, I, J, F, windows)
+        else:
+            _score_rows(A, B, I, J, F)
         s = Sr.reshape(-1)[flat]
         _fuse(s, F, c, scale)
         i2t += np.bincount(I[_above(s, F, ref[I], J < I)], minlength=n)
         t2i += np.bincount(J[_above(s, F, ref[J], I < J)], minlength=n)
     return _report_from_ranks(i2t, t2i)
+
+
+def _windowed(d1: int, dim: int) -> bool:
+    """Whether evaluate scores candidates in windows (_score_windows) rather
+    than one product per image row (_score_rows). A window saves each row's
+    fixed overhead (a take, a matmul call and a reduction, about 10 us) but
+    copies an image block once per pair, so it pays while the blocks are
+    small. Each path forced, calls interleaved, trained heads, one BLAS
+    thread on 2 vCPUs, window over row time: dim 32 with d1 = d2 = 8 (2 KiB
+    blocks) at alpha 0.9, 0.77x at n = 500 (30/30 faster) and 0.90x at
+    n = 1000 (16/20); dim 256 with d1 = 36, d2 = 16 (72 KiB blocks), n = 300,
+    1.10x at alpha 0.9 (2/20), 1.06x at 0.3 and 1.37x at 0 (0/20). Small
+    blocks still lose where image rows have long runs of candidates (the desk
+    shape at alpha 0.3 and below)."""
+    return d1 * dim * 8 <= _WINDOW_BLOCK_BYTES
+
+
+def _window_buffers(d1: int, d2: int, dim: int) -> tuple:
+    """The gathered image blocks, text blocks and products of one window of
+    w pairs, (d1 + d2 + d1*d2/dim) * dim doubles a pair, in _WINDOW_BYTES."""
+    w = max(1, _WINDOW_BYTES // (8 * (d1 * dim + d2 * dim + d2 * d1)))
+    return np.empty((w, d1, dim)), np.empty((w, d2, dim)), np.empty((w, d2, d1))
+
+
+def _score_rows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
+                F: np.ndarray) -> None:
+    """F[k] = the sum of squared local cosines of pair (I[k], J[k]). I is
+    sorted, so each image row's candidates are one run, scored against A_i in
+    one stacked product."""
+    edges = [0, *(np.flatnonzero(np.diff(I)) + 1).tolist(), len(I)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        _sum_squares(np.matmul(B.take(J[lo:hi], axis=0), A[I[lo]].T), out=F[lo:hi])
+
+
+def _score_windows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
+                   F: np.ndarray, buffers: tuple) -> None:
+    """_score_rows' F, a window of pairs at a time: each pair's A_i and B_j
+    are gathered into the window's buffers and the window is one stacked
+    product. Every pair still gets its own (d2 x dim)(dim x d1) product, so
+    F has the bits of _score_rows'."""
+    Ab, Bb, Mb = buffers
+    for lo in range(0, len(I), len(Ab)):
+        hi = min(lo + len(Ab), len(I))
+        a, b, M = Ab[:hi - lo], Bb[:hi - lo], Mb[:hi - lo]
+        # out= with the default mode="raise" would copy through a temporary
+        np.take(A, I[lo:hi], axis=0, out=a, mode="clip")
+        np.take(B, J[lo:hi], axis=0, out=b, mode="clip")
+        _sum_squares(np.matmul(b, a.transpose(0, 2, 1), out=M), out=F[lo:hi])
 
 
 def _sum_squares(M: np.ndarray, out=None) -> np.ndarray:

@@ -100,15 +100,6 @@ def optimal_weight(l, gamma: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def optimal_weight_oracle(l: float, gamma: float, grid_steps: int = 100_000) -> float:
-    """Grid minimizer of w*l + R(w, gamma) over w in [0, 1]; test oracle only."""
-    if l >= gamma:
-        return 0.0
-    grid = np.linspace(0.0, 1.0, grid_steps + 1)
-    objective = grid * l + regularizer(grid, gamma, l)
-    return float(grid[int(np.argmin(objective))])
-
-
 def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
                     weighting: str = "spl", merge_ambiguous: bool = False,
                     sum_over_all: bool = False, rng: Optional[np.random.Generator] = None

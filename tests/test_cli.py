@@ -174,6 +174,36 @@ def test_threads_leaves_env_alone_once_numpy_is_loaded(tmp_path, monkeypatch):
     assert [os.environ[v] for v in names] == ["7", "7", "7"]
 
 
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-2"], ["--threads=0"],
+                                  ["--threads", "two"]])
+def test_threads_below_one_exits_2_and_sets_no_variable(flag):
+    # OpenBLAS reads a count of 0 or below as "all cores": refuse it before the
+    # thread variables are written, in a process that has not loaded numpy
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import os, sys\n"
+            f"for v in {names!r}: os.environ.pop(v, None)\n"
+            "from rrsitr.cli import main\n"
+            "try:\n"
+            f"    main(['eval', '--checkpoint', 'c.rrsp', '--data', 'd.rrse', *{flag!r}])\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, 'numpy' in sys.modules,\n"
+            f"          [v for v in {names!r} if v in os.environ])\n")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["2", "False", "[]"]
+    assert "--threads: must be a positive integer" in proc.stderr.decode()
+
+
+def test_threads_of_one_still_sets_the_variables():
+    code = ("import os\n"
+            "from rrsitr.cli import _apply_threads_early\n"
+            "_apply_threads_early(['eval', '--threads', '1'])\n"
+            "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])\n")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["1", "1"]
+
+
 def test_git_describe_names_the_package_checkout(tmp_path, monkeypatch):
     pkg = os.path.dirname(os.path.abspath(cli.__file__))
     try:
@@ -508,6 +538,30 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["gen", "--n", "10", "--classes", "2", "--dim", "4",
                  "--d1", "1", "--d2", "1", "--seed", "33", "-o", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    rc = main(["gen", "--n", "10", "--classes", "2", "--dim", "4", "--d1", "1", "--d2", "1",
+               "--seed", "-3", "-o", str(tmp_path / "g.rrse")])
+    assert rc == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "g.rrse")
+
+
+def test_inject_negative_seed_exit_2(tmp_path, capsys):
+    src = _gen(tmp_path)
+    rc = main(["inject", src, "--rho", "0.2", "--seed", "-1", "-o", str(tmp_path / "x.rrse")])
+    assert rc == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bad_seed_env_exit_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RRSITR_SEED", value)
+    rc = main(["gen", "--n", "10", "--classes", "2", "--dim", "4", "--d1", "1", "--d2", "1",
+               "-o", str(tmp_path / "g.rrse")])
+    assert rc == 2
+    assert "RRSITR_SEED must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -212,6 +212,14 @@ def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, d
     # otherwise than the per-pair products do, and fails these cases.)
     if block_pairs is not None:        # several row blocks, the last one short
         monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
+    ds, heads, F = _repeated_images(alpha, n, dim, d1, d2, seed)
+    assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
+
+
+def _repeated_images(alpha, n, dim, d1, d2, seed):
+    """A test set with each image once per caption and three repeated
+    captions, heads, and its pairwise fused scores, which tie with the match
+    in a query row and in a query column."""
     images = generate_synthetic(n // 5, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed)
     texts = generate_synthetic(n, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed + 1)
     rep = np.repeat(np.arange(n // 5), 5)
@@ -224,7 +232,7 @@ def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, d
     d = np.diag(F)
     assert ((F == d[:, None]).sum(axis=1) > 1).any()       # a query row tied with its match
     assert ((F == d[None, :]).sum(axis=0) > 1).any()       # and a query column
-    assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
+    return ds, heads, F
 
 
 def test_evaluate_exact_ties_in_both_directions():
@@ -302,6 +310,59 @@ def test_evaluate_rejects_non_finite_heads(block, value):
     getattr(heads, block)[3] = value
     with pytest.raises(NumericError, match="non-finite"):
         evaluate(heads, ds, Hyper())
+
+
+def test_windows_give_the_rows_bits_across_window_edges():
+    # runs of w - 28, 60 and 45 pairs in the default window of w pairs: the
+    # second image row straddles the first window edge and the last window
+    # holds 77
+    ds = generate_synthetic(60, 4, 32, 8, 8, intra_class_spread=0.8, seed=12)
+    _, (Uil, _), _, (Utl, _) = project(init_heads(32, seed=3, noise_std=0.3), ds)
+    A, B = Uil.reshape(60, 8, 32), Utl.reshape(60, 8, 32)
+    buffers = evaluation._window_buffers(8, 8, 32)
+    w = len(buffers[0])
+    I = np.repeat([4, 17, 59], [w - 28, 60, 45])
+    J = np.random.default_rng(5).integers(0, 60, len(I))
+    assert w > 77 and I[w - 1] == I[w]
+    rows, windows = np.empty(len(I)), np.empty(len(I))
+    evaluation._score_rows(A, B, I, J, rows)
+    evaluation._score_windows(A, B, I, J, windows, buffers)
+    assert windows.tobytes() == rows.tobytes()
+
+
+def _scores_by_path(heads, ds, alpha, path, **knobs):
+    """evaluate's report and every block's candidate scores, on the path
+    forced, with the module constants in knobs set."""
+    scores = []
+    with pytest.MonkeyPatch.context() as m:
+        for name, value in knobs.items():
+            m.setattr(evaluation, name, value)
+        for name in ("_score_rows", "_score_windows"):
+            def record(*args, _score=getattr(evaluation, name)):
+                _score(*args)
+                scores.append(args[4].copy())
+            m.setattr(evaluation, name, record)
+        m.setattr(evaluation, "_windowed", lambda *args: path == "windows")
+        return evaluate(heads, ds, Hyper(alpha=alpha)), scores
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.0])
+def test_evaluate_windows_and_rows_score_the_same_bits(alpha):
+    # repeated images tie exactly, so there are candidates even at alpha 1;
+    # windows of 8 pairs over blocks of three image rows (_BLOCK_PAIRS) put
+    # rows across window edges and end blocks in part-full windows
+    ds, heads, oracle = _repeated_images(alpha, 40, 32, 8, 8, seed=7)
+    knobs = {"_WINDOW_BYTES": 8 * 8 * (8 * 32 + 8 * 32 + 8 * 8), "_BLOCK_PAIRS": 120}
+    rows_report, rows = _scores_by_path(heads, ds, alpha, "rows", **knobs)
+    windows_report, windows = _scores_by_path(heads, ds, alpha, "windows", **knobs)
+    assert windows and [F.tobytes() for F in windows] == [F.tobytes() for F in rows]
+    assert any(len(F) % 8 for F in windows)
+    assert windows_report == rows_report == _report_from_similarity(oracle)
+
+
+def test_window_rule_picks_windows_at_desk_and_rows_at_paper_shape():
+    assert evaluation._windowed(8, 32)         # desk: 2 KiB image blocks
+    assert not evaluation._windowed(36, 256)   # paper: 72 KiB image blocks
 
 
 def test_detection_perfect():

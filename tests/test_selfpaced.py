@@ -6,8 +6,7 @@ import pytest
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY,
-                              compute_weights, optimal_weight, optimal_weight_oracle,
-                              partition, regularizer)
+                              compute_weights, optimal_weight, partition, regularizer)
 from rrsitr.trainer import Hyper, batch_objective, init_heads
 
 
@@ -91,6 +90,15 @@ def test_optimal_weight_monotone_and_continuous_at_gamma():
     w = optimal_weight(ls, gamma)
     assert np.all(np.diff(w) < 0)
     assert w[-1] < 1e-8  # limit 0 as l -> gamma
+
+
+def optimal_weight_oracle(l: float, gamma: float, grid_steps: int = 100_000) -> float:
+    """Grid minimizer of w*l + R(w, gamma) over w in [0, 1]."""
+    if l >= gamma:
+        return 0.0
+    grid = np.linspace(0.0, 1.0, grid_steps + 1)
+    objective = grid * l + regularizer(grid, gamma, l)
+    return float(grid[int(np.argmin(objective))])
 
 
 def test_oracle_matches_closed_form():
