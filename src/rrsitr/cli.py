@@ -135,12 +135,32 @@ def _hyper_from_args(args) -> "Hyper":
     return Hyper(**given)
 
 
-def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    noise = None
+def _dataset_noise(data_path):
+    """The noise record of a data set: from the manifest given as --data, or
+    from the manifest gen and inject write beside an .rrse (<path>.json) when
+    its file entry names that .rrse; None without one."""
     if data_path.endswith(".json"):
         with open(data_path) as f:
-            noise = json.load(f).get("noise")
+            return json.load(f).get("noise")
+    sidecar = data_path + ".json"
+    try:
+        with open(sidecar) as f:
+            doc = json.load(f)
+    except (OSError, ValueError):     # none, or not JSON: not a sidecar
+        return None
+    named = doc.get("file") if isinstance(doc, dict) else None
+    if not isinstance(named, str):
+        return None
+    # the entry is the path inject was given, from inject's directory
+    if not any(os.path.exists(p) and os.path.samefile(p, data_path)
+               for p in (named, os.path.join(os.path.dirname(sidecar), named))):
+        return None
+    return doc.get("noise")
+
+
+def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=None) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    noise = _dataset_noise(data_path)
     doc = {
         "command": command,
         "variant": variant,
@@ -206,12 +226,13 @@ def cmd_inject(args) -> int:
 
 def _train_runs(args, variants, trace_epochs=(), outputs=None):
     """The one training path of train, trace and ablate. Before any training it
-    builds Hyper, checks the trace epochs, loads the data sets and writes the run
-    manifest; then it trains the variants in turn and yields (variant, heads,
-    log, report), report being the evaluation on ablate's --test set or None."""
+    builds Hyper, checks the trace epochs, loads the data sets, checks the
+    --val and --test sets as evaluate would and writes the run manifest; then
+    it trains the variants in turn and yields (variant, heads, log, report),
+    report being the evaluation on ablate's --test set or None."""
     from .data import load_dataset_arg
     from .errors import ConfigError
-    from .evaluation import evaluate
+    from .evaluation import check_test_set, evaluate
     from .trainer import train
 
     hyper = _hyper_from_args(args)
@@ -221,6 +242,9 @@ def _train_runs(args, variants, trace_epochs=(), outputs=None):
     ds = load_dataset_arg(args.data)
     val = load_dataset_arg(args.val) if args.val else None
     test = load_dataset_arg(args.test) if getattr(args, "test", None) else None
+    for flag, held in (("--val", val), ("--test", test)):
+        if held is not None:
+            check_test_set(held, ds.dim, name=f"{flag} set")
     _write_run_manifest(args.out_dir, args.command, variants[0] if len(variants) == 1 else None,
                         hyper, args.data, outputs)
     for variant in variants:

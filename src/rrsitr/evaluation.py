@@ -106,18 +106,38 @@ def _report_from_ranks(i2t: np.ndarray, t2i: np.ndarray) -> RetrievalReport:
     return RetrievalReport(*vals, mr=float(np.mean(vals)))
 
 
-# bounds both the excess of a computed Sl over 1 and the rounding of the fused
+def check_test_set(test_dataset: Dataset, dim: int | None = None,
+                   name: str = "test set") -> None:
+    """Refuse a set evaluate would refuse: DataError if it holds noisy pairs
+    (y=0), ConfigError if it has fewer than 10 pairs or, with dim given, rows
+    of another dim than the heads'. Callers can check a set before training
+    the heads that evaluate it."""
+    if np.any(test_dataset.y == 0):
+        raise DataError(f"evaluation requires a clean {name} (all y=1)")
+    if test_dataset.n_pairs < 10:
+        raise ConfigError(f"{name} must have at least 10 pairs for R@10, "
+                          f"got {test_dataset.n_pairs}")
+    if dim is not None and test_dataset.dim != dim:
+        raise ConfigError(f"{name} has dim {test_dataset.dim}, the training set {dim}")
+
+
+# delta: bounds the rounding of a computed Sl and of its bounds, of the fused
 # sum and of the cutoff; evaluate derives it
 _SL_SLACK = 1e-9
-# candidate pairs scored and tallied at once, at most: bounds the candidate
-# arrays (about 40 bytes a pair) when most pairs are candidates, at small alpha
+# pairs of S tested at once, at most: bounds the block's boolean masks and
+# its kept pairs' indices and S values (16 bytes a kept pair)
 _BLOCK_PAIRS = 1 << 18
+# kept pairs bounded, decided and scored at once, at most: bounds their
+# arrays (about 80 bytes a pair) when most pairs are kept, at small alpha
+_KEPT_PAIRS = 1 << 15
 # the window path's buffers, in bytes: as many candidate pairs as fit are
 # gathered and scored in one stacked product (113 at dim 32, 8x8 locals)
 _WINDOW_BYTES = 512 << 10
 # the window path is taken while one image local block is at most this many
 # bytes (_windowed): the desk shapes' 2 KiB, not the paper shape's 72 KiB
 _WINDOW_BLOCK_BYTES = 4 << 10
+# the item Grams _item_bounds holds at once, in bytes
+_GRAM_BYTES = 128 << 10
 
 
 def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
@@ -134,54 +154,90 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     Only the pairs that can change a rank get an Sl. With c = 1 - alpha,
     S = alpha * Uig Utg^T is formed once; F = S + c*Sl computed in floating
     point is >= S, because c*Sl >= 0 and rounding is monotone. Each ground
-    truth's ref = F_ii is scored in full. For query row i, an item with
-    S_ij > ref_i ranks above the match whatever its Sl, and one with
-    S_ij < ref_i - (c + delta) ranks below it; every other off-diagonal pair
-    is a candidate, and the same test runs down the columns for the
-    text-to-image ranks. The union of candidates is scored once, and ties
-    count an item only when its index is lower, as _ranks does.
+    truth's ref = F_ii is scored in full, and cut = ref - (c + delta).
+    Per block of image rows, the pairs with S_ij >= cut_i or S_ij >= cut_j
+    are kept: two comparisons, one |= and one flatnonzero over S, and every
+    later step runs on the kept pairs alone (2-5 % of all pairs at alpha 0.9
+    with trained heads).
+    For query row i, a kept item with S_ij > ref_i ranks above the match
+    whatever its Sl, one with S_ij < cut_i (or not kept) ranks below it, and
+    every other off-diagonal pair is a candidate; the same test runs down
+    the columns for the text-to-image ranks.
 
-    Every pair, ground truths and candidates alike, is scored by the same
-    operations in the same order (_sum_squares, then _fuse): one
+    Most candidates are decided from two bounds on Sl with no score. With
+    a_i and b_j the row means of the local blocks A_i and B_j, E_i = A_i -
+    1 a_i^T and F_j = B_j - 1 b_j^T, the split of A_i B_j^T into
+    (a.b) 1 1^T, 1 (F_j a)^T, E_i b 1^T and E_i F_j^T is orthogonal, so
+    Sl^2 = (a.b)^2 + |F_j a|^2/d2 + |E_i b|^2/d1 + |E_i F_j^T|^2/(d1 d2).
+    Hence lo = |a.b| <= Sl, and Sl^2 <= hi^2 = (a.b)^2 + sF |a|^2/d2 +
+    sE |b|^2/d1 + min(e sF/d2, f sE/d1), where sE >= sigma_max(E_i)^2 is
+    the Gershgorin row-sum bound of E_i E_i^T capped by its trace, e =
+    |E_i|_F^2/d1, and sF, f are the same for F_j (_item_bounds). The dots
+    a.b come from one GEMM of the row means per block, written over that
+    block of S once its kept pairs are read (_kept_pairs). A candidate
+    ranks above its match if S + c*lo > ref + delta and below it if
+    S + c*hi < ref - delta; the rest are scored, and ties count an item only
+    when its index is lower, as _ranks does. Every decision keeps a margin
+    of delta, so ties and near-ties are always scored.
+
+    Every scored pair, ground truths and candidates alike, is scored by the
+    same operations in the same order (_sum_squares, then _fuse): one
     (d2 x dim)(dim x d1) product per pair, batched over a stack of pairs, so
     a pair's score does not depend on which other pairs share the call, and
     equal rows score equally. Test sets that repeat an image once per caption,
     as RSITMD's does, tie exactly where a pairwise oracle ties.
 
-    The candidates are stacked one of two ways, with the same bits. Where the
-    image local blocks are small (_windowed: the desk shapes), they go in
+    The scored pairs are stacked one of two ways, with the same bits. Where
+    the image local blocks are small (_windowed: the desk shapes), they go in
     windows: each pair's A_i and B_j are gathered into buffers made once per
     call, and each window is one stacked product and one _sum_squares.
     Elsewhere (the paper shape, where copying A_i per pair costs more than it
-    saves) each image row's candidates are one stacked product against A_i.
+    saves) each image row's pairs are one stacked product against A_i.
 
-    delta = _SL_SLACK. Unit rows are unit to within (dim/2 + 2)u, u = 2^-53,
+    delta = _SL_SLACK, u = 2^-53. Unit rows are unit to within (dim/2 + 2)u,
     so each computed local cosine is at most 1 + (2*dim + 5)u in magnitude; the
     sum of d1*d2 squares, the sqrt and the division by sqrt(d1*d2) bring the
     computed Sl to at most 1 + (2*dim + d1*d2 + 8)u, below 1 + delta/2 while
-    2*dim + d1*d2 < 4e6. Rounding c*Sl, S + c*Sl and the cutoff's two
+    2*dim + d1*d2 < 4e6, and to within (2*dim + d1*d2 + 8)u of the exact Sl
+    of the computed rows. Rounding c*Sl, S + c*Sl and the cutoff's two
     operations adds at most 7u in absolute terms, so S_ij below the cutoff
     leaves F_ij below ref_i by at least delta/2 - 7u > 0. The slack is
     absolute rather than a factor of c, so the test stays exact as alpha
     tends to 1, where c*delta falls below the rounding of the sum.
 
+    The bounds hold exactly for the computed rows, unit or not, and their
+    rounding stays inside delta/2. The computed means (a matmul with 1/d)
+    are within (d + 2)u of the exact means of the rows, so the computed a.b,
+    and lo, are within (dim + d1 + d2 + 6)u of the exact ones. Each of |a|^2,
+    e and sigma/d is at most 1 up to rounding (the trace caps sigma), and
+    each is computed from sums of d^2 products of entries at most 1, within
+    (4*dim + 5*d + 28)u; so the computed hi^2 falls short of the exact one by
+    at most 64(dim + d1 + d2 + 8)u. The delta added to hi^2 before the root
+    covers that while dim + d1 + d2 < 1e5 (without it, the root of a rounded
+    hi^2 near 0 would be off by sqrt of its error, far beyond delta), so the
+    computed hi is at least the exact bound less 2u. With the error of the
+    computed Sl above, lo <= Sl + delta/2 and Sl <= hi + delta/2 hold for the
+    computed values, and rounding S + c*lo, S + c*hi and ref +- delta adds at
+    most 9u: a pair decided above or below has a computed F on that side of
+    ref by at least delta/2 - 16u > 0.
+
     Sl is the direct form sqrt(sum of squared cosines) / sqrt(d1*d2); the
     ranks are exact for it. The trainer's Gram form differs from it only by
-    rounding. Besides S, evaluate holds boolean masks over S and, per block
-    of image rows, the arrays of at most _BLOCK_PAIRS candidates. The window
-    path's buffers hold window * (d1 + d2 + d1*d2/dim) * dim doubles, at
-    most _WINDOW_BYTES (or one pair); on the row path the gather of one row's
-    candidate texts copies at most all of the text local rows.
-    At alpha = 0 every off-diagonal pair is a candidate, and the cost is the
-    direct form's over all n^2 pairs, one small product each: at desk shapes
-    (n = 1000, dim 32, 8x8 locals, one BLAS thread) about 0.6 s, where the
-    Gram form takes 0.05 s.
+    rounding. Besides S, evaluate holds the text row means b (n * dim
+    doubles); per block of _BLOCK_PAIRS entries of S, two boolean masks, the
+    block's image row means and 16 bytes per kept pair; per chunk of at most
+    _KEPT_PAIRS kept pairs, about 80 bytes a pair; and, in _item_bounds,
+    _GRAM_BYTES of item Grams.
+    The window path's buffers hold window * (d1 + d2 + d1*d2/dim) * dim
+    doubles, at most _WINDOW_BYTES (or one pair); on the row path the gather
+    of one row's scored texts copies at most all of the text local rows.
+    At alpha = 0 every off-diagonal pair is a candidate, and the bounds
+    leave about 4 % of them to score: at desk shapes (n = 1000, dim 32, 8x8
+    locals, trained heads, one BLAS thread) about 0.10 s, where scoring every
+    candidate took 0.6 s.
     """
-    if np.any(test_dataset.y == 0):
-        raise DataError("evaluation requires a clean test set (all y=1)")
+    check_test_set(test_dataset)
     n = test_dataset.n_pairs
-    if n < 10:
-        raise ConfigError(f"test set must have at least 10 pairs for R@10, got {n}")
     projected = project(heads, test_dataset)
     if not all(np.isfinite(r).all() for _, r in projected):
         raise NumericError("the heads project the test set to non-finite values")
@@ -195,47 +251,131 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     S *= hyper.alpha
     ref = _fuse(S.diagonal(), _sum_squares(np.matmul(B, A.transpose(0, 2, 1))), c, scale)
     cut = ref - (c + _SL_SLACK)
+    image, text = _item_bounds(A), _item_bounds(B)
     windows = None                    # the window path's buffers, made on first use
-    i2t = 1 + np.count_nonzero(S > ref[:, None], axis=1)
-    t2i = 1 + np.count_nonzero(S > ref, axis=0)
-    step = max(1, _BLOCK_PAIRS // n)
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        Sr = S[rows]
-        cand = (Sr >= cut[rows, None]) & (Sr <= ref[rows, None])
-        cand |= (Sr >= cut) & (Sr <= ref)
-        np.fill_diagonal(cand[:, r0:], False)
-        flat = np.flatnonzero(cand)
-        if not len(flat):
+    i2t = np.ones(n, dtype=np.intp)
+    t2i = np.ones(n, dtype=np.intp)
+    for I, J, s, dot in _kept_pairs(S, cut, A, _row_means(B)):
+        lo, hi = _sl_bounds(image, text, I, J, dot)
+        lo *= c
+        lo += s
+        hi *= c
+        hi += s
+        ref_i, ref_j = ref[I], ref[J]
+        # a kept pair is a candidate of query i, of query j, or ranks above
+        # the match from S alone
+        up_i, up_j = s > ref_i, s > ref_j
+        cand_i = (s >= cut[I]) & ~up_i
+        cand_j = (s >= cut[J]) & ~up_j
+        up_i |= cand_i & (lo > ref_i + _SL_SLACK)
+        up_j |= cand_j & (lo > ref_j + _SL_SLACK)
+        i2t += np.bincount(I[up_i], minlength=n)
+        t2i += np.bincount(J[up_j], minlength=n)
+        open_i = cand_i & ~up_i & (hi >= ref_i - _SL_SLACK)
+        open_j = cand_j & ~up_j & (hi >= ref_j - _SL_SLACK)
+        scored = np.flatnonzero(open_i | open_j)
+        if not len(scored):
             continue
-        I, J = np.divmod(flat, n)
-        I += r0
-        F = np.empty(len(flat))
+        I, J, s = I[scored], J[scored], s[scored]
+        F = np.empty(len(scored))
         if _windowed(A.shape[1], A.shape[2]):
             if windows is None:
                 windows = _window_buffers(A.shape[1], B.shape[1], A.shape[2])
             _score_windows(A, B, I, J, F, windows)
         else:
             _score_rows(A, B, I, J, F)
-        s = Sr.reshape(-1)[flat]
         _fuse(s, F, c, scale)
-        i2t += np.bincount(I[_above(s, F, ref[I], J < I)], minlength=n)
-        t2i += np.bincount(J[_above(s, F, ref[J], I < J)], minlength=n)
+        i2t += np.bincount(I[open_i[scored] & _above(F, ref_i[scored], J < I)], minlength=n)
+        t2i += np.bincount(J[open_j[scored] & _above(F, ref_j[scored], I < J)], minlength=n)
     return _report_from_ranks(i2t, t2i)
 
 
+def _kept_pairs(S: np.ndarray, cut: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """Per block of image rows of S, the off-diagonal pairs with
+    S_ij >= cut_i or S_ij >= cut_j, as (I, J, S_IJ, a_I . b_J) in chunks of at
+    most _KEPT_PAIRS, a being the row means of the image local blocks A and
+    b those of the text ones. Each block of S is overwritten by its rows'
+    dots once its pairs are found; the image means are made per block."""
+    n = len(S)
+    step = max(1, _BLOCK_PAIRS // n)
+    for r0 in range(0, n, step):
+        Sr = S[r0:r0 + step]
+        kept = Sr >= cut[r0:r0 + step, None]
+        kept |= Sr >= cut
+        np.fill_diagonal(kept[:, r0:], False)
+        flat = np.flatnonzero(kept)
+        del kept                      # before the window buffers are made
+        s = Sr.reshape(-1)[flat]
+        dots = np.matmul(_row_means(A[r0:r0 + step]), b.T, out=Sr).reshape(-1)
+        for k in range(0, len(flat), _KEPT_PAIRS):
+            chunk = flat[k:k + _KEPT_PAIRS]
+            I, J = np.divmod(chunk, n)
+            I += r0
+            yield I, J, s[k:k + _KEPT_PAIRS], dots[chunk]
+
+
+def _row_means(X: np.ndarray) -> np.ndarray:
+    """Each item's row mean, (n, dim), of a block X of local rows, (n, d, dim)."""
+    return np.matmul(np.full(X.shape[1], 1.0 / X.shape[1]), X)
+
+
+def _item_bounds(X: np.ndarray) -> tuple:
+    """Per item of a block X of local rows, (n, d, dim), with E = X_i - 1 x^T
+    for its row mean x: |x|^2, sigma/d and e = |E|_F^2/d, where
+    sigma >= sigma_max(E)^2 is the largest absolute row sum of E E^T, capped
+    by its trace |E|_F^2. E E^T is the double centring of the Gram X_i X_i^T,
+    so no centred copy of X is made; items go in chunks of _GRAM_BYTES of
+    Grams."""
+    n, d, dim = X.shape
+    w = np.full(d, 1.0 / d)
+    sq, sig, e = np.empty(n), np.empty(n), np.empty(n)
+    m = max(1, _GRAM_BYTES // (8 * d * d))
+    for k in range(0, n, m):
+        x = X[k:k + m]
+        G = np.matmul(x, x.transpose(0, 2, 1))
+        r = np.matmul(G, w)           # the Gram's row means
+        g = np.matmul(r, w, out=sq[k:k + m])    # |x|^2, the mean of its entries
+        G -= r[:, :, None]
+        G -= r[:, None, :]
+        G += g[:, None, None]
+        np.einsum("ikk->i", G, out=e[k:k + m])
+        np.abs(G, out=G)
+        np.minimum(np.matmul(G, np.ones(d)).max(axis=1), e[k:k + m], out=sig[k:k + m])
+    sig /= d
+    e /= d
+    return sq, sig, e
+
+
+def _sl_bounds(image: tuple, text: tuple, I: np.ndarray, J: np.ndarray,
+               dot: np.ndarray) -> tuple:
+    """lo = |a.b| and hi (evaluate's bounds on Sl, with delta added to hi^2
+    before the root) for the pairs (I[k], J[k]), whose row means' dots a.b
+    are dot (overwritten)."""
+    a_sq, a_sig, a_e = image
+    b_sq, b_sig, b_e = text
+    sig_a, sig_b = a_sig[I], b_sig[J]
+    hi = np.minimum(a_e[I] * sig_b, b_e[J] * sig_a)
+    hi += sig_b * a_sq[I]
+    hi += sig_a * b_sq[J]
+    hi += _SL_SLACK
+    lo = np.abs(dot)
+    dot *= dot
+    hi += dot
+    return lo, np.sqrt(hi, out=hi)
+
+
 def _windowed(d1: int, dim: int) -> bool:
-    """Whether evaluate scores candidates in windows (_score_windows) rather
-    than one product per image row (_score_rows). A window saves each row's
-    fixed overhead (a take, a matmul call and a reduction, about 10 us) but
-    copies an image block once per pair, so it pays while the blocks are
-    small. Each path forced, calls interleaved, trained heads, one BLAS
-    thread on 2 vCPUs, window over row time: dim 32 with d1 = d2 = 8 (2 KiB
-    blocks) at alpha 0.9, 0.77x at n = 500 (30/30 faster) and 0.90x at
-    n = 1000 (16/20); dim 256 with d1 = 36, d2 = 16 (72 KiB blocks), n = 300,
-    1.10x at alpha 0.9 (2/20), 1.06x at 0.3 and 1.37x at 0 (0/20). Small
-    blocks still lose where image rows have long runs of candidates (the desk
-    shape at alpha 0.3 and below)."""
+    """Whether evaluate scores its open pairs in windows (_score_windows)
+    rather than one product per image row (_score_rows). A window saves each
+    row's fixed overhead (a take, a matmul call and a reduction, about 10 us)
+    but copies an image block once per pair, so it pays while the blocks are
+    small. Each path forced inside evaluate, calls interleaved, trained
+    heads, one BLAS thread on 2 vCPUs, window over row time, with the bounds
+    deciding most candidates: dim 32 with d1 = d2 = 8 (2 KiB blocks),
+    n = 1000, alpha 0.9: 0.78x (windows faster in 20/20); dim 256 with
+    d1 = 36, d2 = 16 (72 KiB blocks), n = 300, about 4 scored pairs per image
+    row: 1.03x at alpha 0.9 (3/20) and 1.15x at alpha 0.3 (0/10). So the row
+    path stays for large blocks."""
     return d1 * dim * 8 <= _WINDOW_BLOCK_BYTES
 
 
@@ -249,7 +389,7 @@ def _window_buffers(d1: int, d2: int, dim: int) -> tuple:
 def _score_rows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
                 F: np.ndarray) -> None:
     """F[k] = the sum of squared local cosines of pair (I[k], J[k]). I is
-    sorted, so each image row's candidates are one run, scored against A_i in
+    sorted, so each image row's pairs are one run, scored against A_i in
     one stacked product."""
     edges = [0, *(np.flatnonzero(np.diff(I)) + 1).tolist(), len(I)]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -288,10 +428,10 @@ def _fuse(s: np.ndarray, sum_sq: np.ndarray, c: float, scale: float) -> np.ndarr
     return sum_sq
 
 
-def _above(s: np.ndarray, F: np.ndarray, ref: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Candidates that rank above the query's match and were not counted from
-    S alone (s > ref): a higher score, or an equal one at a lower index."""
-    return (s <= ref) & ((F > ref) | ((F == ref) & lower))
+def _above(F: np.ndarray, ref: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Scored candidates that rank above the query's match: a higher score,
+    or an equal one at a lower index."""
+    return (F > ref) | ((F == ref) & lower)
 
 
 def detection_metrics(buckets: Union[np.ndarray, Partition], y: np.ndarray) -> DetectionReport:

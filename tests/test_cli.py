@@ -583,3 +583,78 @@ def test_identical_invocations_identical_outputs(tmp_path):
         assert rc == 0
         outs.append(open(os.path.join(out_dir, "train.rrsp"), "rb").read())
     assert outs[0] == outs[1]
+
+
+def _bad_held_set(tmp_path, case):
+    """A held-out set evaluate refuses, and the exit code that refusal gives."""
+    if case == "noisy":
+        clean = _gen(tmp_path, name="clean.rrse", n=20, seed=2)
+        out = str(tmp_path / "held.rrse")
+        assert main(["inject", clean, "--rho", "0.5", "--seed", "1", "-o", out]) == 0
+        return out, 3
+    if case == "small":
+        return _gen(tmp_path, name="held.rrse", n=9, seed=2), 2
+    out = str(tmp_path / "held.rrse")            # dim 4 against the training set's 8
+    assert main(["gen", "--n", "20", "--classes", "4", "--dim", "4", "--d1", "2", "--d2", "2",
+                 "--seed", "2", "-o", out]) == 0
+    return out, 2
+
+
+@pytest.mark.parametrize("case", ["noisy", "small", "wrong_dim"])
+@pytest.mark.parametrize("command,flag", [("train", "--val"), ("ablate", "--val"),
+                                          ("ablate", "--test")])
+def test_bad_held_out_set_fails_before_training(tmp_path, monkeypatch, capsys, case, command,
+                                                flag):
+    # the set is checked as evaluate would check it, before the manifest is
+    # written and before any variant trains
+    from rrsitr import trainer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trainer.train was called")
+    monkeypatch.setattr(trainer, "train", refuse)
+    train_file = _gen(tmp_path, n=40)
+    held, code = _bad_held_set(tmp_path, case)
+    out_dir = tmp_path / "run"
+    assert main([command, "--data", train_file, flag, held, "--out-dir", str(out_dir),
+                 "--epochs", "1", "--batch", "10"]) == code
+    assert f"{flag} set" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_manifest_records_noise_of_an_rrse_with_its_sidecar(tmp_path, monkeypatch):
+    # gen -> inject -> train --data n.rrse: inject's n.rrse.json names n.rrse
+    # and holds rho and the seed; a sidecar naming another file is not read
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "40", "--classes", "4", "--dim", "8", "--d1", "2", "--d2", "2",
+                 "--seed", "1", "-o", "c.rrse"]) == 0
+    assert main(["inject", "c.rrse", "--rho", "0.25", "--seed", "7", "-o", "n.rrse"]) == 0
+    with open("n.rrse", "rb") as src, open("m.rrse", "wb") as dst:
+        dst.write(src.read())
+    with open("n.rrse.json") as src, open("m.rrse.json", "w") as dst:
+        dst.write(src.read())
+    noise = {}
+    for data in ("n.rrse", "m.rrse"):
+        assert main(["train", "--data", data, "--out-dir", data + ".run", "--epochs", "1",
+                     "--batch", "10"]) == 0
+        noise[data] = json.load(open(os.path.join(data + ".run", "manifest.json")))["dataset"]
+    assert noise["n.rrse"] == {"path": "n.rrse", "noise": {"rho": 0.25, "seed": 7}}
+    assert noise["m.rrse"] == {"path": "m.rrse", "noise": None}
+
+
+def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():
+    proc = _run_python(["-m", "rrsitr", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().startswith("usage: rrsitr")
+    # --threads reaches the thread variables, so numpy was not loaded first
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import os, runpy, sys\n"
+            f"for v in {names!r}: os.environ.pop(v, None)\n"
+            "sys.argv = ['rrsitr', 'eval', '--checkpoint', 'absent.rrsp', '--data', 'absent.rrse',"
+            " '--threads', '2']\n"
+            "try:\n"
+            "    runpy.run_module('rrsitr', run_name='__main__')\n"
+            "except SystemExit as e:\n"
+            f"    print(e.code, [os.environ.get(v) for v in {names!r}])\n")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "3 ['2', '2', '2']"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrsitr.data import Dataset, NoiseSpec, generate_synthetic, inject_noise
 from rrsitr import evaluation
@@ -183,9 +185,9 @@ def _pairwise_fused(heads, ds, alpha):
     return F
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.5, 0.9, 0.95, 1.0])
 @pytest.mark.parametrize("n,dim,d1,d2", [(10, 8, 3, 5), (37, 32, 4, 2), (60, 40, 2, 6),
-                                         (23, 48, 5, 3)])
+                                         (23, 48, 5, 3), (30, 256, 36, 16)])
 def test_evaluate_matches_pairwise_oracle(alpha, n, dim, d1, d2):
     ds = generate_synthetic(n, 4, dim, d1, d2, intra_class_spread=0.8, seed=n + dim)
     heads = init_heads(dim, seed=d1, noise_std=0.3)
@@ -200,9 +202,10 @@ def _signed_basis(rng, shape, dim):
     return rows
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.5, 0.9, 0.95])
 @pytest.mark.parametrize("block_pairs", [None, 70])
-@pytest.mark.parametrize("n,dim,d1,d2,seed", [(40, 32, 8, 8, 0), (30, 16, 1, 1, 4)])
+@pytest.mark.parametrize("n,dim,d1,d2,seed", [(40, 32, 8, 8, 0), (30, 16, 1, 1, 4),
+                                              (30, 256, 36, 16, 5)])
 def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, dim, d1, d2,
                                                          seed, monkeypatch):
     # each image once per caption, as in RSITMD, and a few repeated captions,
@@ -210,8 +213,9 @@ def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, d
     # pair is scored, so that the index rule orders them as in the oracle.
     # (One GEMM over a row's gathered candidate texts rounds some pairs
     # otherwise than the per-pair products do, and fails these cases.)
-    if block_pairs is not None:        # several row blocks, the last one short
+    if block_pairs is not None:        # several row blocks, the last one short,
         monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(evaluation, "_KEPT_PAIRS", 16)   # cut into chunks of pairs
     ds, heads, F = _repeated_images(alpha, n, dim, d1, d2, seed)
     assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
 
@@ -284,6 +288,127 @@ def test_evaluate_pairs_planted_at_the_bounds():
     gt = np.arange(n)
     assert _ranks(F, gt, axis=1)[q] == 4 and _ranks(F, gt, axis=0)[q] == 4
     assert evaluate(heads, ds, Hyper(alpha=0.5)) == _report_from_similarity(F)
+
+
+def _scored_pairs(heads, ds, alpha):
+    """evaluate's report and the (image, text) pairs it scored beyond the
+    ground truths."""
+    scored = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_score_rows", "_score_windows"):
+            def record(A, B, I, J, *rest, _score=getattr(evaluation, name)):
+                scored.extend(zip(I.tolist(), J.tolist()))
+                _score(A, B, I, J, *rest)
+            m.setattr(evaluation, name, record)
+        return evaluate(heads, ds, Hyper(alpha=alpha)), set(scored)
+
+
+def test_evaluate_decides_pairs_planted_at_the_bound_margins():
+    # alpha 1/2, d1 = d2 = 1, dim 2, identity heads, as in the test above:
+    # query 6's ref is 0.5, and a planted item j has global row (x, 1), so
+    # S = x/2 exactly, in query 6's row and, mirrored, in its column. The
+    # above test S + c*lo > ref + delta and the below test
+    # S + c*hi < ref - delta are met one ulp outside their margins, where the
+    # pair is not scored, and missed exactly at them, where it is.
+    n, q, delta = 12, 6, evaluation._SL_SLACK
+    theta = np.arccos(np.sqrt(1 - 5 * delta))     # hi = sqrt(cos^2 + delta) ~ 1 - 2 delta
+    e0, e1, low = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])
+    tilted = np.array([np.sin(theta), np.cos(theta)])
+    locals_ = {2: e1, 4: e1, 8: tilted, 10: tilted}    # Sl 1 at 2 and 4, cos(theta) at 8, 10
+
+    def dataset(x):
+        ig, il, tg, tl = [low] * n, [e1] * n, [low] * n, [e1] * n
+        ig[q], il[q], tg[q], tl[q] = e0, e1, e0, e0
+        for at, l in locals_.items():
+            g = np.array([x.get(at, 0.0), 1.0])
+            tg[at], tl[at] = g, l             # texts in query 6's row
+            ig[at], il[at] = g, l[::-1]       # and images in its column
+        return Dataset(np.array(ig), np.array(il)[:, None], np.array(tg),
+                       np.array(tl)[:, None], y=np.ones(n, dtype=np.uint8))
+
+    heads = init_heads(2, noise_std=0.0)
+    _, (Uil, _), _, (Utl, _) = project(heads, dataset({}))
+    image = evaluation._item_bounds(Uil.reshape(n, 1, 2))
+    text = evaluation._item_bounds(Utl.reshape(n, 1, 2))
+    dot = np.array([Uil[q] @ Utl[8]])
+    _, hi = evaluation._sl_bounds(image, text, np.array([q]), np.array([8]), dot)
+    half_hi = 0.5 * hi[0]
+    above, below = 0.5 + delta, 0.5 - delta        # ref +- delta as evaluate rounds them
+    s = {2: above - 0.5,                            # S + c*lo == ref + delta: scored
+         4: np.nextafter(above, 1) - 0.5,           # one ulp above it: decided above
+         8: below - half_hi,                        # S + c*hi == ref - delta: scored
+         10: np.nextafter(below, 0) - half_hi}      # one ulp below it: decided below
+    assert all(abs(v) < 5e-9 for v in s.values())   # (x, 1) stays a unit row
+    assert s[4] + 0.5 > above and s[2] + 0.5 == above
+    assert s[8] + half_hi == below and s[10] + half_hi < below
+    ds = dataset({at: 2 * v for at, v in s.items()})
+    F = _pairwise_fused(heads, ds, 0.5)
+    assert F[q, q] == 0.5 and all(F[q, at] == F[at, q] for at in s)
+    assert F[q, 2] > 0.5 and F[q, 4] > 0.5 and F[q, 8] < 0.5 and F[q, 10] < 0.5
+    report, scored = _scored_pairs(heads, ds, 0.5)
+    assert report == _report_from_similarity(F)
+    for at, is_scored in {2: True, 4: False, 8: True, 10: False}.items():
+        assert ((q, at) in scored, (at, q) in scored) == (is_scored, is_scored), at
+
+
+def _unit_rows(rng, shape, dim):
+    rows = rng.normal(size=shape + (dim,))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(2, 64),
+       st.sampled_from(["generic", "identical", "near_orthogonal", "near_parallel"]),
+       st.integers(0, 2**32 - 1))
+def test_sl_bounds_hold_for_computed_sl(d1, d2, dim, kind, seed):
+    # lo - delta/2 <= Sl <= hi + delta/2 for the computed Sl, lo and hi of one
+    # pair of unit local blocks. Identical rows make E = F = 0 (lo = hi up to
+    # the delta under the root); orthogonal blocks make Sl about 0, where
+    # the root would magnify the rounding of hi^2 without that delta.
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        A, B = _unit_rows(rng, (1, d1), dim), _unit_rows(rng, (1, d2), dim)
+    elif kind == "identical":
+        A = np.repeat(_unit_rows(rng, (1, 1), dim), d1, axis=1)
+        B = np.repeat(_unit_rows(rng, (1, 1), dim), d2, axis=1)
+    else:
+        # rows near one direction, or near orthogonal to the other side's
+        base = _unit_rows(rng, (1, 1), dim)
+        A = _unit_rows(rng, (1, 1), dim) * 1e-7 + base
+        A = np.repeat(A, d1, axis=1) + 1e-9 * rng.normal(size=(1, d1, dim))
+        A /= np.linalg.norm(A, axis=-1, keepdims=True)
+        B = base + 1e-9 * rng.normal(size=(1, d2, dim))
+        if kind == "near_orthogonal":
+            B = rng.normal(size=(1, d2, dim))
+            B -= (B @ base[0, 0])[..., None] * base[0, 0]
+            B += 1e-9 * rng.normal(size=(1, d2, dim))
+        B /= np.linalg.norm(B, axis=-1, keepdims=True)
+    image, text = evaluation._item_bounds(A), evaluation._item_bounds(B)
+    dot = evaluation._row_means(A) @ evaluation._row_means(B).T
+    lo, hi = evaluation._sl_bounds(image, text, np.array([0]), np.array([0]), dot[0])
+    sl = np.sqrt(evaluation._sum_squares(np.matmul(B, A.transpose(0, 2, 1)))) / np.sqrt(d1 * d2)
+    half = evaluation._SL_SLACK / 2
+    assert lo[0] - half <= sl[0] <= hi[0] + half
+    if kind == "identical":
+        assert hi[0] - lo[0] <= np.sqrt(evaluation._SL_SLACK)
+
+
+def test_bounds_leave_fewer_pairs_to_score_than_candidates():
+    # desk shape (dim 32, 8x8 locals) at alpha 0.9: the candidates are the
+    # off-diagonal pairs with cut <= S <= ref in a row or a column
+    ds = generate_synthetic(300, 20, 32, 8, 8, intra_class_spread=0.3, seed=3)
+    heads = init_heads(32, seed=1, noise_std=0.3)
+    F = _pairwise_fused(heads, ds, 0.9)
+    (Uig, _), _, (Utg, _), _ = project(heads, ds)
+    S = 0.9 * (Uig @ Utg.T)
+    ref = np.diag(F)
+    cut = ref - (0.1 + evaluation._SL_SLACK)
+    cand = ((S >= cut[:, None]) & (S <= ref[:, None])) | ((S >= cut) & (S <= ref))
+    np.fill_diagonal(cand, False)
+    report, scored = _scored_pairs(heads, ds, 0.9)
+    assert report == _report_from_similarity(F)
+    assert scored <= set(zip(*np.nonzero(cand)))
+    assert 0 < 3 * len(scored) < cand.sum()
 
 
 def test_evaluate_never_calls_the_dense_local_kernel(monkeypatch):
