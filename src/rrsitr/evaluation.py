@@ -95,12 +95,6 @@ def _recall(ranks: np.ndarray, k: int) -> float:
     return float((ranks <= k).mean() * 100.0)
 
 
-def _report_from_similarity(Sf: np.ndarray) -> RetrievalReport:
-    """Image-to-text recalls rank each row of Sf, text-to-image each column."""
-    gt = np.arange(Sf.shape[0])
-    return _report_from_ranks(_ranks(Sf, gt, axis=1), _ranks(Sf, gt, axis=0))
-
-
 def _report_from_ranks(i2t: np.ndarray, t2i: np.ndarray) -> RetrievalReport:
     vals = [_recall(ranks, k) for ranks in (i2t, t2i) for k in (1, 5, 10)]
     return RetrievalReport(*vals, mr=float(np.mean(vals)))
@@ -130,12 +124,9 @@ _BLOCK_PAIRS = 1 << 18
 # kept pairs bounded, decided and scored at once, at most: bounds their
 # arrays (about 80 bytes a pair) when most pairs are kept, at small alpha
 _KEPT_PAIRS = 1 << 15
-# the window path's buffers, in bytes: as many candidate pairs as fit are
-# gathered and scored in one stacked product (113 at dim 32, 8x8 locals)
-_WINDOW_BYTES = 512 << 10
-# the window path is taken while one image local block is at most this many
-# bytes (_windowed): the desk shapes' 2 KiB, not the paper shape's 72 KiB
-_WINDOW_BLOCK_BYTES = 4 << 10
+# the scoring windows' buffers, in bytes: as many candidate pairs as fit are
+# gathered and scored in one stacked product (56 at dim 32, 8x8 locals)
+_WINDOW_BYTES = 256 << 10
 # the item Grams _item_bounds holds at once, in bytes
 _GRAM_BYTES = 128 << 10
 
@@ -185,14 +176,10 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     (d2 x dim)(dim x d1) product per pair, batched over a stack of pairs, so
     a pair's score does not depend on which other pairs share the call, and
     equal rows score equally. Test sets that repeat an image once per caption,
-    as RSITMD's does, tie exactly where a pairwise oracle ties.
-
-    The scored pairs are stacked one of two ways, with the same bits. Where
-    the image local blocks are small (_windowed: the desk shapes), they go in
-    windows: each pair's A_i and B_j are gathered into buffers made once per
-    call, and each window is one stacked product and one _sum_squares.
-    Elsewhere (the paper shape, where copying A_i per pair costs more than it
-    saves) each image row's pairs are one stacked product against A_i.
+    as RSITMD's does, tie exactly where a pairwise oracle ties. The
+    candidates go in windows (_score_windows): each pair's A_i and B_j are
+    gathered into buffers made once per call, and each window is one stacked
+    product and one _sum_squares.
 
     delta = _SL_SLACK, u = 2^-53. Unit rows are unit to within (dim/2 + 2)u,
     so each computed local cosine is at most 1 + (2*dim + 5)u in magnitude; the
@@ -228,9 +215,8 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     block's image row means and 16 bytes per kept pair; per chunk of at most
     _KEPT_PAIRS kept pairs, about 80 bytes a pair; and, in _item_bounds,
     _GRAM_BYTES of item Grams.
-    The window path's buffers hold window * (d1 + d2 + d1*d2/dim) * dim
-    doubles, at most _WINDOW_BYTES (or one pair); on the row path the gather
-    of one row's scored texts copies at most all of the text local rows.
+    The window buffers hold window * (d1 + d2 + d1*d2/dim) * dim doubles, at
+    most _WINDOW_BYTES (or one pair).
     At alpha = 0 every off-diagonal pair is a candidate, and the bounds
     leave about 4 % of them to score: at desk shapes (n = 1000, dim 32, 8x8
     locals, trained heads, one BLAS thread) about 0.10 s, where scoring every
@@ -252,7 +238,7 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     ref = _fuse(S.diagonal(), _sum_squares(np.matmul(B, A.transpose(0, 2, 1))), c, scale)
     cut = ref - (c + _SL_SLACK)
     image, text = _item_bounds(A), _item_bounds(B)
-    windows = None                    # the window path's buffers, made on first use
+    windows = None                    # the scoring windows' buffers, made on first use
     i2t = np.ones(n, dtype=np.intp)
     t2i = np.ones(n, dtype=np.intp)
     for I, J, s, dot in _kept_pairs(S, cut, A, _row_means(B)):
@@ -277,13 +263,9 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
         if not len(scored):
             continue
         I, J, s = I[scored], J[scored], s[scored]
-        F = np.empty(len(scored))
-        if _windowed(A.shape[1], A.shape[2]):
-            if windows is None:
-                windows = _window_buffers(A.shape[1], B.shape[1], A.shape[2])
-            _score_windows(A, B, I, J, F, windows)
-        else:
-            _score_rows(A, B, I, J, F)
+        if windows is None:
+            windows = _window_buffers(A.shape[1], B.shape[1], A.shape[2])
+        F = _score_windows(A, B, I, J, windows)
         _fuse(s, F, c, scale)
         i2t += np.bincount(I[open_i[scored] & _above(F, ref_i[scored], J < I)], minlength=n)
         t2i += np.bincount(J[open_j[scored] & _above(F, ref_j[scored], I < J)], minlength=n)
@@ -364,21 +346,6 @@ def _sl_bounds(image: tuple, text: tuple, I: np.ndarray, J: np.ndarray,
     return lo, np.sqrt(hi, out=hi)
 
 
-def _windowed(d1: int, dim: int) -> bool:
-    """Whether evaluate scores its open pairs in windows (_score_windows)
-    rather than one product per image row (_score_rows). A window saves each
-    row's fixed overhead (a take, a matmul call and a reduction, about 10 us)
-    but copies an image block once per pair, so it pays while the blocks are
-    small. Each path forced inside evaluate, calls interleaved, trained
-    heads, one BLAS thread on 2 vCPUs, window over row time, with the bounds
-    deciding most candidates: dim 32 with d1 = d2 = 8 (2 KiB blocks),
-    n = 1000, alpha 0.9: 0.78x (windows faster in 20/20); dim 256 with
-    d1 = 36, d2 = 16 (72 KiB blocks), n = 300, about 4 scored pairs per image
-    row: 1.03x at alpha 0.9 (3/20) and 1.15x at alpha 0.3 (0/10). So the row
-    path stays for large blocks."""
-    return d1 * dim * 8 <= _WINDOW_BLOCK_BYTES
-
-
 def _window_buffers(d1: int, d2: int, dim: int) -> tuple:
     """The gathered image blocks, text blocks and products of one window of
     w pairs, (d1 + d2 + d1*d2/dim) * dim doubles a pair, in _WINDOW_BYTES."""
@@ -386,23 +353,15 @@ def _window_buffers(d1: int, d2: int, dim: int) -> tuple:
     return np.empty((w, d1, dim)), np.empty((w, d2, dim)), np.empty((w, d2, d1))
 
 
-def _score_rows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
-                F: np.ndarray) -> None:
-    """F[k] = the sum of squared local cosines of pair (I[k], J[k]). I is
-    sorted, so each image row's pairs are one run, scored against A_i in
-    one stacked product."""
-    edges = [0, *(np.flatnonzero(np.diff(I)) + 1).tolist(), len(I)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        _sum_squares(np.matmul(B.take(J[lo:hi], axis=0), A[I[lo]].T), out=F[lo:hi])
-
-
 def _score_windows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
-                   F: np.ndarray, buffers: tuple) -> None:
-    """_score_rows' F, a window of pairs at a time: each pair's A_i and B_j
-    are gathered into the window's buffers and the window is one stacked
-    product. Every pair still gets its own (d2 x dim)(dim x d1) product, so
-    F has the bits of _score_rows'."""
+                   buffers: tuple) -> np.ndarray:
+    """F[k] = the sum of squared local cosines of pair (I[k], J[k]), a window
+    of pairs at a time: each pair's A_i and B_j are gathered into the
+    window's buffers and the window is one stacked product. Every pair gets
+    its own (d2 x dim)(dim x d1) product, so F[k] does not depend on the
+    other pairs or on the window size."""
     Ab, Bb, Mb = buffers
+    F = np.empty(len(I))
     for lo in range(0, len(I), len(Ab)):
         hi = min(lo + len(Ab), len(I))
         a, b, M = Ab[:hi - lo], Bb[:hi - lo], Mb[:hi - lo]
@@ -410,6 +369,7 @@ def _score_windows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
         np.take(A, I[lo:hi], axis=0, out=a, mode="clip")
         np.take(B, J[lo:hi], axis=0, out=b, mode="clip")
         _sum_squares(np.matmul(b, a.transpose(0, 2, 1), out=M), out=F[lo:hi])
+    return F
 
 
 def _sum_squares(M: np.ndarray, out=None) -> np.ndarray:

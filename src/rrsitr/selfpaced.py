@@ -59,14 +59,9 @@ def _check_gammas(gamma1: float, gamma2: float) -> None:
         raise ConfigError(f"need 0 < gamma1 < gamma2, got gamma1={gamma1}, gamma2={gamma2}")
 
 
-def partition(l_total: np.ndarray, gamma1: float, gamma2: float) -> Partition:
-    """Split pairs: l < gamma1 clean, gamma1 <= l < gamma2 ambiguous, l >= gamma2 noisy."""
-    masks = _bucket_masks(np.asarray(l_total, dtype=np.float64), gamma1, gamma2)
-    return Partition(*(np.flatnonzero(mask) for mask in masks), gamma1, gamma2)
-
-
 def _bucket_masks(l: np.ndarray, gamma1: float, gamma2: float):
-    """Boolean (clean, ambiguous, noisy) masks of partition's split."""
+    """Boolean (clean, ambiguous, noisy) masks: l < gamma1 clean,
+    gamma1 <= l < gamma2 ambiguous, l >= gamma2 noisy."""
     _check_gammas(gamma1, gamma2)
     return l < gamma1, (l >= gamma1) & (l < gamma2), l >= gamma2
 

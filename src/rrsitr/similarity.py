@@ -46,15 +46,13 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     reduced to a single score ||M||_F / sqrt(d1*d2), which lies in [0, 1].
     Note the Frobenius norm discards the sign of individual local cosines.
 
-    Two kernels compute it, chosen from the input shape alone (_gram_chosen).
-    The direct kernel forms every M, d1*d2*dim multiply-adds per pair. The
-    Gram kernel uses the identity ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F.
-    The Grams are symmetric, so it forms only their upper block triangle, in
-    strips of GRAM_BLOCK rows, and each strip adds one matmul over all pairs:
-    about dim^2/2 multiply-adds per pair. The last strip is a square block,
-    the whole Gram when dim <= GRAM_BLOCK, and its product takes only the
-    block's upper triangle. It runs when 2*dim <= d1*d2 and the
-    Grams it holds at once fit in DIRECT_BLOCK_BYTES. The two agree to
+    One of two kernels computes it, chosen from the input shape alone
+    (_gram_chosen). The direct kernel forms every M, d1*d2*dim multiply-adds
+    per pair. The Gram kernel uses the identity ||A_i B_j^T||_F^2 =
+    <A_i^T A_i, B_j^T B_j>_F over the Grams' upper block triangle, one strip
+    of GRAM_BLOCK rows at a time, each adding one matmul over all pairs:
+    about dim^2/2 multiply-adds per pair. It runs when 2*dim <= d1*d2 and
+    the Grams it holds at once fit in DIRECT_BLOCK_BYTES. The two agree to
     rounding, except that near Sl = 0 the Gram form's cancelled sum leaves an
     error of order sqrt(eps).
 
@@ -117,53 +115,40 @@ def _packed_triangle(w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, double, full.reshape(-1)
 
 
-def _grams(X: np.ndarray) -> np.ndarray:
-    """Every item's Gram X_i^T X_i, (items, dim, dim). One operand is a copy:
-    on two views of one buffer matmul runs a per-item syrk, several times
-    slower than the copy and a gemm together."""
-    return np.matmul(X.transpose(0, 2, 1), X.copy())
-
-
 def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     """||A_i B_j^T||_F for all pairs from the Grams A_i^T A_i and B_j^T B_j, and
     (with grad) a backward mapping W = dLoss/d||M||_F / ||M||_F to (dA, dB).
 
-    The Grams are symmetric, so only their upper triangle is multiplied. When
-    dim <= GRAM_BLOCK, _square_gram_kernel forms whole Grams; above it,
-    _strip_gram_kernel forms them in strips of GRAM_BLOCK rows.
-    """
-    kernel = _square_gram_kernel if A.shape[2] <= GRAM_BLOCK else _strip_gram_kernel
-    return kernel(A, B, grad)
-
-
-def _strip_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
-    """_gram_kernel on the upper block triangle of the Grams, formed in strips
-    of GRAM_BLOCK rows: strip s:e holds rows s:e, columns s: of every Gram. Its
-    entries right of the diagonal block stand for their mirror images too and
-    are doubled on the A side, so the strips' inner products sum to
-    <A_i^T A_i, B_j^T B_j>_F. The last strip is a square symmetric block: its
-    product takes the block's packed upper triangle, w(w+1)/2 of its w^2
-    entries, with the off-diagonal ones doubled on the A side. The backward
-    works on the full strips.
+    The Grams are symmetric, so only their upper block triangle is formed, in
+    strips of GRAM_BLOCK rows: strip s:e holds rows s:e, columns s: of every
+    Gram (_gram_strip). Entries right of a strip's diagonal block stand for
+    their mirror images too and are doubled on the A side, so the strips'
+    inner products sum to <A_i^T A_i, B_j^T B_j>_F. The last strip is the
+    square diagonal block, the whole Gram when dim <= GRAM_BLOCK: it is packed
+    to its upper triangle, w(w+1)/2 of its w^2 entries, with the off-diagonal
+    ones doubled on the A side, and kept packed for the backward, whose K
+    products take the packed columns and gather K back through
+    _packed_triangle's `full` map. The backward halves every doubled column
+    again (exact). The forward is the same function of the inputs with or
+    without grad.
     """
     n, _, dim = A.shape
     m = B.shape[0]
     kept = []
     for s in range(0, dim, GRAM_BLOCK):
         e = min(s + GRAM_BLOCK, dim)
-        PA = np.matmul(A[:, :, s:e].transpose(0, 2, 1), A[:, :, s:])   # (n, e-s, dim-s)
-        PB = np.matmul(B[:, :, s:e].transpose(0, 2, 1), B[:, :, s:])
-        PA[:, :, e - s:] *= 2.0
-        if grad:
-            kept.append((s, e, PA, PB))
-        if e == dim:
-            # the last strip is a square symmetric block: multiply only its upper
-            # triangle, off-diagonal entries doubled on the A side; rebinding
-            # frees each full strip that kept does not hold
+        # one side's strip at a time, so each replaces the last one's buffer
+        PA = _gram_strip(A, s, e)
+        PB = _gram_strip(B, s, e)
+        if e < dim:
+            PA[:, :, e - s:] *= 2.0
+        else:
             upper, double, _ = _packed_triangle(e - s)
             PA = PA.reshape(n, -1).take(upper, axis=1)
             PA *= double
             PB = PB.reshape(m, -1).take(upper, axis=1)
+        if grad:
+            kept.append((s, e, PA, PB))
         part = PA.reshape(n, -1) @ PB.reshape(m, -1).T
         if s == 0:
             sq = part
@@ -175,9 +160,16 @@ def _strip_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
         dA, dB = (None, None) if out is None else out
         for s, e, PA, PB in kept:
-            KA = (W @ PB.reshape(m, -1)).reshape(n, e - s, dim - s)
-            KB = (W.T @ PA.reshape(n, -1)).reshape(m, e - s, dim - s)
-            KB[:, :, e - s:] *= 0.5   # undo the doubling (exact)
+            KA, KB = W @ PB.reshape(m, -1), W.T @ PA.reshape(n, -1)
+            if e < dim:
+                KA = KA.reshape(n, e - s, dim - s)
+                KB = KB.reshape(m, e - s, dim - s)
+                KB[:, :, e - s:] *= 0.5
+            else:
+                _, double, full = _packed_triangle(e - s)
+                KB /= double
+                KA = KA.take(full, axis=1).reshape(n, e - s, e - s)
+                KB = KB.take(full, axis=1).reshape(m, e - s, e - s)
             dA = _strip_backward(A, KA, s, e, dA)
             dB = _strip_backward(B, KB, s, e, dB)
         return dA, dB
@@ -185,34 +177,13 @@ def _strip_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     return norms, (backward if grad else None)
 
 
-def _square_gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
-    """_gram_kernel for dim <= GRAM_BLOCK: the strip kernel's one square
-    strip, the whole Gram, with the same sums on fewer and contiguous operands.
-
-    Both passes work on the packed triangles PA and PB; the forward doubles
-    PA's off-diagonal entries, the backward keeps PA as it is. The backward's
-    K products W PB and W^T PA take the packed columns, half the full Grams'
-    width, and a gather through the `full` map rebuilds each K_i before it is
-    applied. The forward is the same function of the inputs with or without
-    grad.
-    """
-    n, _, w = A.shape
-    m = B.shape[0]
-    upper, double, full = _packed_triangle(w)
-    PA = _grams(A).reshape(n, -1).take(upper, axis=1)
-    PB = _grams(B).reshape(m, -1).take(upper, axis=1)
-    if not grad:
-        PA *= double
-        return _clamped_sqrt(PA @ PB.T), None
-    norms = _clamped_sqrt((PA * double) @ PB.T)
-
-    def backward(W: np.ndarray, out=None):
-        dA, dB = (None, None) if out is None else out
-        KA = (W @ PB).take(full, axis=1).reshape(n, w, w)
-        KB = (W.T @ PA).take(full, axis=1).reshape(m, w, w)
-        return np.matmul(A, KA, out=dA), np.matmul(B, KB, out=dB)
-
-    return norms, backward
+def _gram_strip(X: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Rows s:e, columns s: of every item's Gram X_i^T X_i, (items, e-s, dim-s).
+    For the whole Gram (s = 0, e = dim) one operand is a copy: on two views of
+    one buffer matmul runs a per-item syrk, several times slower than the copy
+    and a gemm together."""
+    whole = s == 0 and e == X.shape[2]
+    return np.matmul(X[:, :, s:e].transpose(0, 2, 1), X.copy() if whole else X[:, :, s:])
 
 
 def _clamped_sqrt(sq: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +59,9 @@ class Hyper:
     spl_sum_over_all: bool = False    # L_S2 sums over all pairs below gamma2, not just ambiguous
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         if not (0 < self.gamma1 < self.gamma2):
@@ -77,8 +80,8 @@ class Hyper:
             raise ConfigError("warmup_steps must be >= 0")
         if self.max_grad_norm <= 0:
             raise ConfigError("max_grad_norm must be > 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if self.epochs < 0 or self.pace_epochs < 0:
+            raise ConfigError("epochs and pace_epochs must be >= 0")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.seed < 0:

@@ -431,6 +431,24 @@ def test_every_hyper_flag_reaches_its_field(monkeypatch, tmp_path, command):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+FLOAT_HYPER_FIELDS = ["tau", "gamma1", "gamma2", "sigma", "lambda1", "lambda2", "alpha", "lr",
+                      "weight_decay", "max_grad_norm"]
+
+
+@pytest.mark.parametrize("field,value", [*((f, v) for f in FLOAT_HYPER_FIELDS
+                                           for v in ("nan", "inf")),
+                                         ("pace_epochs", "-1")])
+def test_non_finite_or_negative_hyper_value_exits_2(tmp_path, capsys, field, value):
+    # NaN compares false, so --max-grad-norm nan used to train with clipping off
+    assert FLOAT_HYPER_FIELDS == [f.name for f in fields(Hyper) if f.type == "float"]
+    out_dir = tmp_path / "run"
+    rc = main(["train", "--data", _gen(tmp_path, n=40), "--epochs", "1", "--batch", "10",
+               "--" + field.replace("_", "-"), value, "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_trace_epoch_beyond_run(tmp_path):
     train_file = _gen(tmp_path, n=40)
     rc = main(["trace", "--data", train_file, "--epochs", "9", "--train-epochs", "3",

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from rrsitr.data import Dataset, NoiseSpec, generate_synthetic, inject_noise
 from rrsitr import evaluation
 from rrsitr.errors import ConfigError, DataError, NumericError
-from rrsitr.evaluation import (DetectionReport, RetrievalReport, _ranks,
-                               _report_from_similarity, detection_metrics, evaluate,
-                               recall_at_k)
-from rrsitr.selfpaced import partition
+from rrsitr.evaluation import (DetectionReport, RetrievalReport, _ranks, _report_from_ranks,
+                               detection_metrics, evaluate, recall_at_k)
+from rrsitr.selfpaced import compute_weights
 from rrsitr.trainer import Hyper, init_heads, project
 
 
@@ -21,6 +20,13 @@ def _sort_oracle(S, gt, k):
         if gt[q] in order[:k]:
             hits += 1
     return hits / S.shape[0] * 100.0
+
+
+def _report_from_similarity(Sf):
+    """Oracle: image-to-text recalls rank each row of a dense fused
+    similarity Sf, text-to-image each column."""
+    gt = np.arange(Sf.shape[0])
+    return _report_from_ranks(_ranks(Sf, gt, axis=1), _ranks(Sf, gt, axis=0))
 
 
 def test_recall_diagonal_dominant():
@@ -293,14 +299,24 @@ def test_evaluate_pairs_planted_at_the_bounds():
 def _scored_pairs(heads, ds, alpha):
     """evaluate's report and the (image, text) pairs it scored beyond the
     ground truths."""
-    scored = []
+    report, calls = _scoring_calls(heads, ds, alpha)
+    return report, {(i, j) for I, J, _ in calls for i, j in zip(I.tolist(), J.tolist())}
+
+
+def _scoring_calls(heads, ds, alpha, **knobs):
+    """evaluate's report and the (I, J, F) of each _score_windows call, with
+    the module constants in knobs set."""
+    calls, score = [], evaluation._score_windows
+
+    def record(A, B, I, J, buffers):
+        F = score(A, B, I, J, buffers)
+        calls.append((I.copy(), J.copy(), F.copy()))
+        return F
     with pytest.MonkeyPatch.context() as m:
-        for name in ("_score_rows", "_score_windows"):
-            def record(A, B, I, J, *rest, _score=getattr(evaluation, name)):
-                scored.extend(zip(I.tolist(), J.tolist()))
-                _score(A, B, I, J, *rest)
-            m.setattr(evaluation, name, record)
-        return evaluate(heads, ds, Hyper(alpha=alpha)), set(scored)
+        for name, value in knobs.items():
+            m.setattr(evaluation, name, value)
+        m.setattr(evaluation, "_score_windows", record)
+        return evaluate(heads, ds, Hyper(alpha=alpha)), calls
 
 
 def test_evaluate_decides_pairs_planted_at_the_bound_margins():
@@ -437,10 +453,16 @@ def test_evaluate_rejects_non_finite_heads(block, value):
         evaluate(heads, ds, Hyper())
 
 
-def test_windows_give_the_rows_bits_across_window_edges():
+def _stacked_sum_squares(A, B, I, J):
+    """Each pair's sum of squared local cosines from one stacked product over
+    all the pairs (I[k], J[k]) at once."""
+    return evaluation._sum_squares(np.matmul(B[J], A[I].transpose(0, 2, 1)))
+
+
+def test_window_scores_equal_one_stacked_product_across_window_edges():
     # runs of w - 28, 60 and 45 pairs in the default window of w pairs: the
     # second image row straddles the first window edge and the last window
-    # holds 77
+    # is part full
     ds = generate_synthetic(60, 4, 32, 8, 8, intra_class_spread=0.8, seed=12)
     _, (Uil, _), _, (Utl, _) = project(init_heads(32, seed=3, noise_std=0.3), ds)
     A, B = Uil.reshape(60, 8, 32), Utl.reshape(60, 8, 32)
@@ -448,46 +470,29 @@ def test_windows_give_the_rows_bits_across_window_edges():
     w = len(buffers[0])
     I = np.repeat([4, 17, 59], [w - 28, 60, 45])
     J = np.random.default_rng(5).integers(0, 60, len(I))
-    assert w > 77 and I[w - 1] == I[w]
-    rows, windows = np.empty(len(I)), np.empty(len(I))
-    evaluation._score_rows(A, B, I, J, rows)
-    evaluation._score_windows(A, B, I, J, windows, buffers)
-    assert windows.tobytes() == rows.tobytes()
-
-
-def _scores_by_path(heads, ds, alpha, path, **knobs):
-    """evaluate's report and every block's candidate scores, on the path
-    forced, with the module constants in knobs set."""
-    scores = []
-    with pytest.MonkeyPatch.context() as m:
-        for name, value in knobs.items():
-            m.setattr(evaluation, name, value)
-        for name in ("_score_rows", "_score_windows"):
-            def record(*args, _score=getattr(evaluation, name)):
-                _score(*args)
-                scores.append(args[4].copy())
-            m.setattr(evaluation, name, record)
-        m.setattr(evaluation, "_windowed", lambda *args: path == "windows")
-        return evaluate(heads, ds, Hyper(alpha=alpha)), scores
+    assert I[w - 1] == I[w] and len(I) % w
+    F = evaluation._score_windows(A, B, I, J, buffers)
+    assert F.tobytes() == _stacked_sum_squares(A, B, I, J).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.0])
-def test_evaluate_windows_and_rows_score_the_same_bits(alpha):
+@pytest.mark.parametrize("n,dim,d1,d2", [(40, 32, 8, 8), (30, 256, 36, 16)])
+def test_evaluate_window_scores_equal_one_stacked_product(alpha, n, dim, d1, d2):
     # repeated images tie exactly, so there are candidates even at alpha 1;
-    # windows of 8 pairs over blocks of three image rows (_BLOCK_PAIRS) put
-    # rows across window edges and end blocks in part-full windows
-    ds, heads, oracle = _repeated_images(alpha, 40, 32, 8, 8, seed=7)
-    knobs = {"_WINDOW_BYTES": 8 * 8 * (8 * 32 + 8 * 32 + 8 * 8), "_BLOCK_PAIRS": 120}
-    rows_report, rows = _scores_by_path(heads, ds, alpha, "rows", **knobs)
-    windows_report, windows = _scores_by_path(heads, ds, alpha, "windows", **knobs)
-    assert windows and [F.tobytes() for F in windows] == [F.tobytes() for F in rows]
-    assert any(len(F) % 8 for F in windows)
-    assert windows_report == rows_report == _report_from_similarity(oracle)
-
-
-def test_window_rule_picks_windows_at_desk_and_rows_at_paper_shape():
-    assert evaluation._windowed(8, 32)         # desk: 2 KiB image blocks
-    assert not evaluation._windowed(36, 256)   # paper: 72 KiB image blocks
+    # windows of 3 and of 8 pairs over blocks of three image rows
+    # (_BLOCK_PAIRS) put rows across window edges and end blocks in part-full
+    # windows; every score has the bits of one product over all scored pairs
+    ds, heads, oracle = _repeated_images(alpha, n, dim, d1, d2, seed=7)
+    _, (Uil, _), _, (Utl, _) = project(heads, ds)
+    A, B = Uil.reshape(n, d1, dim), Utl.reshape(n, d2, dim)
+    pair_bytes = 8 * (d1 * dim + d2 * dim + d2 * d1)
+    for window in (3, 8):
+        report, calls = _scoring_calls(heads, ds, alpha, _WINDOW_BYTES=window * pair_bytes,
+                                       _BLOCK_PAIRS=3 * n)
+        assert report == _report_from_similarity(oracle)
+        I, J, F = (np.concatenate(parts) for parts in zip(*calls))
+        assert F.tobytes() == _stacked_sum_squares(A, B, I, J).tobytes()
+        assert any(len(F) % window for _, _, F in calls)
 
 
 def test_detection_perfect():
@@ -517,7 +522,7 @@ def test_detection_no_ground_truth_noise():
 
 def test_detection_accepts_partition():
     l = np.array([1.0, 10.0, 25.0])
-    part = partition(l, 5.0, 18.0)
+    part = compute_weights(l, 5.0, 18.0)[0]
     y = np.array([1, 1, 0])
     rep = detection_metrics(part, y)
     assert rep.precision == 1.0 and rep.recall == 1.0

@@ -6,7 +6,7 @@ import pytest
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY,
-                              compute_weights, optimal_weight, partition, regularizer)
+                              compute_weights, optimal_weight, regularizer)
 from rrsitr.trainer import Hyper, batch_objective, init_heads
 
 
@@ -21,14 +21,14 @@ def _hyper(**kw):
 
 
 def test_partition_paper_defaults():
-    part = partition(np.array([2.0, 10.0, 20.0]), gamma1=5.0, gamma2=18.0)
+    part = compute_weights(np.array([2.0, 10.0, 20.0]), gamma1=5.0, gamma2=18.0)[0]
     assert part.clean_idx.tolist() == [0]
     assert part.ambiguous_idx.tolist() == [1]
     assert part.noisy_idx.tolist() == [2]
 
 
 def test_partition_boundaries():
-    part = partition(np.array([5.0, 18.0]), gamma1=5.0, gamma2=18.0)
+    part = compute_weights(np.array([5.0, 18.0]), gamma1=5.0, gamma2=18.0)[0]
     assert part.ambiguous_idx.tolist() == [0]  # l == gamma1 is ambiguous
     assert part.noisy_idx.tolist() == [1]      # l == gamma2 is noisy
 
@@ -37,7 +37,7 @@ def test_partition_covers_and_disjoint():
     rng = np.random.default_rng(0)
     for _ in range(20):
         l = rng.uniform(0, 30, size=50)
-        part = partition(l, 5.0, 18.0)
+        part = compute_weights(l, 5.0, 18.0)[0]
         all_idx = np.concatenate([part.clean_idx, part.ambiguous_idx, part.noisy_idx])
         assert sorted(all_idx.tolist()) == list(range(50))
         codes = part.bucket_codes(50)
@@ -47,15 +47,15 @@ def test_partition_covers_and_disjoint():
 
 
 def test_partition_empty_noisy():
-    part = partition(np.array([1.0, 2.0]), 5.0, 18.0)
+    part = compute_weights(np.array([1.0, 2.0]), 5.0, 18.0)[0]
     assert len(part.noisy_idx) == 0
 
 
 def test_partition_gamma_order_enforced():
     with pytest.raises(ConfigError):
-        partition(np.array([1.0]), 5.0, 5.0)
+        compute_weights(np.array([1.0]), 5.0, 5.0)
     with pytest.raises(ConfigError):
-        partition(np.array([1.0]), 0.0, 5.0)
+        compute_weights(np.array([1.0]), 0.0, 5.0)
 
 
 def test_regularizer_endpoints():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from rrsitr import similarity
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.similarity import (GRAM_BLOCK, _direct_kernel, _gram_chosen, _gram_kernel,
-                               _packed_triangle, _square_gram_kernel, _strip_gram_kernel,
-                               fused_similarity, global_similarity, local_similarity,
-                               local_similarity_units)
+                               _packed_triangle, fused_similarity, global_similarity,
+                               local_similarity, local_similarity_units)
 
 
 def _unit(v):
@@ -216,51 +215,23 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
     assert np.allclose(local_similarity(A[p], B[q]), S[p][:, q], rtol=0.0, atol=1e-12)
 
 
-# |square - strip| / max|strip| for Sl and for the backward: the square kernel
-# packs the same sums, but its gemm forms the Grams in another order than the
-# strip kernel's per-item syrk, and its K products run on half-width operands
-SQUARE_VS_STRIP_TOL = 1e-14
-
-
-@pytest.mark.parametrize("n,m,d1,d2,dim", [(100, 100, 8, 8, 32),   # desk batch
-                                           (7, 5, 4, 4, 6),
-                                           (9, 11, 7, 6, 20),
-                                           (6, 4, 3, 2, 1),
-                                           (5, 8, 9, 2, 31)])
-def test_square_kernel_agrees_with_strip_kernel(n, m, d1, d2, dim):
-    # at dim <= GRAM_BLOCK the strip kernel runs one square strip, the path
-    # the square kernel replaced
-    assert dim <= GRAM_BLOCK
-    rng = np.random.default_rng(dim)
-    A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
-    W = rng.normal(size=(n, m))
-    norms_q, back_q = _square_gram_kernel(A, B, grad=True)
-    norms_s, back_s = _strip_gram_kernel(A, B, grad=True)
-    assert np.max(np.abs(norms_q - norms_s)) <= SQUARE_VS_STRIP_TOL * np.max(norms_s)
-    for got, want in zip(back_q(W), back_s(W)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= SQUARE_VS_STRIP_TOL * np.max(np.abs(want))
-    assert np.array_equal(_square_gram_kernel(A, B, grad=False)[0], norms_q)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(1, 6),
-       st.integers(1, GRAM_BLOCK), st.integers(0, 2**32 - 1))
-def test_square_kernel_grad_and_no_grad_sl_bit_identical(n, m, d1, d2, dim, seed):
+       st.integers(1, 72), st.integers(0, 2**32 - 1))
+def test_gram_kernel_grad_and_no_grad_sl_bit_identical(n, m, d1, d2, dim, seed):
+    # dims 1-72 take one to three strips, the last one square and packed
     rng = np.random.default_rng(seed)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
-    with_grad = _square_gram_kernel(A, B, grad=True)[0]
-    assert np.array_equal(_square_gram_kernel(A, B, grad=False)[0], with_grad)
-    # squared, as the kernels sum them: the sqrt magnifies rounding near 0
-    strip = _strip_gram_kernel(A, B, grad=True)[0]
-    assert np.max(np.abs(with_grad ** 2 - strip ** 2)) <= SQUARE_VS_STRIP_TOL * d1 * d2
+    with_grad = _gram_kernel(A, B, grad=True)[0]
+    assert np.array_equal(_gram_kernel(A, B, grad=False)[0], with_grad)
 
 
-@pytest.mark.parametrize("dim,d", [(6, 4), (20, 7), (32, 8)])
-def test_square_kernel_gradient_matches_finite_differences(dim, d):
-    # d*d >= 2*dim and dim <= GRAM_BLOCK: the Gram kernel in one square strip
+@pytest.mark.parametrize("dim,d", [(6, 4), (20, 7), (32, 8), (40, 9), (70, 12)])
+def test_gram_kernel_gradient_matches_finite_differences(dim, d):
+    # d*d >= 2*dim: the Gram kernel, in one square strip up to dim 32, then
+    # in strips of 32 + 8 and 32 + 32 + 6
     n, m = 5, 4
-    assert _gram_chosen(n, m, d, d, dim, grad=True) and dim <= GRAM_BLOCK
+    assert _gram_chosen(n, m, d, d, dim, grad=True) and GRAM_BLOCK == 32
     rng = np.random.default_rng(dim)
     A, B = _unit_blocks(rng, n, d, dim), _unit_blocks(rng, m, d, dim)
     G = rng.normal(size=(n, m))
@@ -281,8 +252,9 @@ def test_square_kernel_gradient_matches_finite_differences(dim, d):
 
 
 @pytest.mark.parametrize("d1,d2,dim,kernel", [(4, 3, 9, "direct"), (4, 4, 6, "square"),
-                                              (9, 9, 40, "strip")])
+                                              (9, 9, 40, "strip"), (12, 12, 70, "strip")])
 def test_backward_writes_into_out(d1, d2, dim, kernel):
+    # "square": the Gram kernel in one square strip; "strip": in several
     assert _gram_chosen(6, 5, d1, d2, dim, grad=True) == (kernel != "direct")
     assert kernel == "direct" or (dim <= GRAM_BLOCK) == (kernel == "square")
     rng = np.random.default_rng(4)
