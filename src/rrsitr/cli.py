@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except FileNotFoundError as e:
+    except OSError as e:            # a missing file, a directory, no permission
         print(f"error: {e}", file=sys.stderr)
         return 3
 

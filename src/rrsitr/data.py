@@ -20,7 +20,9 @@ UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
 # Byte budget of one float64 row chunk in the streaming loops below and in
 # trainer.project: the generator, writer, reader, unit-norm check, batch
 # upcasts and project's upcasts hold no per-block temporary larger than this.
-_CHUNK_BYTES = 4 << 20
+# The generator holds about three such temporaries at once; at 4 MiB they set
+# the peak RSS of a process that builds several desk-shape sets in turn.
+_CHUNK_BYTES = 1 << 20
 _BLOCKS = ("image_global", "image_local", "text_global", "text_local")
 
 
@@ -39,8 +41,13 @@ class Dataset:
     pass reads every value, so it runs only at the boundary: on a Dataset a
     caller builds and on each block read_dataset reads. generate_synthetic,
     subset and inject_noise skip it (through the private _from_unit_rows),
-    since their rows are unit by construction or copied from a dataset that
+    since their rows are unit by construction or taken from a dataset that
     was already checked.
+
+    The program never writes into a Dataset's blocks. A noised set from
+    inject_noise shares its image blocks and class ids with its source, as
+    read-only views, so neither set is written through the other; subset
+    copies.
     """
 
     image_global: np.ndarray   # (n, dim)
@@ -364,10 +371,12 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     selected subset; affected rows get y=0. The input dataset is untouched.
     Refuses datasets that already contain y=0 rows.
 
-    Each text block is gathered once through a source-row index (the identity
-    with the deranged subset written in) and each image block is copied once,
-    with no intermediate copy; the result is byte-identical to copying each
-    text block and scattering the shuffled rows into it.
+    Only the text blocks are new: each is gathered once through a source-row
+    index (the identity with the deranged subset written in), byte-identical
+    to copying it and scattering the shuffled rows into it. The image blocks
+    and class ids are the input's own memory, returned as read-only views:
+    the noised set shares them with its source, a write through the noised
+    set raises ValueError, and the source stays as writable as it was.
     """
     if np.any(dataset.y == 0):
         raise DataError("dataset already contains noisy pairs; refusing to inject twice")
@@ -384,13 +393,20 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
         y[subset] = 0
 
     return Dataset._from_unit_rows(
-        image_global=dataset.image_global.copy(),
-        image_local=dataset.image_local.copy(),
+        image_global=_read_only(dataset.image_global),
+        image_local=_read_only(dataset.image_local),
         text_global=np.take(dataset.text_global, source, axis=0),
         text_local=np.take(dataset.text_local, source, axis=0),
         y=y,
-        class_id=None if dataset.class_id is None else dataset.class_id.copy(),
+        class_id=None if dataset.class_id is None else _read_only(dataset.class_id),
     )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
@@ -523,12 +539,18 @@ def write_manifest(path: str, data_path: str, rho: float, seed: int, extra: dict
 
 
 def load_dataset_arg(path: str) -> Dataset:
-    """Load a dataset from an .rrse path or a JSON manifest naming one."""
+    """Load a dataset from an .rrse path or a JSON manifest naming one.
+
+    A manifest that is not JSON, or not an object whose 'file' is a string,
+    raises FormatError."""
     if path.endswith(".json"):
         with open(path) as f:
-            doc = json.load(f)
-        if "file" not in doc:
-            raise FormatError(f"manifest {path} has no 'file' entry")
+            try:
+                doc = json.load(f)
+            except ValueError as e:         # JSONDecodeError, UnicodeDecodeError
+                raise FormatError(f"manifest {path} is not JSON: {e}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("file"), str):
+            raise FormatError(f"manifest {path} must be a JSON object with a string 'file' entry")
         return read_dataset(doc["file"])
     return read_dataset(path)
 

@@ -118,14 +118,16 @@ def check_test_set(test_dataset: Dataset, dim: int | None = None,
 # delta: bounds the rounding of a computed Sl and of its bounds, of the fused
 # sum and of the cutoff; evaluate derives it
 _SL_SLACK = 1e-9
-# pairs of S tested at once, at most: bounds the block's boolean masks and
-# its kept pairs' indices and S values (16 bytes a kept pair)
+# pairs of S formed and tested at once, at most: bounds the one block buffer
+# (8 bytes an entry), its two boolean masks and its kept pairs' indices and
+# S values (16 bytes a kept pair)
 _BLOCK_PAIRS = 1 << 18
 # kept pairs bounded, decided and scored at once, at most: bounds their
 # arrays (about 80 bytes a pair) when most pairs are kept, at small alpha
 _KEPT_PAIRS = 1 << 15
 # the scoring windows' buffers, in bytes: as many candidate pairs as fit are
-# gathered and scored in one stacked product (56 at dim 32, 8x8 locals)
+# gathered and scored in one stacked product (56 at dim 32, 8x8 locals);
+# also the global rows _sg_pairs gathers at once
 _WINDOW_BYTES = 256 << 10
 # the item Grams _item_bounds holds at once, in bytes
 _GRAM_BYTES = 128 << 10
@@ -143,13 +145,19 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     comparison with NaN is false and would rank every item first.
 
     Only the pairs that can change a rank get an Sl. With c = 1 - alpha,
-    S = alpha * Uig Utg^T is formed once; F = S + c*Sl computed in floating
-    point is >= S, because c*Sl >= 0 and rounding is monotone. Each ground
-    truth's ref = F_ii is scored in full, and cut = ref - (c + delta).
-    Per block of image rows, the pairs with S_ij >= cut_i or S_ij >= cut_j
-    are kept: two comparisons, one |= and one flatnonzero over S, and every
-    later step runs on the kept pairs alone (2-5 % of all pairs at alpha 0.9
-    with trained heads).
+    S_ij = alpha * (Uig_i . Utg_j), and F = S + c*Sl computed in floating
+    point is >= S, because c*Sl >= 0 and rounding is monotone. S is one
+    canonical product per pair (_sg_pairs: the 1-D dot Uig[i] @ Utg[j]),
+    so equal rows give equal S whatever else is computed with them. Each
+    ground truth's ref = F_ii is scored in full with it, and
+    cut = ref - (c + delta + epsilon). The n x n S is never formed: per block
+    of image rows, the block's S_gemm = alpha * Uig Utg^T goes into one
+    buffer of _BLOCK_PAIRS entries, and the pairs with S_gemm_ij >= cut_i or
+    S_gemm_ij >= cut_j are kept: two comparisons, one |= and one flatnonzero
+    over the block, and every later step runs on the kept pairs alone (2-5 %
+    of all pairs at alpha 0.9 with trained heads). A kept pair's S is its
+    S_gemm, except where S_gemm lies within epsilon of ref_i or ref_j, where
+    it is taken from _sg_pairs.
     For query row i, a kept item with S_ij > ref_i ranks above the match
     whatever its Sl, one with S_ij < cut_i (or not kept) ranks below it, and
     every other off-diagonal pair is a candidate; the same test runs down
@@ -165,32 +173,46 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     the Gershgorin row-sum bound of E_i E_i^T capped by its trace, e =
     |E_i|_F^2/d1, and sF, f are the same for F_j (_item_bounds). The dots
     a.b come from one GEMM of the row means per block, written over that
-    block of S once its kept pairs are read (_kept_pairs). A candidate
+    block's buffer once its kept pairs are read (_kept_pairs). A candidate
     ranks above its match if S + c*lo > ref + delta and below it if
     S + c*hi < ref - delta; the rest are scored, and ties count an item only
     when its index is lower, as _ranks does. Every decision keeps a margin
     of delta, so ties and near-ties are always scored.
 
-    Every scored pair, ground truths and candidates alike, is scored by the
-    same operations in the same order (_sum_squares, then _fuse): one
-    (d2 x dim)(dim x d1) product per pair, batched over a stack of pairs, so
-    a pair's score does not depend on which other pairs share the call, and
-    equal rows score equally. Test sets that repeat an image once per caption,
-    as RSITMD's does, tie exactly where a pairwise oracle ties. The
-    candidates go in windows (_score_windows): each pair's A_i and B_j are
-    gathered into buffers made once per call, and each window is one stacked
-    product and one _sum_squares.
+    Every scored pair, ground truths and candidates alike, takes its S from
+    _sg_pairs and its Sl from the same operations in the same order
+    (_sum_squares, then _fuse): one (d2 x dim)(dim x d1) product per pair,
+    batched over a stack of pairs, so a pair's score does not depend on
+    which other pairs share the call, and equal rows score equally. Test
+    sets that repeat an image once per caption, as RSITMD's does, tie
+    exactly where a pairwise oracle ties, whatever tiles the BLAS uses for
+    the GEMM. The candidates go in windows (_score_windows): each pair's A_i
+    and B_j are gathered into buffers made once per call, and each window is
+    one stacked product and one _sum_squares.
 
-    delta = _SL_SLACK, u = 2^-53. Unit rows are unit to within (dim/2 + 2)u,
-    so each computed local cosine is at most 1 + (2*dim + 5)u in magnitude; the
+    delta = _SL_SLACK, epsilon = 2(dim + 3)u, u = 2^-53. Unit rows are
+    unit to within (dim/2 + 2)u, so |x||y| <= 1 + (dim + 5)u for a pair.
+    A dot of x and y computed in any order, with or without fused
+    multiply-adds, is within gamma_dim * sum_k |x_k y_k| <= gamma_dim |x||y|
+    of the exact x.y, gamma_dim = dim*u/(1 - dim*u); that is at most
+    (dim + 1)u while dim < 1e7. The GEMM's dot and _sg_pairs' therefore
+    differ by at most 2(dim + 1)u, and scaling each by alpha <= 1 and
+    rounding adds at most u|S| <= 1.01u to each: |S_gemm - S| <= 2(dim + 3)u
+    = epsilon. (epsilon is representable, so the computed |S_gemm - ref|
+    <= epsilon holds exactly when the exact one does.) A kept pair's S is
+    then its canonical value or within epsilon of it and more than epsilon
+    from ref_i and ref_j, so S > ref decides as the canonical S does.
+
+    Each computed local cosine is at most 1 + (2*dim + 5)u in magnitude; the
     sum of d1*d2 squares, the sqrt and the division by sqrt(d1*d2) bring the
     computed Sl to at most 1 + (2*dim + d1*d2 + 8)u, below 1 + delta/2 while
     2*dim + d1*d2 < 4e6, and to within (2*dim + d1*d2 + 8)u of the exact Sl
-    of the computed rows. Rounding c*Sl, S + c*Sl and the cutoff's two
-    operations adds at most 7u in absolute terms, so S_ij below the cutoff
-    leaves F_ij below ref_i by at least delta/2 - 7u > 0. The slack is
-    absolute rather than a factor of c, so the test stays exact as alpha
-    tends to 1, where c*delta falls below the rounding of the sum.
+    of the computed rows. A pair not kept has S_gemm below cut, so its
+    canonical S is below ref - c - delta. Rounding c*Sl, S + c*Sl and the
+    cutoff's three operations adds at most 8u in absolute terms, so its F
+    lies below ref by at least delta/2 - 8u > 0. The slack is absolute
+    rather than a factor of c, so the test stays exact as alpha tends to 1,
+    where c*delta falls below the rounding of the sum.
 
     The bounds hold exactly for the computed rows, unit or not, and their
     rounding stays inside delta/2. The computed means (a matmul with 1/d)
@@ -205,18 +227,21 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     computed hi is at least the exact bound less 2u. With the error of the
     computed Sl above, lo <= Sl + delta/2 and Sl <= hi + delta/2 hold for the
     computed values, and rounding S + c*lo, S + c*hi and ref +- delta adds at
-    most 9u: a pair decided above or below has a computed F on that side of
-    ref by at least delta/2 - 16u > 0.
+    most 9u: a pair decided above or below, whose S may be S_gemm, has a
+    canonical F on that side of ref by at least delta/2 - 16u - epsilon, which
+    is > 0 while dim < 2e6.
 
     Sl is the direct form sqrt(sum of squared cosines) / sqrt(d1*d2); the
     ranks are exact for it. The trainer's Gram form differs from it only by
-    rounding. Besides S, evaluate holds the text row means b (n * dim
-    doubles); per block of _BLOCK_PAIRS entries of S, two boolean masks, the
-    block's image row means and 16 bytes per kept pair; per chunk of at most
-    _KEPT_PAIRS kept pairs, about 80 bytes a pair; and, in _item_bounds,
-    _GRAM_BYTES of item Grams.
-    The window buffers hold window * (d1 + d2 + d1*d2/dim) * dim doubles, at
-    most _WINDOW_BYTES (or one pair).
+    rounding. Besides the projected rows, evaluate holds O(n) arrays (ref,
+    cut, the ranks, the item bounds and the text row means b, n * dim
+    doubles); one block of S of at most _BLOCK_PAIRS entries (or one row),
+    reused for the block's dots; per block, two boolean masks, the block's
+    image row means and 16 bytes per kept pair; per chunk of at most
+    _KEPT_PAIRS kept pairs, about 80 bytes a pair and the gathered rows of
+    the pairs _sg_pairs takes; and, in _item_bounds, _GRAM_BYTES of item
+    Grams. The window buffers hold window * (d1 + d2 + d1*d2/dim) * dim
+    doubles, at most _WINDOW_BYTES (or one pair).
     At alpha = 0 every off-diagonal pair is a candidate, and the bounds
     leave about 4 % of them to score: at desk shapes (n = 1000, dim 32, 8x8
     locals, trained heads, one BLAS thread) about 0.10 s, where scoring every
@@ -231,23 +256,28 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     A = Uil.reshape(n, test_dataset.d1, -1)
     B = Utl.reshape(n, test_dataset.d2, -1)
     scale = np.sqrt(A.shape[1] * B.shape[1])
-    c = 1.0 - hyper.alpha
+    alpha, c = hyper.alpha, 1.0 - hyper.alpha
+    eps = 2 * (Uig.shape[1] + 3) * 2.0 ** -53     # epsilon, derived in the docstring
 
-    S = Uig @ Utg.T
-    S *= hyper.alpha
-    ref = _fuse(S.diagonal(), _sum_squares(np.matmul(B, A.transpose(0, 2, 1))), c, scale)
-    cut = ref - (c + _SL_SLACK)
+    diag = np.arange(n)
+    ref = _fuse(_sg_pairs(Uig, Utg, diag, diag, alpha),
+                _sum_squares(np.matmul(B, A.transpose(0, 2, 1))), c, scale)
+    cut = ref - (c + _SL_SLACK + eps)
     image, text = _item_bounds(A), _item_bounds(B)
     windows = None                    # the scoring windows' buffers, made on first use
     i2t = np.ones(n, dtype=np.intp)
     t2i = np.ones(n, dtype=np.intp)
-    for I, J, s, dot in _kept_pairs(S, cut, A, _row_means(B)):
+    for I, J, s, dot in _kept_pairs(Uig, Utg, alpha, cut, A, _row_means(B)):
+        ref_i, ref_j = ref[I], ref[J]
+        # S_gemm within epsilon of a ref: the canonical S decides S > ref
+        near = np.flatnonzero((np.abs(s - ref_i) <= eps) | (np.abs(s - ref_j) <= eps))
+        if len(near):
+            s[near] = _sg_pairs(Uig, Utg, I[near], J[near], alpha)
         lo, hi = _sl_bounds(image, text, I, J, dot)
         lo *= c
         lo += s
         hi *= c
         hi += s
-        ref_i, ref_j = ref[I], ref[J]
         # a kept pair is a candidate of query i, of query j, or ranks above
         # the match from S alone
         up_i, up_j = s > ref_i, s > ref_j
@@ -262,33 +292,53 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
         scored = np.flatnonzero(open_i | open_j)
         if not len(scored):
             continue
-        I, J, s = I[scored], J[scored], s[scored]
+        I, J = I[scored], J[scored]
         if windows is None:
             windows = _window_buffers(A.shape[1], B.shape[1], A.shape[2])
         F = _score_windows(A, B, I, J, windows)
-        _fuse(s, F, c, scale)
+        _fuse(_sg_pairs(Uig, Utg, I, J, alpha), F, c, scale)
         i2t += np.bincount(I[open_i[scored] & _above(F, ref_i[scored], J < I)], minlength=n)
         t2i += np.bincount(J[open_j[scored] & _above(F, ref_j[scored], I < J)], minlength=n)
     return _report_from_ranks(i2t, t2i)
 
 
-def _kept_pairs(S: np.ndarray, cut: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Per block of image rows of S, the off-diagonal pairs with
-    S_ij >= cut_i or S_ij >= cut_j, as (I, J, S_IJ, a_I . b_J) in chunks of at
+def _sg_pairs(X: np.ndarray, Y: np.ndarray, I: np.ndarray, J: np.ndarray,
+              alpha: float) -> np.ndarray:
+    """alpha * (X[I[k]] . Y[J[k]]) for each k, each dot with the bits of the
+    1-D dot X[i] @ Y[j]: one (1 x dim)(dim x 1) product per pair, so a pair's
+    value depends on its two rows alone. The rows are gathered _WINDOW_BYTES
+    at a time."""
+    out = np.empty((len(I), 1, 1))
+    m = max(1, _WINDOW_BYTES // (16 * X.shape[1]))
+    for k in range(0, len(I), m):
+        np.matmul(X[I[k:k + m], None, :], Y[J[k:k + m], :, None], out=out[k:k + m])
+    out *= alpha
+    return out.reshape(-1)
+
+
+def _kept_pairs(Uig: np.ndarray, Utg: np.ndarray, alpha: float, cut: np.ndarray,
+                A: np.ndarray, b: np.ndarray):
+    """Per block of image rows, the off-diagonal pairs whose
+    S_gemm_ij = alpha * Uig_i . Utg_j, taken from one GEMM per block, is
+    >= cut_i or >= cut_j, as (I, J, S_gemm_IJ, a_I . b_J) in chunks of at
     most _KEPT_PAIRS, a being the row means of the image local blocks A and
-    b those of the text ones. Each block of S is overwritten by its rows'
-    dots once its pairs are found; the image means are made per block."""
-    n = len(S)
-    step = max(1, _BLOCK_PAIRS // n)
+    b those of the text ones. Each block is formed in one buffer of at most
+    _BLOCK_PAIRS entries (or one row), which takes the block's dots once its
+    pairs are found; the image means are made per block."""
+    n = len(Uig)
+    step = max(1, min(n, _BLOCK_PAIRS // n))
+    buf = np.empty(step * n)
     for r0 in range(0, n, step):
-        Sr = S[r0:r0 + step]
-        kept = Sr >= cut[r0:r0 + step, None]
+        r1 = min(r0 + step, n)
+        Sr = np.matmul(Uig[r0:r1], Utg.T, out=buf[:(r1 - r0) * n].reshape(r1 - r0, n))
+        Sr *= alpha
+        kept = Sr >= cut[r0:r1, None]
         kept |= Sr >= cut
         np.fill_diagonal(kept[:, r0:], False)
         flat = np.flatnonzero(kept)
         del kept                      # before the window buffers are made
         s = Sr.reshape(-1)[flat]
-        dots = np.matmul(_row_means(A[r0:r0 + step]), b.T, out=Sr).reshape(-1)
+        dots = np.matmul(_row_means(A[r0:r1]), b.T, out=Sr).reshape(-1)
         for k in range(0, len(flat), _KEPT_PAIRS):
             chunk = flat[k:k + _KEPT_PAIRS]
             I, J = np.divmod(chunk, n)

@@ -83,6 +83,25 @@ def test_inject_missing_file(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("case", ["eval_checkpoint_dir", "gen_output_dir", "manifest_not_json",
+                                  "manifest_list", "manifest_file_not_string"])
+def test_bad_path_or_manifest_exits_3_with_error(tmp_path, capsys, case):
+    # a directory where a file goes, and manifests that are not a JSON object
+    # naming a file, end in one `error:` line and exit 3, not a traceback
+    data = _gen(tmp_path, "data.rrse", n=20)
+    manifest = tmp_path / "m.json"
+    manifest.write_text({"manifest_not_json": "{not json",
+                         "manifest_list": '["file"]',
+                         "manifest_file_not_string": '{"file": 3}'}.get(case, ""))
+    capsys.readouterr()
+    argv = {"eval_checkpoint_dir": ["eval", "--checkpoint", str(tmp_path), "--data", data],
+            "gen_output_dir": ["gen", "--n", "10", "--seed", "1", "-o", str(tmp_path)]}.get(
+        case, ["train", "--data", str(manifest), "--out-dir", str(tmp_path / "run")])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_train_eval_trace_flow(tmp_path, capsys):
     train_file = _gen(tmp_path, "train.rrse", n=60, seed=1)
     val_file = _gen(tmp_path, "val.rrse", n=30, seed=2)

@@ -106,6 +106,43 @@ def test_inject_locals_travel_with_global():
         assert np.array_equal(out.text_local[i], ds.text_local[src[0]])
 
 
+def test_inject_shares_read_only_image_blocks():
+    # the noised set's image blocks and class ids are the source's memory,
+    # read-only through the noised set; the source stays writable and unchanged
+    ds = generate_synthetic(30, 3, 6, 2, 3, intra_class_spread=0.2, seed=8)
+    before = {k: getattr(ds, k).copy() for k in ("image_global", "image_local", "text_global",
+                                                 "text_local", "y", "class_id")}
+    out = inject_noise(ds, NoiseSpec(rho=0.5, seed=2))
+    for name in ("image_global", "image_local", "class_id"):
+        shared, source = getattr(out, name), getattr(ds, name)
+        assert np.shares_memory(shared, source) and np.array_equal(shared, source), name
+        assert not shared.flags.writeable and source.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+    for name in ("text_global", "text_local", "y"):
+        assert not np.shares_memory(getattr(out, name), getattr(ds, name)), name
+    for name, value in before.items():
+        assert np.array_equal(getattr(ds, name), value), name
+    ds.image_global[0] = ds.image_global[0]      # still writable
+
+
+def test_inject_allocates_only_the_text_blocks():
+    # tracemalloc peak of inject_noise: the gathered text blocks, plus y, the
+    # source index and the draws, far below 256 KiB here; copies of the image
+    # blocks (2.3 MB) would exceed it
+    import tracemalloc
+    ds = generate_synthetic(2000, 5, 32, 8, 2, intra_class_spread=0.2, seed=1)
+    inject_noise(ds, NoiseSpec(rho=0.4, seed=2))
+    text_bytes = ds.text_global.nbytes + ds.text_local.nbytes
+    tracemalloc.start()
+    try:
+        inject_noise(ds, NoiseSpec(rho=0.4, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= text_bytes + (256 << 10), (peak, text_bytes)
+
+
 def test_inject_rejects_double_injection():
     ds = generate_synthetic(10, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
     once = inject_noise(ds, NoiseSpec(rho=0.5, seed=1))

@@ -245,6 +245,92 @@ def _repeated_images(alpha, n, dim, d1, d2, seed):
     return ds, heads, F
 
 
+def _dense_fused_parts(heads, ds):
+    """Oracle parts one image row at a time: G[i, j] = Uig[i] @ Utg[j], each a
+    1-D dot, and the direct-form Sl from one (d1 x dim)(dim x d2) product per
+    pair, so equal rows give equal entries. alpha*G + (1-alpha)*Sl is then
+    _pairwise_fused's F up to the sum order of Sl's squares."""
+    (Uig, _), (Uil, _), (Utg, _), (Utl, _) = project(heads, ds)
+    n = ds.n_pairs
+    A, B = Uil.reshape(n, ds.d1, -1), Utl.reshape(n, ds.d2, -1)
+    G, Sl = np.empty((n, n)), np.empty((n, n))
+    Bt = B.transpose(0, 2, 1)
+    for i in range(n):
+        G[i] = np.matmul(Uig[i][None, None, :], Utg[:, :, None])[:, 0, 0]
+        M = np.matmul(A[i], Bt)
+        Sl[i] = np.sqrt(np.add.reduce((M * M).reshape(n, -1), axis=1)) / np.sqrt(ds.d1 * ds.d2)
+    return G, Sl
+
+
+@pytest.mark.parametrize("n", [500, 1005])
+def test_evaluate_ties_exactly_across_row_blocks_and_gemm_tiles(n):
+    # each image once per caption (groups of 5 rows) and repeated captions,
+    # with generic values. Equal rows must get equal S wherever they fall:
+    # split by a row block of S (7 rows a block) or by the GEMM's tiles,
+    # whose edge tiles can round equal rows differently (with one thread,
+    # OpenBLAS's whole GEMM does so for this set's rows 490-494 at n = 500
+    # and 995-999 at n = 1005)
+    images = generate_synthetic(n // 5, 4, 32, 8, 8, intra_class_spread=0.8, seed=n)
+    texts = generate_synthetic(n, 4, 32, 8, 8, intra_class_spread=0.8, seed=n + 1)
+    rep = np.repeat(np.arange(n // 5), 5)
+    tg, tl = texts.text_global.copy(), texts.text_local.copy()
+    copies, sources = [6, 13, 262, 493, n - 3, n - 1], [1, 12, 258, 490, 491, n - 5]
+    tg[copies], tl[copies] = tg[sources], tl[sources]
+    ds = Dataset(images.image_global[rep], images.image_local[rep], tg, tl,
+                 y=np.ones(n, dtype=np.uint8))
+    heads = init_heads(32, seed=3, noise_std=0.3)
+    G, Sl = _dense_fused_parts(heads, ds)
+    for alpha in (0.0, 0.3, 0.9, 1.0):
+        F = alpha * G + (1.0 - alpha) * Sl
+        d = np.diag(F)
+        assert ((F == d[:, None]).sum(axis=1) > 1).any()       # a query row tied with its match
+        assert ((F == d[None, :]).sum(axis=0) > 1).any()       # and a query column
+        want = _report_from_similarity(F)
+        for block_pairs in (None, 7 * n):
+            with pytest.MonkeyPatch.context() as m:
+                if block_pairs is not None:
+                    m.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
+                assert evaluate(heads, ds, Hyper(alpha=alpha)) == want, (alpha, block_pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10, 40), st.integers(2, 40), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 0.95, 1.0]), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_evaluate_with_planted_duplicates_equals_pairwise_oracle(n, dim, d1, d2, alpha,
+                                                                 block_rows, seed):
+    # random sets where some images and some captions repeat other rows, in
+    # row blocks of block_rows rows: evaluate reports what the oracle ranks
+    rng = np.random.default_rng(seed)
+    rep_img = rng.integers(0, max(2, n // 2), size=n)
+    rep_txt = np.where(rng.random(n) < 0.3, rng.integers(0, n, size=n), np.arange(n))
+    ig, il = _unit_rows(rng, (n,), dim)[rep_img], _unit_rows(rng, (n, d1), dim)[rep_img]
+    tg, tl = _unit_rows(rng, (n,), dim)[rep_txt], _unit_rows(rng, (n, d2), dim)[rep_txt]
+    ds = Dataset(ig, il, tg, tl, y=np.ones(n, dtype=np.uint8))
+    heads = init_heads(dim, seed=seed % 1000, noise_std=0.3)
+    want = _report_from_similarity(_pairwise_fused(heads, ds, alpha))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evaluation, "_BLOCK_PAIRS", block_rows * n)
+        assert evaluate(heads, ds, Hyper(alpha=alpha)) == want
+
+
+def test_evaluate_memory_is_rows_plus_one_block():
+    # tracemalloc peak at desk shape, n = 3000: the projected rows (13.2 MiB)
+    # and little else; an n x n float64 S alone would be 68.7 MiB
+    import tracemalloc
+    ds = generate_synthetic(3000, 20, 32, 8, 8, intra_class_spread=0.3, seed=3)
+    heads = init_heads(32, seed=1)
+    projected = 8 * ds.n_pairs * (2 + ds.d1 + ds.d2) * ds.dim
+    evaluate(heads, ds, Hyper())
+    tracemalloc.start()
+    try:
+        evaluate(heads, ds, Hyper())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * projected, peak / projected
+
+
 def test_evaluate_exact_ties_in_both_directions():
     # rows of signed standard-basis vectors and identity heads: every cosine is
     # -1, 0 or 1 exactly, so scores tie exactly and only the index rule orders them
