@@ -284,8 +284,8 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
         raise ConfigError(f"dim must be >= 2, got {dim}")
     if d1 < 1 or d2 < 1:
         raise ConfigError("d1 and d2 must be >= 1")
-    if intra_class_spread <= 0:
-        raise ConfigError(f"intra_class_spread must be > 0, got {intra_class_spread}")
+    if not (np.isfinite(intra_class_spread) and intra_class_spread > 0):
+        raise ConfigError(f"intra_class_spread must be finite and > 0, got {intra_class_spread}")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)  # keep offsets ~spread regardless of dim
@@ -355,9 +355,7 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
 
 
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Random permutation of range(k) with no fixed points (identity if k == 1)."""
-    if k <= 1:
-        return np.arange(k)
+    """Random permutation of range(k), k >= 2, with no fixed points."""
     while True:
         perm = rng.permutation(k)
         if not np.any(perm == np.arange(k)):
@@ -369,7 +367,8 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
 
     Texts (global + local together) are permuted by a derangement within the
     selected subset; affected rows get y=0. The input dataset is untouched.
-    Refuses datasets that already contain y=0 rows.
+    Refuses datasets that already contain y=0 rows, and a rho that selects
+    exactly one pair, which no derangement can move (ConfigError).
 
     Only the text blocks are new: each is gathered once through a source-row
     index (the identity with the deranged subset written in), byte-identical
@@ -382,6 +381,8 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
         raise DataError("dataset already contains noisy pairs; refusing to inject twice")
     n = dataset.n_pairs
     k = int(round(spec.rho * n))
+    if k == 1:
+        raise ConfigError(f"rho={spec.rho} selects 1 pair; a derangement needs 0 or at least 2")
     rng = np.random.default_rng(spec.seed)
 
     source = np.arange(n)

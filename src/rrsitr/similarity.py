@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 NORM_EPS = 1e-12  # guard against division by zero without disturbing unit rows
-DIRECT_BLOCK_BYTES = 64e6  # budget for the direct kernel's (rows*d1, m*d2) intermediate
+DIRECT_BLOCK_BYTES = 64e6  # chunk budget of the direct kernel's intermediate without grad
 GRAM_BLOCK = 32  # rows per strip of the blocked Gram kernel
 
 
@@ -46,15 +46,15 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     reduced to a single score ||M||_F / sqrt(d1*d2), which lies in [0, 1].
     Note the Frobenius norm discards the sign of individual local cosines.
 
-    One of two kernels computes it, chosen from the input shape alone
-    (_gram_chosen). The direct kernel forms every M, d1*d2*dim multiply-adds
-    per pair. The Gram kernel uses the identity ||A_i B_j^T||_F^2 =
-    <A_i^T A_i, B_j^T B_j>_F over the Grams' upper block triangle, one strip
-    of GRAM_BLOCK rows at a time, each adding one matmul over all pairs:
-    about dim^2/2 multiply-adds per pair. It runs when 2*dim <= d1*d2 and
-    the Grams it holds at once fit in DIRECT_BLOCK_BYTES. The two agree to
-    rounding, except that near Sl = 0 the Gram form's cancelled sum leaves an
-    error of order sqrt(eps).
+    One of two kernels computes it, chosen from the local shape alone
+    (_gram_chosen), with or without grad. The direct kernel forms every M,
+    d1*d2*dim multiply-adds per pair, and with grad holds all of them, an
+    (n*d1, m*d2) intermediate. The Gram kernel uses the identity
+    ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F over the Grams' upper block
+    triangle, one strip of GRAM_BLOCK rows at a time, each adding one matmul
+    over all pairs: about dim^2/2 multiply-adds per pair, and with grad it
+    holds every item's strips. The two agree to rounding, except that near
+    Sl = 0 the Gram form's cancelled sum leaves an error of order sqrt(eps).
 
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B; backward(Gl, out=(dA, dB)) writes them into
@@ -65,7 +65,7 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     n, d1, dim = A.shape
     m, d2, _ = B.shape
     scale = np.sqrt(d1 * d2)
-    if _gram_chosen(n, m, d1, d2, dim, grad):
+    if _gram_chosen(d1, d2, dim):
         norms, kernel_backward = _gram_kernel(A, B, grad)
     else:
         norms, kernel_backward = _direct_kernel(A, B, grad)
@@ -80,21 +80,18 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     return norms / scale, backward
 
 
-def _gram_chosen(n: int, m: int, d1: int, d2: int, dim: int, grad: bool) -> bool:
-    """Gram kernel when it does less arithmetic and its Grams fit the memory budget.
+def _gram_chosen(d1: int, d2: int, dim: int) -> bool:
+    """Gram kernel when it does less arithmetic: 2*dim <= d1*d2.
 
     Per pair the direct kernel does d1*d2*dim multiply-adds and the blocked
-    Gram kernel about dim^2/2; the Gram side also forms every item's Gram and
-    runs small batched matmuls, so it is taken only when 2*dim <= d1*d2. The
-    Gram strips it holds at once, the first one without grad or all of them
-    with grad, must fit in DIRECT_BLOCK_BYTES, the bound on the direct
-    kernel's intermediate.
+    Gram kernel about dim^2/2, plus every item's Gram and small batched
+    matmuls. Neither n, m nor grad enters. With grad the Gram kernel holds
+    (n+m)*dim^2/2 values of strips and the direct kernel 2*n*d1*m*d2 (its
+    intermediate and a temporary), so by these counts the Gram kernel holds
+    less wherever it is picked and n = m > dim/4. Without grad each holds
+    one strip per item or one DIRECT_BLOCK_BYTES chunk at a time.
     """
-    if 2 * dim > d1 * d2:
-        return False
-    strips = [(min(s + GRAM_BLOCK, dim) - s) * (dim - s) for s in range(0, dim, GRAM_BLOCK)]
-    held = sum(strips) if grad else strips[0]
-    return 8 * (n + m) * held <= DIRECT_BLOCK_BYTES
+    return 2 * dim <= d1 * d2
 
 
 @functools.lru_cache(maxsize=None)

@@ -77,6 +77,22 @@ def test_inject_bad_rho(tmp_path):
     assert rc == 2
 
 
+def test_inject_one_pair_exit_2(tmp_path, capsys):
+    src = _gen(tmp_path, n=10)
+    out = tmp_path / "x.rrse"
+    assert main(["inject", src, "--rho", "0.1", "--seed", "3", "-o", str(out)]) == 2
+    assert "derangement" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spread", ["nan", "inf", "-inf"])
+def test_gen_non_finite_spread_exit_2(tmp_path, spread):
+    out = tmp_path / "x.rrse"
+    rc = main(["gen", "--n", "10", f"--spread={spread}", "--seed", "1", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_inject_missing_file(tmp_path):
     rc = main(["inject", str(tmp_path / "absent.rrse"), "--rho", "0.2",
                "-o", str(tmp_path / "x.rrse")])

@@ -58,6 +58,12 @@ def test_generate_invalid_spread():
         generate_synthetic(4, 2, 4, 1, 1, intra_class_spread=0.0, seed=0)
 
 
+@pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf")])
+def test_generate_non_finite_spread(spread):
+    with pytest.raises(ConfigError, match="finite"):
+        generate_synthetic(4, 2, 4, 1, 1, intra_class_spread=spread, seed=0)
+
+
 def test_inject_zero_rho_is_identity():
     ds = generate_synthetic(10, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
     out = inject_noise(ds, NoiseSpec(rho=0.0, seed=3))
@@ -80,6 +86,14 @@ def test_inject_full_swap_of_two():
     assert np.array_equal(out.text_global[0], ds.text_global[1])
     assert np.array_equal(out.text_global[1], ds.text_global[0])
     assert np.array_equal(out.text_local[0], ds.text_local[1])
+
+
+def test_inject_refuses_a_single_shuffled_pair():
+    # round(0.1 * 10) = 1: one pair has no derangement and would keep its text under y = 0
+    ds = generate_synthetic(10, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    with pytest.raises(ConfigError, match="derangement"):
+        inject_noise(ds, NoiseSpec(rho=0.1, seed=3))
+    assert int((inject_noise(ds, NoiseSpec(rho=0.2, seed=3)).y == 0).sum()) == 2
 
 
 def test_inject_untouched_rows_identical_and_no_fixed_points():
@@ -410,9 +424,11 @@ PINNED_FILES = [
                       intra_class_spread=0.1, seed=7), 0.4, 8,
                  "cb6e6b0a1115e3490498c0c99f8035108e8d68e95f7f351b6320e760d039b769",
                  id="paper"),
+    # one pair cannot be shuffled, so it stays clean: the earlier pin at rho 1.0
+    # ("3edc3f44...") with its y byte set from 0 to 1
     pytest.param(dict(n_pairs=1, n_classes=2, dim=8, d1=3, d2=2,
-                      intra_class_spread=0.5, seed=9), 1.0, 10,
-                 "3edc3f4433105560b048959dbed0f1f9bdf62cd15909df1f5d1b9b8873f7309c",
+                      intra_class_spread=0.5, seed=9), 0.0, 10,
+                 "ccb9118b04e40af33353fd232947cc98006761d394d2cd83db430083a5d8e538",
                  id="n1"),
 ]
 SMALL_CHUNK = 5000  # bytes: 1-2 local rows or 2-19 global rows at the shapes below

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_local_matches_scalar_oracle():
         got = local_similarity(a, t)
         want = _local_oracle(a, t)
         assert np.max(np.abs(got - want)) < 1e-10
-    assert _gram_chosen(4, 4, 4, 4, 5, grad=False)  # the last shape runs the Gram kernel
+    assert _gram_chosen(4, 4, 5)  # the last shape runs the Gram kernel
 
 
 def test_local_blocking_bit_identical(monkeypatch):
@@ -106,7 +107,7 @@ def test_local_blocking_bit_identical(monkeypatch):
     rng = np.random.default_rng(1)
     a = rng.normal(size=(13, 3, 6))
     b = rng.normal(size=(9, 2, 6))
-    assert not _gram_chosen(13, 9, 3, 2, 6, grad=False)  # the chunking is the direct kernel's
+    assert not _gram_chosen(3, 2, 6)  # the chunking is the direct kernel's
     by_rows = {}
     for rows in (13, 1, 2, 5):
         monkeypatch.setattr(similarity, "DIRECT_BLOCK_BYTES", rows * 8 * 3 * 9 * 2)
@@ -138,7 +139,7 @@ def _unit_blocks(rng, n, d, dim):
                                            (9, 7, 9, 8, 33),        # strips 32+1
                                            (9, 7, 12, 12, 64)])     # strips 32+32
 def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
-    assert _gram_chosen(n, m, d1, d2, dim, grad=True)
+    assert _gram_chosen(d1, d2, dim)
     assert GRAM_BLOCK == 32  # the comments above count strips of 32
     rng = np.random.default_rng(7)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
@@ -151,22 +152,46 @@ def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_local_dispatch_by_shape():
-    assert _gram_chosen(100, 100, 8, 8, 32, grad=True)       # desk batch
-    assert _gram_chosen(500, 500, 8, 8, 32, grad=False)      # desk validation
-    assert _gram_chosen(1000, 1000, 8, 8, 32, grad=False)    # desk evaluation
-    assert _gram_chosen(100, 100, 36, 16, 256, grad=True)    # paper batch
-    assert _gram_chosen(300, 300, 36, 16, 256, grad=False)   # paper held-out evaluation
-    assert _gram_chosen(100, 100, 36, 32, 256, grad=True)
+def test_local_dispatch_by_shape(monkeypatch):
+    assert _gram_chosen(8, 8, 32)       # desk shape
+    assert _gram_chosen(36, 16, 256)    # paper shape
+    assert _gram_chosen(36, 32, 256)
     # small locals at large dim: the direct kernel does less work
-    assert not _gram_chosen(100, 100, 8, 8, 128, grad=True)
-    assert not _gram_chosen(100, 100, 8, 8, 256, grad=True)
-    assert not _gram_chosen(100, 100, 36, 16, 512, grad=True)
-    assert not _gram_chosen(100, 100, 36, 12, 256, grad=True)
-    # memory guard: with grad every strip is kept, without it one at a time
-    assert not _gram_chosen(300, 300, 36, 16, 256, grad=True)
-    assert not _gram_chosen(120, 120, 36, 16, 256, grad=True)
-    assert not _gram_chosen(2000, 2000, 36, 16, 256, grad=False)
+    assert not _gram_chosen(8, 8, 128)
+    assert not _gram_chosen(8, 8, 256)
+    assert not _gram_chosen(36, 16, 512)
+    assert not _gram_chosen(36, 12, 256)
+    # neither the batch size nor grad enters: paper batches above 108 pairs
+    # and the 300-pair held-out set run the Gram kernel, with grad or without
+    ran = []
+
+    def spy(name):
+        def kernel(A, B, grad):
+            ran.append(name)
+            return np.ones((len(A), len(B))), None
+        return kernel
+
+    for name in ("_gram_kernel", "_direct_kernel"):
+        monkeypatch.setattr(similarity, name, spy(name))
+    for n, grad in ((100, True), (128, True), (300, True), (300, False), (2000, False)):
+        local_similarity_units(np.zeros((n, 36, 256)), np.zeros((n, 16, 256)), grad)
+    assert ran == ["_gram_kernel"] * 5
+
+
+def test_local_paper_b128_traced_peak():
+    # forward plus backward at (128, 36x16, 256): the Gram kernel's strips, not
+    # the direct kernel's (128*36, 128*16) intermediate and its temporary
+    rng = np.random.default_rng(5)
+    A, B = _unit_blocks(rng, 128, 36, 256), _unit_blocks(rng, 128, 16, 256)
+    W = rng.normal(size=(128, 128))
+    tracemalloc.start()
+    try:
+        _, backward = local_similarity_units(A, B)
+        backward(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 130 * 2**20, peak / 2**20
 
 
 GRAM_NEAR_ZERO_TOL = 1e-7  # |Sl_gram - Sl_direct| where rounding leaves sqrt(eps)-sized terms
@@ -180,8 +205,7 @@ def test_local_gram_orthogonal_blocks_finite():
                            (8, 10, 10, 40),         # ragged strips 32+8
                            (100, 36, 16, 256)]:     # paper batch
         rng = np.random.default_rng(3)
-        assert _gram_chosen(n, n, d1, d2, dim, grad=False)
-        assert _gram_chosen(n, n, d1, d2, dim, grad=True)
+        assert _gram_chosen(d1, d2, dim)
         Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         a = rng.normal(size=(n, d1, dim // 2)) @ Q[:, :dim // 2].T
         b = rng.normal(size=(n, d2, dim // 2)) @ Q[:, dim // 2:].T
@@ -231,7 +255,7 @@ def test_gram_kernel_gradient_matches_finite_differences(dim, d):
     # d*d >= 2*dim: the Gram kernel, in one square strip up to dim 32, then
     # in strips of 32 + 8 and 32 + 32 + 6
     n, m = 5, 4
-    assert _gram_chosen(n, m, d, d, dim, grad=True) and GRAM_BLOCK == 32
+    assert _gram_chosen(d, d, dim) and GRAM_BLOCK == 32
     rng = np.random.default_rng(dim)
     A, B = _unit_blocks(rng, n, d, dim), _unit_blocks(rng, m, d, dim)
     G = rng.normal(size=(n, m))
@@ -255,7 +279,7 @@ def test_gram_kernel_gradient_matches_finite_differences(dim, d):
                                               (9, 9, 40, "strip"), (12, 12, 70, "strip")])
 def test_backward_writes_into_out(d1, d2, dim, kernel):
     # "square": the Gram kernel in one square strip; "strip": in several
-    assert _gram_chosen(6, 5, d1, d2, dim, grad=True) == (kernel != "direct")
+    assert _gram_chosen(d1, d2, dim) == (kernel != "direct")
     assert kernel == "direct" or (dim <= GRAM_BLOCK) == (kernel == "square")
     rng = np.random.default_rng(4)
     A, B = _unit_blocks(rng, 6, d1, dim), _unit_blocks(rng, 5, d2, dim)
