@@ -5,7 +5,8 @@ train, trace and ablate share one load -> manifest -> trainer.train path
 (_train_runs), and trace is train's trace-only alias. Hyperparameter defaults
 live in trainer.Hyper alone.
 
-Exit codes: 0 success, 2 usage/config, 3 data/format, 4 numeric divergence.
+Exit codes: 0 success, 2 usage (argparse), each package error's exit_code
+(errors.py), and 3 for an OSError such as a missing file.
 """
 from __future__ import annotations
 
@@ -16,28 +17,9 @@ import subprocess
 import sys
 from dataclasses import fields
 
+from .errors import ConfigError, RrsitrError
 
-def _apply_threads_early(argv):
-    """--threads must take effect before numpy loads its BLAS thread pool. Once
-    numpy is loaded the cap cannot apply, so the thread variables are left as
-    they are for the rest of the process and its children. So are they for a
-    count that is not a positive integer, which parse_args then rejects."""
-    if "numpy" in sys.modules:
-        return
-    for i, a in enumerate(argv):
-        n = None
-        if a == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
-        if n is not None:
-            try:
-                n = _thread_count(n)
-            except argparse.ArgumentTypeError:
-                return
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(n)
-            return
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _thread_count(value: str) -> int:
@@ -54,8 +36,6 @@ def _thread_count(value: str) -> int:
 
 def _default_seed() -> int:
     """$RRSITR_SEED, or 0 when it is unset or empty."""
-    from .errors import ConfigError
-
     env = os.environ.get("RRSITR_SEED")
     if not env:
         return 0
@@ -66,8 +46,6 @@ def _default_seed() -> int:
 
 def _seed_arg(args) -> int:
     """gen's and inject's seed: --seed, else $RRSITR_SEED, else 0."""
-    from .errors import ConfigError
-
     if args.seed is None:
         return _default_seed()
     if args.seed < 0:
@@ -89,7 +67,13 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> None:
+def _run_flags(with_epochs: bool) -> argparse.ArgumentParser:
+    """The flags of the training commands, as a parent parser. trace builds its
+    own without --epochs, which it takes for the traced epoch list."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--data", required=True, help="training .rrse file or manifest")
+    p.add_argument("--val", help="clean validation set for checkpoint selection")
+    p.add_argument("--variant", default="full")
     # dest = a Hyper field and no default: a flag not given leaves Hyper's default
     g = p.add_argument_group("hyperparameters", argument_default=argparse.SUPPRESS)
     g.add_argument("--tau", type=float, help="InfoNCE temperature")
@@ -116,6 +100,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser, with_epochs: bool = True) -> No
     g.add_argument("--spl-sum-over-all", action="store_true",
                    help="L_S2 sums over all pairs below gamma2 instead of the ambiguous bucket")
     _add_threads_flag(p)
+    return p
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
@@ -135,40 +120,33 @@ def _hyper_from_args(args) -> "Hyper":
     return Hyper(**given)
 
 
-def _dataset_noise(data_path):
-    """The noise record of a data set: from the manifest given as --data, or
-    from the manifest gen and inject write beside an .rrse (<path>.json) when
-    its file entry names that .rrse; None without one."""
-    if data_path.endswith(".json"):
-        with open(data_path) as f:
-            return json.load(f).get("noise")
-    sidecar = data_path + ".json"
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built with; "unknown" where numpy
+    (before 1.25) cannot report its build configuration as a dict."""
+    import numpy as np
+
     try:
-        with open(sidecar) as f:
-            doc = json.load(f)
-    except (OSError, ValueError):     # none, or not JSON: not a sidecar
-        return None
-    named = doc.get("file") if isinstance(doc, dict) else None
-    if not isinstance(named, str):
-        return None
-    # the entry is the path inject was given, from inject's directory
-    if not any(os.path.exists(p) and os.path.samefile(p, data_path)
-               for p in (named, os.path.join(os.path.dirname(sidecar), named))):
-        return None
-    return doc.get("noise")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        return {"name": "unknown", "version": "unknown"}
 
 
 def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=None) -> None:
+    from .data import dataset_noise
+
     os.makedirs(out_dir, exist_ok=True)
-    noise = _dataset_noise(data_path)
     doc = {
         "command": command,
         "variant": variant,
         "hyper": dict(hyper.__dict__),
-        "dataset": {"path": data_path, "noise": noise},
+        "dataset": {"path": data_path, "noise": dataset_noise(data_path)},
         "seed": hyper.seed,
         "git": _git_describe(),
         "outputs": outputs or {},
+        "blas": _blas(),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "cpu_count": os.cpu_count(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(doc, f, indent=2)
@@ -231,7 +209,6 @@ def _train_runs(args, variants, trace_epochs=(), outputs=None):
     it trains the variants in turn and yields (variant, heads, log, report),
     report being the evaluation on ablate's --test set or None."""
     from .data import load_dataset_arg
-    from .errors import ConfigError
     from .evaluation import check_test_set, evaluate
     from .trainer import train
 
@@ -335,8 +312,6 @@ def cmd_eval(args) -> int:
 
 
 def _parse_epoch_list(spec: str | None) -> list[int]:
-    from .errors import ConfigError
-
     tokens = [tok.strip() for tok in (spec or "").split(",") if tok.strip()]
     for tok in tokens:
         if not tok.isdecimal():
@@ -368,23 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("train", help="train projection heads")
-    p.add_argument("--data", required=True, help="training .rrse file or manifest")
-    p.add_argument("--val", help="clean validation set for checkpoint selection")
-    p.add_argument("--variant", default="full")
+    run_flags = _run_flags(with_epochs=True)
+    p = sub.add_parser("train", help="train projection heads", parents=[run_flags])
     p.add_argument("--trace-epochs", help="comma-separated epochs to dump weight traces for")
     p.add_argument("--out-dir", default="runs/train")
-    _add_hyper_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="run objective-substitution variants")
-    p.add_argument("--data", required=True)
-    p.add_argument("--val", help="clean validation set")
+    p = sub.add_parser("ablate", help="run objective-substitution variants", parents=[run_flags])
     p.add_argument("--test", help="clean test set for the results table")
-    p.add_argument("--variant", default="full")
     p.add_argument("--all", action="store_true", help="run every variant plus full")
     p.add_argument("--out-dir", default="runs/ablate")
-    _add_hyper_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="retrieval report for a checkpoint on a clean set")
@@ -399,39 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="train's trace-only alias: export per-pair weight "
-                                     "traces for chosen epochs")
-    p.add_argument("--data", required=True)
-    p.add_argument("--val")
-    p.add_argument("--variant", default="full")
+                                     "traces for chosen epochs",
+                       parents=[_run_flags(with_epochs=False)])
     p.add_argument("--epochs", dest="trace_epochs", metavar="EPOCHS", required=True,
                    help="comma-separated epoch list, e.g. 1,50 (train's --trace-epochs)")
     p.add_argument("--train-epochs", dest="epochs", metavar="TRAIN_EPOCHS", type=int,
                    default=argparse.SUPPRESS,
                    help="training length (default: the largest traced epoch)")
     p.add_argument("--out-dir", default="runs/trace")
-    _add_hyper_flags(p, with_epochs=False)
     p.set_defaults(func=cmd_trace)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads_early(argv)
     args = build_parser().parse_args(argv)
+    # --threads caps BLAS only before numpy loads its thread pool. Once numpy is
+    # loaded the thread variables are left as they are for the rest of the
+    # process and its children.
+    if getattr(args, "threads", None) and "numpy" not in sys.modules:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
 
-    from .errors import ConfigError, DataError, FormatError, NumericError
     try:
         return args.func(args)
-    except ConfigError as e:
+    except RrsitrError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FormatError, DataError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
     except OSError as e:            # a missing file, a directory, no permission
         print(f"error: {e}", file=sys.stderr)
         return 3

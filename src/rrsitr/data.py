@@ -530,8 +530,10 @@ def read_dataset(path: str) -> Dataset:
 
 
 def write_manifest(path: str, data_path: str, rho: float, seed: int, extra: dict | None = None) -> None:
-    """JSON manifest naming a dataset file and its noise provenance."""
-    doc = {"file": data_path, "noise": {"rho": rho, "seed": seed}}
+    """JSON manifest naming a dataset file, relative to the manifest's own
+    directory, and its noise provenance."""
+    file = os.path.relpath(data_path, os.path.dirname(os.path.abspath(path)))
+    doc = {"file": file, "noise": {"rho": rho, "seed": seed}}
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
@@ -539,21 +541,45 @@ def write_manifest(path: str, data_path: str, rho: float, seed: int, extra: dict
         f.write("\n")
 
 
-def load_dataset_arg(path: str) -> Dataset:
-    """Load a dataset from an .rrse path or a JSON manifest naming one.
+def _read_manifest(path: str) -> Tuple[str, dict]:
+    """The dataset path a manifest names, and the manifest.
 
-    A manifest that is not JSON, or not an object whose 'file' is a string,
-    raises FormatError."""
+    'file' is looked up beside the manifest first. Manifests written before
+    write_manifest took that rule named it from the directory they were
+    written in, so where nothing is beside the manifest but the name exists
+    from the current directory, that path is taken. A manifest that is not
+    JSON, or not an object whose 'file' is a string, raises FormatError."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:         # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"manifest {path} is not JSON: {e}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("file"), str):
+        raise FormatError(f"manifest {path} must be a JSON object with a string 'file' entry")
+    beside = os.path.join(os.path.dirname(path), doc["file"])
+    if os.path.exists(beside) or not os.path.exists(doc["file"]):
+        return beside, doc
+    return doc["file"], doc
+
+
+def load_dataset_arg(path: str) -> Dataset:
+    """Load a dataset from an .rrse path or a JSON manifest naming one."""
+    return read_dataset(_read_manifest(path)[0] if path.endswith(".json") else path)
+
+
+def dataset_noise(path: str) -> Optional[dict]:
+    """The noise record of a dataset argument: from the manifest given, or
+    from the sidecar manifest gen and inject write beside an .rrse
+    (<path>.json) when it names that .rrse; None without one."""
     if path.endswith(".json"):
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except ValueError as e:         # JSONDecodeError, UnicodeDecodeError
-                raise FormatError(f"manifest {path} is not JSON: {e}") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("file"), str):
-            raise FormatError(f"manifest {path} must be a JSON object with a string 'file' entry")
-        return read_dataset(doc["file"])
-    return read_dataset(path)
+        return _read_manifest(path)[1].get("noise")
+    try:
+        named, doc = _read_manifest(path + ".json")
+    except (OSError, FormatError):      # none, or not a manifest: not a sidecar
+        return None
+    if os.path.exists(named) and os.path.samefile(named, path):
+        return doc.get("noise")
+    return None
 
 
 def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int) -> Iterator[PairBatch]:

@@ -1,7 +1,7 @@
 """Retrieval metrics over fused similarities and noisy-pair detection metrics."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -24,15 +24,14 @@ class RetrievalReport:
     t2i_r10: float
     mr: float
 
-    CSV_HEADER = "i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
-
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")}
+        return asdict(self)
 
     def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, k):.4f}" for k in
-                        ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr"))
+        return ",".join(f"{getattr(self, f.name):.4f}" for f in fields(self))
+
+
+RetrievalReport.CSV_HEADER = ",".join(f.name for f in fields(RetrievalReport))
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class DetectionReport:
     no_ground_truth_noise: bool
 
     def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1,
-                "purity": self.purity, "no_ground_truth_noise": self.no_ground_truth_noise}
+        return asdict(self)
 
 
 def recall_at_k(S: np.ndarray, ground_truth_idx: np.ndarray, k: int) -> float:

@@ -230,13 +230,61 @@ def test_threads_below_one_exits_2_and_sets_no_variable(flag):
 
 
 def test_threads_of_one_still_sets_the_variables():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     code = ("import os\n"
-            "from rrsitr.cli import _apply_threads_early\n"
-            "_apply_threads_early(['eval', '--threads', '1'])\n"
-            "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])\n")
+            f"for v in {names!r}: os.environ.pop(v, None)\n"
+            "from rrsitr.cli import main\n"
+            "rc = main(['eval', '--checkpoint', 'absent.rrsp', '--data', 'absent.rrse',"
+            " '--threads', '1'])\n"
+            f"print(rc, *[os.environ[v] for v in {names!r}])\n")
     proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().split() == ["1", "1"]
+    assert proc.stdout.decode().split() == ["3", "1", "1", "1"]
+
+
+def test_manifest_records_blas_and_threads(tmp_path):
+    data = _gen(tmp_path, n=20)
+    out_dir = tmp_path / "run"
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = _run_python(["-c", "import os, sys\n"
+                        f"for v in {names!r}: os.environ.pop(v, None)\n"
+                        "from rrsitr.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n",
+                        "train", "--data", data, "--out-dir", str(out_dir), "--epochs", "1",
+                        "--batch", "10", "--threads", "1"])
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.load(open(out_dir / "manifest.json"))
+    assert manifest["threads"] == {v: "1" for v in names}
+    assert manifest["blas"]["name"] and manifest["blas"]["version"]
+    assert manifest["cpu_count"] == os.cpu_count()
+
+
+def test_parsing_every_command_loads_no_numpy():
+    # main writes --threads' variables after parse_args: that caps BLAS only
+    # if building the parser and parsing argv leave numpy unloaded
+    argvs = [["gen", "--n", "10", "-o", "g.rrse"], ["inject", "g.rrse", "--rho", "0.2", "-o", "i"],
+             ["train", "--data", "d.rrse", "--threads", "1"], ["ablate", "--data", "d", "--all"],
+             ["eval", "--checkpoint", "c", "--data", "d"], ["trace", "--data", "d", "--epochs", "1"]]
+    code = ("import sys\n"
+            "from rrsitr.cli import build_parser\n"
+            f"for argv in {argvs!r}: build_parser().parse_args(argv)\n"
+            "print('numpy' in sys.modules)\n")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
+
+
+@pytest.mark.parametrize("error,code", [("ConfigError", 2), ("FormatError", 3), ("DataError", 3),
+                                        ("NumericError", 4), ("OSError", 3)])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    from rrsitr import errors
+
+    def fail(args):
+        raise getattr(errors, error, OSError)("boom")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    assert main(["gen", "--n", "10", "-o", "x.rrse"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_git_describe_names_the_package_checkout(tmp_path, monkeypatch):
@@ -692,6 +740,29 @@ def test_manifest_records_noise_of_an_rrse_with_its_sidecar(tmp_path, monkeypatc
         noise[data] = json.load(open(os.path.join(data + ".run", "manifest.json")))["dataset"]
     assert noise["n.rrse"] == {"path": "n.rrse", "noise": {"rho": 0.25, "seed": 7}}
     assert noise["m.rrse"] == {"path": "m.rrse", "noise": None}
+
+
+@pytest.mark.parametrize("case", ["manifest_from_its_dir", "rrse_from_its_dir", "moved_dir"])
+def test_sidecar_names_its_file_from_its_own_directory(tmp_path, monkeypatch, case):
+    # gen and inject -o sub/y.rrse write sub/y.rrse.json naming "y.rrse", so the
+    # data set and its noise are found from any directory, and after a move
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    assert main(["gen", "--n", "40", "--classes", "4", "--dim", "8", "--d1", "2", "--d2", "2",
+                 "--seed", "1", "-o", "sub/c.rrse"]) == 0
+    assert main(["inject", "sub/c.rrse.json", "--rho", "0.4", "--seed", "2",
+                 "-o", "sub/y.rrse"]) == 0
+    assert json.load(open("sub/y.rrse.json"))["file"] == "y.rrse"
+    data = {"manifest_from_its_dir": "y.rrse.json", "rrse_from_its_dir": "y.rrse",
+            "moved_dir": "moved/y.rrse.json"}[case]
+    if case == "moved_dir":
+        os.rename("sub", "moved")
+    else:
+        monkeypatch.chdir("sub")
+    assert main(["train", "--data", data, "--out-dir", "run", "--epochs", "1",
+                 "--batch", "10"]) == 0
+    noise = json.load(open(os.path.join("run", "manifest.json")))["dataset"]["noise"]
+    assert noise == {"rho": 0.4, "seed": 2}
 
 
 def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():

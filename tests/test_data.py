@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from rrsitr import data
-from rrsitr.data import (Dataset, NoiseSpec, batch_iter, generate_synthetic,
+from rrsitr.data import (Dataset, NoiseSpec, batch_iter, dataset_noise, generate_synthetic,
                          inject_noise, load_dataset_arg, read_dataset,
                          write_dataset, write_manifest)
 from rrsitr.errors import ConfigError, DataError, FormatError
@@ -377,6 +379,20 @@ def test_manifest_loading(tmp_path):
     write_manifest(man_path, data_path, rho=0.0, seed=0)
     back = load_dataset_arg(man_path)
     assert np.array_equal(back.image_global, ds.image_global)
+
+
+def test_manifest_naming_its_file_from_the_cwd_still_loads(tmp_path, monkeypatch):
+    # manifests written before 'file' was relative to the manifest named it
+    # from the directory they were written in
+    ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
+    os.mkdir(tmp_path / "sub")
+    write_dataset(ds, str(tmp_path / "sub" / "d.rrse"))
+    (tmp_path / "sub" / "d.rrse.json").write_text(
+        '{"file": "sub/d.rrse", "noise": {"rho": 0.0, "seed": 5}}')
+    monkeypatch.chdir(tmp_path)
+    back = load_dataset_arg("sub/d.rrse.json")
+    assert np.array_equal(back.image_global, ds.image_global)
+    assert dataset_noise("sub/d.rrse") == {"rho": 0.0, "seed": 5}
 
 
 def test_batch_iter_partitions_indices():

@@ -620,10 +620,12 @@ def test_detection_length_mismatch():
 
 
 def test_report_serialization():
+    # ablate's results.csv header and the eval JSON's key order are pinned
     rep = RetrievalReport(1, 2, 3, 4, 5, 6, mr=3.5)
-    assert rep.to_dict()["mr"] == 3.5
-    row = rep.to_csv_row()
-    assert row.split(",")[0] == "1.0000"
-    assert RetrievalReport.CSV_HEADER.count(",") == row.count(",")
+    header = "i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+    assert RetrievalReport.CSV_HEADER == header
+    assert list(rep.to_dict()) == header.split(",") and rep.to_dict()["mr"] == 3.5
+    assert rep.to_csv_row() == "1.0000,2.0000,3.0000,4.0000,5.0000,6.0000,3.5000"
     det = DetectionReport(1.0, 0.5, 0.66, {"clean": 1.0}, False)
-    assert det.to_dict()["recall"] == 0.5
+    assert det.to_dict() == {"precision": 1.0, "recall": 0.5, "f1": 0.66,
+                             "purity": {"clean": 1.0}, "no_ground_truth_noise": False}
