@@ -1,9 +1,9 @@
-"""Command-line entry point: dataset generation, noise injection, training,
-ablations, evaluation, and weight-trace export as reproducible runs.
+"""Command-line entry point: dataset generation, noise injection, training
+(with per-pair weight traces for chosen epochs), ablations and evaluation as
+reproducible runs.
 
-train, trace and ablate share one load -> manifest -> trainer.train path
-(_train_runs), and trace is train's trace-only alias. Hyperparameter defaults
-live in trainer.Hyper alone.
+train and ablate share one load -> manifest -> trainer.train path
+(_train_runs). Hyperparameter defaults live in trainer.Hyper alone.
 
 Exit codes: 0 success, 2 usage (argparse), each package error's exit_code
 (errors.py), and 3 for an OSError such as a missing file.
@@ -20,6 +20,7 @@ from dataclasses import fields
 from .errors import ConfigError, RrsitrError
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3       # glibc <malloc.h> mallopt params
 
 
 def _thread_count(value: str) -> int:
@@ -67,9 +68,8 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _run_flags(with_epochs: bool) -> argparse.ArgumentParser:
-    """The flags of the training commands, as a parent parser. trace builds its
-    own without --epochs, which it takes for the traced epoch list."""
+def _run_flags() -> argparse.ArgumentParser:
+    """The flags of the training commands, as a parent parser."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--data", required=True, help="training .rrse file or manifest")
     p.add_argument("--val", help="clean validation set for checkpoint selection")
@@ -89,8 +89,7 @@ def _run_flags(with_epochs: bool) -> argparse.ArgumentParser:
     g.add_argument("--warmup", dest="warmup_steps", metavar="WARMUP", type=int,
                    help="linear warmup steps")
     g.add_argument("--max-grad-norm", type=float)
-    if with_epochs:
-        g.add_argument("--epochs", type=int)
+    g.add_argument("--epochs", type=int)
     g.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
     g.add_argument("--seed", type=int, help="RNG seed (falls back to $RRSITR_SEED, then 0)")
     g.add_argument("--rtl-noisy-only", action="store_true",
@@ -133,14 +132,17 @@ def _blas() -> dict:
 
 
 def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=None) -> None:
-    from .data import dataset_noise
+    """manifest.json of a run; it names its data set relative to out_dir, as a
+    dataset manifest names its file."""
+    from .data import dataset_manifest
 
     os.makedirs(out_dir, exist_ok=True)
+    manifest = dataset_manifest(data_path)[1] or {}
     doc = {
         "command": command,
         "variant": variant,
         "hyper": dict(hyper.__dict__),
-        "dataset": {"path": data_path, "noise": dataset_noise(data_path)},
+        "dataset": {"path": os.path.relpath(data_path, out_dir), "noise": manifest.get("noise")},
         "seed": hyper.seed,
         "git": _git_describe(),
         "outputs": outputs or {},
@@ -190,20 +192,25 @@ def cmd_gen(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    from .data import NoiseSpec, inject_noise, load_dataset_arg, write_dataset, write_manifest
+    """Noise a data set. The sidecar names the input as its source and keeps
+    the generator block of the input's own manifest, if it has one."""
+    from .data import (NoiseSpec, dataset_manifest, inject_noise, read_dataset, write_dataset,
+                       write_manifest)
 
     seed = _seed_arg(args)
-    ds = load_dataset_arg(args.input)
-    noised = inject_noise(ds, NoiseSpec(rho=args.rho, seed=seed))
+    source, manifest = dataset_manifest(args.input)
+    noised = inject_noise(read_dataset(source), NoiseSpec(rho=args.rho, seed=seed))
     write_dataset(noised, args.output)
-    write_manifest(args.output + ".json", args.output, rho=args.rho, seed=seed)
+    extra = {"generator": manifest["generator"]} if manifest and "generator" in manifest else None
+    write_manifest(args.output + ".json", args.output, rho=args.rho, seed=seed, source=source,
+                   extra=extra)
     n0 = int((noised.y == 0).sum())
     print(f"wrote {args.output}: {n0}/{noised.n_pairs} pairs shuffled (rho={args.rho})")
     return 0
 
 
 def _train_runs(args, variants, trace_epochs=(), outputs=None):
-    """The one training path of train, trace and ablate. Before any training it
+    """The one training path of train and ablate. Before any training it
     builds Hyper, checks the trace epochs, loads the data sets, checks the
     --val and --test sets as evaluate would and writes the run manifest; then
     it trains the variants in turn and yields (variant, heads, log, report),
@@ -245,23 +252,6 @@ def cmd_train(args) -> int:
         print(f"final epoch: loss={final.loss_overall:.4f} "
               f"buckets clean/ambig/noisy = {final.n_clean}/{final.n_ambiguous}/{final.n_noisy}"
               + (f" val_mR={final.val_mr:.2f}" if final.val_mr is not None else ""))
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """train's trace-only alias: --epochs LIST and --train-epochs N are train's
-    --trace-epochs and --epochs, and only the trace CSVs are written."""
-    trace_epochs = _parse_epoch_list(args.trace_epochs)
-    if not trace_epochs:
-        print("trace: --epochs must name at least one epoch, e.g. --epochs 1,50",
-              file=sys.stderr)
-        return 2
-    args.epochs = getattr(args, "epochs", max(trace_epochs))
-    log = next(_train_runs(args, [args.variant], trace_epochs))[2]
-    for epoch in trace_epochs:
-        path = os.path.join(args.out_dir, f"trace_epoch_{epoch}.csv")
-        log.traces[epoch].to_csv(path)
-        print(f"wrote {path}")
     return 0
 
 
@@ -343,9 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_inject)
 
-    run_flags = _run_flags(with_epochs=True)
+    run_flags = _run_flags()
     p = sub.add_parser("train", help="train projection heads", parents=[run_flags])
-    p.add_argument("--trace-epochs", help="comma-separated epochs to dump weight traces for")
+    p.add_argument("--trace-epochs",
+                   help="comma-separated epochs, e.g. 1,50, whose per-pair weight traces "
+                        "are written as train.trace_epoch_<e>.csv")
     p.add_argument("--out-dir", default="runs/train")
     p.set_defaults(func=cmd_train)
 
@@ -366,21 +358,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trace", help="train's trace-only alias: export per-pair weight "
-                                     "traces for chosen epochs",
-                       parents=[_run_flags(with_epochs=False)])
-    p.add_argument("--epochs", dest="trace_epochs", metavar="EPOCHS", required=True,
-                   help="comma-separated epoch list, e.g. 1,50 (train's --trace-epochs)")
-    p.add_argument("--train-epochs", dest="epochs", metavar="TRAIN_EPOCHS", type=int,
-                   default=argparse.SUPPRESS,
-                   help="training length (default: the largest traced epoch)")
-    p.add_argument("--out-dir", default="runs/trace")
-    p.set_defaults(func=cmd_trace)
-
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed heap back to the OS after every step.
+
+    Each training step frees buffers of a few MiB; under glibc's default
+    thresholds they are mmapped or trimmed, so the next step faults the same
+    pages back in. Set once, before numpy loads, and only where libc has
+    mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):   # no libc to load, or not glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    """Run one command. With no argv this is the program itself (the rrsitr
+    script, python -m rrsitr), which alone tunes the process's allocator; a
+    call with an argv list runs inside its caller's process and leaves it as
+    it is."""
+    if argv is None:
+        _keep_freed_heap()
     args = build_parser().parse_args(argv)
     # --threads caps BLAS only before numpy loads its thread pool. Once numpy is
     # loaded the thread variables are left as they are for the rest of the

@@ -529,11 +529,15 @@ def read_dataset(path: str) -> Dataset:
     return Dataset(image_global, image_local, text_global, text_local, y, class_id)
 
 
-def write_manifest(path: str, data_path: str, rho: float, seed: int, extra: dict | None = None) -> None:
-    """JSON manifest naming a dataset file, relative to the manifest's own
-    directory, and its noise provenance."""
-    file = os.path.relpath(data_path, os.path.dirname(os.path.abspath(path)))
-    doc = {"file": file, "noise": {"rho": rho, "seed": seed}}
+def write_manifest(path: str, data_path: str, rho: float, seed: int, source: str | None = None,
+                   extra: dict | None = None) -> None:
+    """JSON manifest naming a dataset file, and the file it was made from
+    (source), relative to the manifest's own directory, and its noise
+    provenance."""
+    here = os.path.dirname(os.path.abspath(path))
+    doc = {"file": os.path.relpath(data_path, here), "noise": {"rho": rho, "seed": seed}}
+    if source is not None:
+        doc["source"] = os.path.relpath(source, here)
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
@@ -567,19 +571,19 @@ def load_dataset_arg(path: str) -> Dataset:
     return read_dataset(_read_manifest(path)[0] if path.endswith(".json") else path)
 
 
-def dataset_noise(path: str) -> Optional[dict]:
-    """The noise record of a dataset argument: from the manifest given, or
-    from the sidecar manifest gen and inject write beside an .rrse
+def dataset_manifest(path: str) -> Tuple[str, Optional[dict]]:
+    """The data file a dataset argument names, and its manifest: the manifest
+    given, or the sidecar manifest gen and inject write beside an .rrse
     (<path>.json) when it names that .rrse; None without one."""
     if path.endswith(".json"):
-        return _read_manifest(path)[1].get("noise")
+        return _read_manifest(path)
     try:
         named, doc = _read_manifest(path + ".json")
     except (OSError, FormatError):      # none, or not a manifest: not a sidecar
-        return None
+        return path, None
     if os.path.exists(named) and os.path.samefile(named, path):
-        return doc.get("noise")
-    return None
+        return path, doc
+    return path, None
 
 
 def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int) -> Iterator[PairBatch]:

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 BUCKET_CLEAN = 0
 BUCKET_AMBIGUOUS = 1
@@ -66,23 +66,10 @@ def _bucket_masks(l: np.ndarray, gamma1: float, gamma2: float):
     return l < gamma1, (l >= gamma1) & (l < gamma2), l >= gamma2
 
 
-def regularizer(w, gamma: float, l) -> np.ndarray | float:
-    """Self-paced penalty -(2/pi)*gamma*(w*arccos(w) - sqrt(1 - w^2)) when l < gamma, else 0.
-
-    Its minimizer over w in [0,1] of w*l + R(w, gamma) is cos(pi/2 * l/gamma).
-    """
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    w_arr = np.asarray(w, dtype=np.float64)
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
-        raise NumericError(f"weights must lie in [0, 1], got {w}")
-    l_arr = np.asarray(l, dtype=np.float64)
-    out = np.where(l_arr < gamma, _regularizer_values(w_arr, gamma), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _regularizer_values(w: np.ndarray, gamma: float) -> np.ndarray:
-    """The penalty's formula at weights w in [0, 1], whatever l is."""
+    """The self-paced penalty R(w, gamma) = -(2/pi)*gamma*(w*arccos(w) - sqrt(1 - w^2))
+    at weights w in [0, 1], whatever l is; R applies where l < gamma, and the
+    minimizer over w of w*l + R(w, gamma) there is optimal_weight."""
     return -(2.0 / np.pi) * gamma * (w * np.arccos(w) - np.sqrt(1.0 - w ** 2))
 
 
@@ -126,7 +113,7 @@ def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
     elif weighting in ("spl", "hard_to_easy"):
         # The clean bucket is l < gamma1 and the L_S2 scope lies below gamma2,
         # so each term's weights and penalties need no second threshold test;
-        # clipping to [0, 1] stands in for regularizer's range check.
+        # clipping to [0, 1] keeps _regularizer_values inside its domain.
         wc = np.asarray(optimal_weight(l, gamma1))
         wa = np.asarray(optimal_weight(l, gamma2))
         if weighting == "hard_to_easy":

@@ -139,8 +139,11 @@ def test_train_eval_trace_flow(tmp_path, capsys):
     log_lines = open(os.path.join(out_dir, "train.log.jsonl")).read().splitlines()
     assert len(log_lines) == 2
     assert json.loads(log_lines[0])["epoch"] == 1
-    trace_csv = os.path.join(out_dir, "train.trace_epoch_2.csv")
-    assert open(trace_csv).readline().strip() == "epoch,pair_id,y,l_total,w,bucket"
+    for e in (1, 2):
+        lines = open(os.path.join(out_dir, f"train.trace_epoch_{e}.csv")).read().splitlines()
+        assert lines[0] == "epoch,pair_id,y,l_total,w,bucket"
+        assert len(lines) == 61  # header + one row per pair
+        assert lines[1].startswith(f"{e},0,")
 
     rc = main(["eval", "--checkpoint", ckpt, "--data", val_file,
                "-o", str(tmp_path / "report.json")])
@@ -264,7 +267,7 @@ def test_parsing_every_command_loads_no_numpy():
     # if building the parser and parsing argv leave numpy unloaded
     argvs = [["gen", "--n", "10", "-o", "g.rrse"], ["inject", "g.rrse", "--rho", "0.2", "-o", "i"],
              ["train", "--data", "d.rrse", "--threads", "1"], ["ablate", "--data", "d", "--all"],
-             ["eval", "--checkpoint", "c", "--data", "d"], ["trace", "--data", "d", "--epochs", "1"]]
+             ["eval", "--checkpoint", "c", "--data", "d"]]
     code = ("import sys\n"
             "from rrsitr.cli import build_parser\n"
             f"for argv in {argvs!r}: build_parser().parse_args(argv)\n"
@@ -423,46 +426,48 @@ def test_train_rejects_non_unit_rows(tmp_path, capsys):
     assert "image_global row (0,) has norm" in capsys.readouterr().err
 
 
-def test_trace_bad_epoch_list(tmp_path, capsys):
-    train_file = _gen(tmp_path, n=40)
-    capsys.readouterr()
-    rc = main(["trace", "--data", train_file, "--epochs", "1,b",
-               "--out-dir", str(tmp_path / "tr"), "--seed", "0"])
-    assert rc == 2
-    assert "'b'" in capsys.readouterr().err
-
-
 def test_trace_command(tmp_path):
+    # the per-pair weight trace is train --trace-epochs: one CSV per traced epoch
     train_file = _gen(tmp_path, n=40)
     out_dir = str(tmp_path / "tr")
-    rc = main(["trace", "--data", train_file, "--epochs", "1,2",
+    rc = main(["train", "--data", train_file, "--epochs", "2", "--trace-epochs", "1,2",
                "--out-dir", out_dir, "--batch", "10",
                "--gamma1", "2", "--gamma2", "9", "--seed", "0"])
     assert rc == 0
     for e in (1, 2):
-        path = os.path.join(out_dir, f"trace_epoch_{e}.csv")
+        path = os.path.join(out_dir, f"train.trace_epoch_{e}.csv")
         lines = open(path).read().splitlines()
         assert len(lines) == 41  # header + one row per pair
         assert lines[1].startswith(f"{e},0,")
+    assert {"train.trace_epoch_1.csv", "train.trace_epoch_2.csv"} <= set(os.listdir(out_dir))
 
 
-def test_trace_is_train_with_trace_epochs(tmp_path):
+def test_trace_bad_epoch_list(tmp_path, capsys):
     train_file = _gen(tmp_path, n=40)
-    common = ["--data", train_file, "--batch", "10", "--gamma1", "2", "--gamma2", "9",
-              "--seed", "0"]
-    assert main(["trace", "--epochs", "1,2", "--out-dir", str(tmp_path / "tc"), *common]) == 0
-    assert main(["train", "--epochs", "2", "--trace-epochs", "1,2",
-                 "--out-dir", str(tmp_path / "tr"), *common]) == 0
-    for e in (1, 2):
-        assert ((tmp_path / "tc" / f"trace_epoch_{e}.csv").read_bytes()
-                == (tmp_path / "tr" / f"train.trace_epoch_{e}.csv").read_bytes())
-    assert sorted(os.listdir(tmp_path / "tc")) == [
-        "manifest.json", "trace_epoch_1.csv", "trace_epoch_2.csv"]
+    out_dir = tmp_path / "tr"
+    capsys.readouterr()
+    rc = main(["train", "--data", train_file, "--trace-epochs", "1,b",
+               "--out-dir", str(out_dir), "--seed", "0"])
+    assert rc == 2
+    assert "'b'" in capsys.readouterr().err
+    assert not out_dir.exists()  # refused before training
+
+
+def test_trace_is_not_a_command(capsys):
+    # per-pair weight traces come from train --trace-epochs alone
+    from argparse import _SubParsersAction
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, _SubParsersAction))
+    assert list(sub.choices) == ["gen", "inject", "train", "ablate", "eval"]
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--data", "d.rrse", "--epochs", "1,50"])
+    assert exc.value.code == 2
+    assert "argument command: invalid choice: 'trace'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,variant", [(["train", "--variant", "no_spl", "--epochs", "1"],
                                            "no_spl"),
-                                          (["trace", "--epochs", "1"], "full")])
+                                          (["ablate", "--epochs", "1"], "full")])
 def test_manifest_records_command_and_variant(tmp_path, argv, variant):
     train_file = _gen(tmp_path, n=40)
     out_dir = tmp_path / "run"
@@ -483,14 +488,10 @@ def _built_hyper(monkeypatch, tmp_path, argv):
     return built[0]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "trace"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
 def test_hyper_defaults_come_from_hyper(monkeypatch, tmp_path, command):
     monkeypatch.delenv("RRSITR_SEED", raising=False)
-    if command == "trace":
-        got = _built_hyper(monkeypatch, tmp_path, ["trace", "--epochs", "1,3"])
-        assert got == Hyper(seed=0, epochs=3)
-    else:
-        assert _built_hyper(monkeypatch, tmp_path, [command]) == Hyper(seed=0)
+    assert _built_hyper(monkeypatch, tmp_path, [command]) == Hyper(seed=0)
 
 
 EVERY_HYPER_FLAG = ["--tau", "0.1", "--gamma1", "1.5", "--gamma2", "7", "--sigma", "0.4",
@@ -500,10 +501,9 @@ EVERY_HYPER_FLAG = ["--tau", "0.1", "--gamma1", "1.5", "--gamma2", "7", "--sigma
                     "--spl-sum-over-all"]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "trace"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
 def test_every_hyper_flag_reaches_its_field(monkeypatch, tmp_path, command):
-    epochs = ["--epochs", "1", "--train-epochs", "4"] if command == "trace" else ["--epochs", "4"]
-    got = _built_hyper(monkeypatch, tmp_path, [command, *epochs, *EVERY_HYPER_FLAG])
+    got = _built_hyper(monkeypatch, tmp_path, [command, "--epochs", "4", *EVERY_HYPER_FLAG])
     want = Hyper(tau=0.1, gamma1=1.5, gamma2=7.0, sigma=0.4, lambda1=0.3, lambda2=0.2,
                  alpha=0.6, lr=0.002, weight_decay=0.1, warmup_steps=7, max_grad_norm=9.0,
                  epochs=4, batch_size=12, seed=3, rtl_noisy_only=True, pace_epochs=2,
@@ -530,13 +530,6 @@ def test_non_finite_or_negative_hyper_value_exits_2(tmp_path, capsys, field, val
     assert rc == 2
     assert field in capsys.readouterr().err
     assert not out_dir.exists()
-
-
-def test_trace_epoch_beyond_run(tmp_path):
-    train_file = _gen(tmp_path, n=40)
-    rc = main(["trace", "--data", train_file, "--epochs", "9", "--train-epochs", "3",
-               "--out-dir", str(tmp_path / "tr"), "--batch", "10", "--seed", "0"])
-    assert rc == 2
 
 
 @pytest.mark.parametrize("epoch", ["99", "0"])
@@ -738,14 +731,17 @@ def test_manifest_records_noise_of_an_rrse_with_its_sidecar(tmp_path, monkeypatc
         assert main(["train", "--data", data, "--out-dir", data + ".run", "--epochs", "1",
                      "--batch", "10"]) == 0
         noise[data] = json.load(open(os.path.join(data + ".run", "manifest.json")))["dataset"]
-    assert noise["n.rrse"] == {"path": "n.rrse", "noise": {"rho": 0.25, "seed": 7}}
-    assert noise["m.rrse"] == {"path": "m.rrse", "noise": None}
+    # the path is named from the run directory, as a sidecar names its file
+    up = os.path.join("..", "")
+    assert noise["n.rrse"] == {"path": up + "n.rrse", "noise": {"rho": 0.25, "seed": 7}}
+    assert noise["m.rrse"] == {"path": up + "m.rrse", "noise": None}
 
 
 @pytest.mark.parametrize("case", ["manifest_from_its_dir", "rrse_from_its_dir", "moved_dir"])
 def test_sidecar_names_its_file_from_its_own_directory(tmp_path, monkeypatch, case):
     # gen and inject -o sub/y.rrse write sub/y.rrse.json naming "y.rrse", so the
-    # data set and its noise are found from any directory, and after a move
+    # data set and its noise are found from any directory, and after a move;
+    # the run manifest names the data set from the run directory
     monkeypatch.chdir(tmp_path)
     os.mkdir("sub")
     assert main(["gen", "--n", "40", "--classes", "4", "--dim", "8", "--d1", "2", "--d2", "2",
@@ -761,8 +757,28 @@ def test_sidecar_names_its_file_from_its_own_directory(tmp_path, monkeypatch, ca
         monkeypatch.chdir("sub")
     assert main(["train", "--data", data, "--out-dir", "run", "--epochs", "1",
                  "--batch", "10"]) == 0
-    noise = json.load(open(os.path.join("run", "manifest.json")))["dataset"]["noise"]
-    assert noise == {"rho": 0.4, "seed": 2}
+    dataset = json.load(open(os.path.join("run", "manifest.json")))["dataset"]
+    assert dataset == {"path": os.path.join("..", data), "noise": {"rho": 0.4, "seed": 2}}
+    assert os.path.exists(os.path.join("run", dataset["path"]))
+
+
+@pytest.mark.parametrize("given", ["sub/c.rrse", "sub/c.rrse.json"])
+def test_inject_sidecar_keeps_source_and_generator(tmp_path, monkeypatch, given):
+    # a noised set names the file it was made from, relative to its sidecar,
+    # and keeps gen's parameters; an input without a manifest has no generator
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    assert main(["gen", "--n", "40", "--classes", "4", "--dim", "8", "--d1", "2", "--d2", "2",
+                 "--seed", "1", "-o", "sub/c.rrse"]) == 0
+    generator = json.load(open("sub/c.rrse.json"))["generator"]
+    assert main(["inject", given, "--rho", "0.4", "--seed", "2", "-o", "sub/y.rrse"]) == 0
+    assert json.load(open("sub/y.rrse.json")) == {
+        "file": "y.rrse", "noise": {"rho": 0.4, "seed": 2}, "source": "c.rrse",
+        "generator": generator}
+    os.remove("sub/c.rrse.json")
+    assert main(["inject", "sub/c.rrse", "--rho", "0.4", "--seed", "2", "-o", "b.rrse"]) == 0
+    assert json.load(open("b.rrse.json")) == {
+        "file": "b.rrse", "noise": {"rho": 0.4, "seed": 2}, "source": "sub/c.rrse"}
 
 
 def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():
@@ -782,3 +798,47 @@ def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():
     proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "3 ['2', '2', '2']"
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_only_the_program_entry_tunes_the_allocator(tmp_path, monkeypatch):
+    # main() with no argv is the rrsitr script or python -m rrsitr: it sets
+    # glibc's mmap and trim thresholds (M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD
+    # -1). A main([...]) call inside another program leaves its heap alone.
+    import ctypes
+
+    libc = _FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    argv = ["gen", "--n", "10", "--classes", "2", "--dim", "4", "--d1", "1", "--d2", "1",
+            "--seed", "1", "-o", str(tmp_path / "g.rrse")]
+    assert main(argv) == 0
+    assert libc.calls == []
+    monkeypatch.setattr(sys, "argv", ["rrsitr", *argv])
+    assert main() == 0
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())   # a libc without mallopt
+    assert main() == 0
+
+
+def test_allocator_is_tuned_before_numpy_loads():
+    code = ("import ctypes, sys\n"
+            "seen = []\n"
+            "class Libc:\n"
+            "    def mallopt(self, param, value):\n"
+            "        seen.append((param, value, 'numpy' in sys.modules))\n"
+            "ctypes.CDLL = lambda name: Libc()\n"
+            "sys.argv = ['rrsitr', 'eval', '--checkpoint', 'absent.rrsp',"
+            " '--data', 'absent.rrse']\n"
+            "from rrsitr.cli import main\n"
+            "print(main(), seen)\n")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == f"3 [(-3, {32 << 20}, False), (-1, {64 << 20}, False)]"

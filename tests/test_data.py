@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrsitr import data
-from rrsitr.data import (Dataset, NoiseSpec, batch_iter, dataset_noise, generate_synthetic,
+from rrsitr.data import (Dataset, NoiseSpec, batch_iter, dataset_manifest, generate_synthetic,
                          inject_noise, load_dataset_arg, read_dataset,
                          write_dataset, write_manifest)
 from rrsitr.errors import ConfigError, DataError, FormatError
@@ -392,7 +392,7 @@ def test_manifest_naming_its_file_from_the_cwd_still_loads(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     back = load_dataset_arg("sub/d.rrse.json")
     assert np.array_equal(back.image_global, ds.image_global)
-    assert dataset_noise("sub/d.rrse") == {"rho": 0.0, "seed": 5}
+    assert dataset_manifest("sub/d.rrse")[1]["noise"] == {"rho": 0.0, "seed": 5}
 
 
 def test_batch_iter_partitions_indices():

@@ -6,8 +6,22 @@ import pytest
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY,
-                              compute_weights, optimal_weight, regularizer)
+                              compute_weights, optimal_weight)
 from rrsitr.trainer import Hyper, batch_objective, init_heads
+
+
+def regularizer(w, gamma: float, l):
+    """Self-paced penalty R(w, gamma) = -(2/pi)*gamma*(w*arccos(w) - sqrt(1 - w^2))
+    when l < gamma, else 0; its minimizer over w in [0, 1] of w*l + R(w, gamma)
+    is cos(pi/2 * l/gamma). The oracle of the closed-form weights."""
+    if gamma <= 0:
+        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    w = np.asarray(w, dtype=np.float64)
+    if np.any(w < 0.0) or np.any(w > 1.0):
+        raise NumericError(f"weights must lie in [0, 1], got {w}")
+    r = -(2.0 / np.pi) * gamma * (w * np.arccos(w) - np.sqrt(1.0 - w ** 2))
+    out = np.where(np.asarray(l, dtype=np.float64) < gamma, r, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _batch(size=10):
