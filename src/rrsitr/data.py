@@ -17,11 +17,12 @@ from .errors import ConfigError, DataError, FormatError
 RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
 UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
-# Byte budget of one float64 row chunk in the streaming loops below and in
-# trainer.project: the generator, writer, reader, unit-norm check, batch
-# upcasts and project's upcasts hold no per-block temporary larger than this.
-# The generator holds about three such temporaries at once; at 4 MiB they set
-# the peak RSS of a process that builds several desk-shape sets in turn.
+# The one working-set budget: every streamed loop of the data layer (the
+# generator, writer, reader and unit-norm check below), of trainer.project and
+# of evaluation.evaluate takes its bounds from _row_chunks, so none holds a
+# per-chunk temporary of more than this many float64 bytes (or one item). The
+# generator holds about three such temporaries at once; at 4 MiB they set the
+# peak RSS of a process that builds several desk-shape sets in turn.
 _CHUNK_BYTES = 1 << 20
 _BLOCKS = ("image_global", "image_local", "text_global", "text_local")
 
@@ -126,16 +127,14 @@ class Dataset:
         """New dataset holding the selected rows.
 
         idx is anything that indexes the first axis: an integer array, a boolean
-        mask or a slice; the values are those of self[idx]. Rows that form one
-        ascending contiguous run are block-copied, any other selection is
-        gathered once with np.take; either way each block is copied straight
-        into memory the result owns, so a small subset pins no parent alive.
+        mask or a slice; the values are those of self[idx]. Each block is
+        gathered once with np.take, straight into memory the result owns, so a
+        small subset pins no parent alive.
         """
         rows = np.arange(self.n_pairs)[idx]
-        run = rows.size > 0 and bool((np.diff(rows) == 1).all())
 
         def take(a):
-            return a[rows[0]:rows[-1] + 1].copy() if run else np.take(a, rows, axis=0)
+            return np.take(a, rows, axis=0)
 
         return Dataset._from_unit_rows(
             image_global=take(self.image_global),
@@ -210,14 +209,19 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def _chunk_rows(row_size: int) -> int:
+    """The most rows of row_size float64 values each that one chunk holds:
+    as many as fit in _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // max(1, 8 * row_size))
+
+
 def _row_chunks(shape: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
     """(r0, r1) bounds of consecutive first-axis chunks of a block of this shape,
-    each at most _CHUNK_BYTES in float64 (or one row) and of near-equal size.
-    No chunk is a sliver of a few rows: a GEMM over one to three rows can
-    round differently from the same rows inside a larger product."""
+    each of at most _chunk_rows rows and of near-equal size. No chunk is a
+    sliver of a few rows: a GEMM over one to three rows can round differently
+    from the same rows inside a larger product."""
     n = shape[0]
-    step = max(1, _CHUNK_BYTES // max(1, 8 * math.prod(shape[1:])))
-    count = -(-n // step)
+    count = -(-n // _chunk_rows(math.prod(shape[1:])))
     for k in range(count):
         yield n * k // count, n * (k + 1) // count
 

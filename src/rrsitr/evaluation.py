@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Union
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _chunk_rows, _row_chunks
 from .errors import ConfigError, DataError, NumericError
-from .selfpaced import BUCKET_NOISY, Partition
+from .selfpaced import BUCKET_NAMES, BUCKET_NOISY
 from .trainer import project
 
 
@@ -116,19 +115,6 @@ def check_test_set(test_dataset: Dataset, dim: int | None = None,
 # delta: bounds the rounding of a computed Sl and of its bounds, of the fused
 # sum and of the cutoff; evaluate derives it
 _SL_SLACK = 1e-9
-# pairs of S formed and tested at once, at most: bounds the one block buffer
-# (8 bytes an entry), its two boolean masks and its kept pairs' indices and
-# S values (16 bytes a kept pair)
-_BLOCK_PAIRS = 1 << 18
-# kept pairs bounded, decided and scored at once, at most: bounds their
-# arrays (about 80 bytes a pair) when most pairs are kept, at small alpha
-_KEPT_PAIRS = 1 << 15
-# the scoring windows' buffers, in bytes: as many candidate pairs as fit are
-# gathered and scored in one stacked product (56 at dim 32, 8x8 locals);
-# also the global rows _sg_pairs gathers at once
-_WINDOW_BYTES = 256 << 10
-# the item Grams _item_bounds holds at once, in bytes
-_GRAM_BYTES = 128 << 10
 
 
 def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
@@ -150,10 +136,10 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     ground truth's ref = F_ii is scored in full with it, and
     cut = ref - (c + delta + epsilon). The n x n S is never formed: per block
     of image rows, the block's S_gemm = alpha * Uig Utg^T goes into one
-    buffer of _BLOCK_PAIRS entries, and the pairs with S_gemm_ij >= cut_i or
-    S_gemm_ij >= cut_j are kept: two comparisons, one |= and one flatnonzero
-    over the block, and every later step runs on the kept pairs alone (2-5 %
-    of all pairs at alpha 0.9 with trained heads). A kept pair's S is its
+    reused buffer, and the pairs with S_gemm_ij >= cut_i or S_gemm_ij >=
+    cut_j are kept: two comparisons, one |= and one flatnonzero over the
+    block, and every later step runs on the kept pairs alone (2-5 % of all
+    pairs at alpha 0.9 with trained heads). A kept pair's S is its
     S_gemm, except where S_gemm lies within epsilon of ref_i or ref_j, where
     it is taken from _sg_pairs.
     For query row i, a kept item with S_ij > ref_i ranks above the match
@@ -233,13 +219,13 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     ranks are exact for it. The trainer's Gram form differs from it only by
     rounding. Besides the projected rows, evaluate holds O(n) arrays (ref,
     cut, the ranks, the item bounds and the text row means b, n * dim
-    doubles); one block of S of at most _BLOCK_PAIRS entries (or one row),
-    reused for the block's dots; per block, two boolean masks, the block's
-    image row means and 16 bytes per kept pair; per chunk of at most
-    _KEPT_PAIRS kept pairs, about 80 bytes a pair and the gathered rows of
-    the pairs _sg_pairs takes; and, in _item_bounds, _GRAM_BYTES of item
-    Grams. The window buffers hold window * (d1 + d2 + d1*d2/dim) * dim
-    doubles, at most _WINDOW_BYTES (or one pair).
+    doubles) and, per block of S, two boolean masks, the block's image row
+    means and 16 bytes per kept pair. One budget bounds every streamed loop:
+    each takes its bounds from data._row_chunks, so the block of S (an image
+    row's n doubles an item, in one buffer reused for the block's dots), a
+    chunk of kept pairs (about 80 bytes a pair), the rows _sg_pairs gathers,
+    the item Grams of _item_bounds and the window buffers ((d1 + d2) * dim +
+    d1 * d2 doubles a pair) each hold at most data._CHUNK_BYTES, or one item.
     At alpha = 0 every off-diagonal pair is a candidate, and the bounds
     leave about 4 % of them to score: at desk shapes (n = 1000, dim 32, 8x8
     locals, trained heads, one BLAS thread) about 0.10 s, where scoring every
@@ -304,12 +290,11 @@ def _sg_pairs(X: np.ndarray, Y: np.ndarray, I: np.ndarray, J: np.ndarray,
               alpha: float) -> np.ndarray:
     """alpha * (X[I[k]] . Y[J[k]]) for each k, each dot with the bits of the
     1-D dot X[i] @ Y[j]: one (1 x dim)(dim x 1) product per pair, so a pair's
-    value depends on its two rows alone. The rows are gathered _WINDOW_BYTES
+    value depends on its two rows alone. The rows are gathered a row chunk
     at a time."""
     out = np.empty((len(I), 1, 1))
-    m = max(1, _WINDOW_BYTES // (16 * X.shape[1]))
-    for k in range(0, len(I), m):
-        np.matmul(X[I[k:k + m], None, :], Y[J[k:k + m], :, None], out=out[k:k + m])
+    for k0, k1 in _row_chunks((len(I), 2, X.shape[1])):
+        np.matmul(X[I[k0:k1], None, :], Y[J[k0:k1], :, None], out=out[k0:k1])
     out *= alpha
     return out.reshape(-1)
 
@@ -318,16 +303,14 @@ def _kept_pairs(Uig: np.ndarray, Utg: np.ndarray, alpha: float, cut: np.ndarray,
                 A: np.ndarray, b: np.ndarray):
     """Per block of image rows, the off-diagonal pairs whose
     S_gemm_ij = alpha * Uig_i . Utg_j, taken from one GEMM per block, is
-    >= cut_i or >= cut_j, as (I, J, S_gemm_IJ, a_I . b_J) in chunks of at
-    most _KEPT_PAIRS, a being the row means of the image local blocks A and
-    b those of the text ones. Each block is formed in one buffer of at most
-    _BLOCK_PAIRS entries (or one row), which takes the block's dots once its
-    pairs are found; the image means are made per block."""
+    >= cut_i or >= cut_j, as (I, J, S_gemm_IJ, a_I . b_J) in row chunks of
+    kept pairs, a being the row means of the image local blocks A and b
+    those of the text ones. The blocks are the row chunks of S, each formed
+    in one buffer sized to the largest, which takes the block's dots once
+    its pairs are found; the image means are made per block."""
     n = len(Uig)
-    step = max(1, min(n, _BLOCK_PAIRS // n))
-    buf = np.empty(step * n)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
+    buf = np.empty(min(n, _chunk_rows(n)) * n)
+    for r0, r1 in _row_chunks((n, n)):
         Sr = np.matmul(Uig[r0:r1], Utg.T, out=buf[:(r1 - r0) * n].reshape(r1 - r0, n))
         Sr *= alpha
         kept = Sr >= cut[r0:r1, None]
@@ -337,11 +320,12 @@ def _kept_pairs(Uig: np.ndarray, Utg: np.ndarray, alpha: float, cut: np.ndarray,
         del kept                      # before the window buffers are made
         s = Sr.reshape(-1)[flat]
         dots = np.matmul(_row_means(A[r0:r1]), b.T, out=Sr).reshape(-1)
-        for k in range(0, len(flat), _KEPT_PAIRS):
-            chunk = flat[k:k + _KEPT_PAIRS]
+        # about 80 bytes (10 doubles) a kept pair are held while it is decided
+        for k0, k1 in _row_chunks((len(flat), 10)):
+            chunk = flat[k0:k1]
             I, J = np.divmod(chunk, n)
             I += r0
-            yield I, J, s[k:k + _KEPT_PAIRS], dots[chunk]
+            yield I, J, s[k0:k1], dots[chunk]
 
 
 def _row_means(X: np.ndarray) -> np.ndarray:
@@ -354,23 +338,21 @@ def _item_bounds(X: np.ndarray) -> tuple:
     for its row mean x: |x|^2, sigma/d and e = |E|_F^2/d, where
     sigma >= sigma_max(E)^2 is the largest absolute row sum of E E^T, capped
     by its trace |E|_F^2. E E^T is the double centring of the Gram X_i X_i^T,
-    so no centred copy of X is made; items go in chunks of _GRAM_BYTES of
-    Grams."""
+    so no centred copy of X is made; items go in row chunks of Grams."""
     n, d, dim = X.shape
     w = np.full(d, 1.0 / d)
     sq, sig, e = np.empty(n), np.empty(n), np.empty(n)
-    m = max(1, _GRAM_BYTES // (8 * d * d))
-    for k in range(0, n, m):
-        x = X[k:k + m]
+    for k0, k1 in _row_chunks((n, d, d)):
+        x = X[k0:k1]
         G = np.matmul(x, x.transpose(0, 2, 1))
         r = np.matmul(G, w)           # the Gram's row means
-        g = np.matmul(r, w, out=sq[k:k + m])    # |x|^2, the mean of its entries
+        g = np.matmul(r, w, out=sq[k0:k1])    # |x|^2, the mean of its entries
         G -= r[:, :, None]
         G -= r[:, None, :]
         G += g[:, None, None]
-        np.einsum("ikk->i", G, out=e[k:k + m])
+        np.einsum("ikk->i", G, out=e[k0:k1])
         np.abs(G, out=G)
-        np.minimum(np.matmul(G, np.ones(d)).max(axis=1), e[k:k + m], out=sig[k:k + m])
+        np.minimum(np.matmul(G, np.ones(d)).max(axis=1), e[k0:k1], out=sig[k0:k1])
     sig /= d
     e /= d
     return sq, sig, e
@@ -396,22 +378,22 @@ def _sl_bounds(image: tuple, text: tuple, I: np.ndarray, J: np.ndarray,
 
 def _window_buffers(d1: int, d2: int, dim: int) -> tuple:
     """The gathered image blocks, text blocks and products of one window of
-    w pairs, (d1 + d2 + d1*d2/dim) * dim doubles a pair, in _WINDOW_BYTES."""
-    w = max(1, _WINDOW_BYTES // (8 * (d1 * dim + d2 * dim + d2 * d1)))
+    pairs, (d1 + d2) * dim + d1 * d2 doubles a pair, sized to the largest row
+    chunk of pairs."""
+    w = _chunk_rows(d1 * dim + d2 * dim + d2 * d1)
     return np.empty((w, d1, dim)), np.empty((w, d2, dim)), np.empty((w, d2, d1))
 
 
 def _score_windows(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray,
                    buffers: tuple) -> np.ndarray:
     """F[k] = the sum of squared local cosines of pair (I[k], J[k]), a window
-    of pairs at a time: each pair's A_i and B_j are gathered into the
-    window's buffers and the window is one stacked product. Every pair gets
-    its own (d2 x dim)(dim x d1) product, so F[k] does not depend on the
-    other pairs or on the window size."""
+    of pairs (a row chunk of them) at a time: each pair's A_i and B_j are
+    gathered into the window's buffers and the window is one stacked
+    product. Every pair gets its own (d2 x dim)(dim x d1) product, so F[k]
+    does not depend on the other pairs or on the window size."""
     Ab, Bb, Mb = buffers
     F = np.empty(len(I))
-    for lo in range(0, len(I), len(Ab)):
-        hi = min(lo + len(Ab), len(I))
+    for lo, hi in _row_chunks((len(I), Ab[0].size + Bb[0].size + Mb[0].size)):
         a, b, M = Ab[:hi - lo], Bb[:hi - lo], Mb[:hi - lo]
         # out= with the default mode="raise" would copy through a temporary
         np.take(A, I[lo:hi], axis=0, out=a, mode="clip")
@@ -442,18 +424,15 @@ def _above(F: np.ndarray, ref: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return (F > ref) | ((F == ref) & lower)
 
 
-def detection_metrics(buckets: Union[np.ndarray, Partition], y: np.ndarray) -> DetectionReport:
+def detection_metrics(codes: np.ndarray, y: np.ndarray) -> DetectionReport:
     """Precision/recall/F1 of the noisy bucket against ground-truth y=0.
 
-    `buckets` is the final per-pair bucket assignment (codes 0/1/2) or a
-    Partition over the same index range. Empty predictions get precision 1;
-    with no ground-truth noise the report is flagged and 0/0 ratios become 1.
+    `codes` is the final per-pair bucket assignment, one selfpaced bucket
+    code a pair (Partition.bucket_codes gives them). Empty predictions get
+    precision 1; with no ground-truth noise the report is flagged and 0/0
+    ratios become 1.
     """
-    y = np.asarray(y)
-    if isinstance(buckets, Partition):
-        codes = buckets.bucket_codes(len(y))
-    else:
-        codes = np.asarray(buckets)
+    y, codes = np.asarray(y), np.asarray(codes)
     if codes.shape != y.shape:
         raise ValueError(f"bucket/label length mismatch: {codes.shape} vs {y.shape}")
 
@@ -467,10 +446,10 @@ def detection_metrics(buckets: Union[np.ndarray, Partition], y: np.ndarray) -> D
     f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) > 0 else 0.0
 
     purity = {}
-    for code, name, want_noisy in ((0, "clean", False), (1, "ambiguous", False), (2, "noisy", True)):
+    for code, name in enumerate(BUCKET_NAMES):
         members = codes == code
         if members.any():
-            target = actual if want_noisy else ~actual
+            target = actual if code == BUCKET_NOISY else ~actual
             purity[name] = float((members & target).sum() / members.sum())
         else:
             purity[name] = 1.0

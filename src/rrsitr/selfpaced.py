@@ -23,8 +23,6 @@ class Partition:
     clean_idx: np.ndarray
     ambiguous_idx: np.ndarray
     noisy_idx: np.ndarray
-    gamma1: float
-    gamma2: float
 
     def bucket_codes(self, b: int) -> np.ndarray:
         codes = np.empty(b, dtype=np.int8)
@@ -36,12 +34,11 @@ class Partition:
 
 @dataclass(frozen=True)
 class SplWeights:
-    """Per-pair importance weights, the threshold that produced each, and the
-    coefficients of the self-paced terms: L_S1 = (1/b) sum_i w1_i*l_i + r1_i and
-    L_S2 likewise with w2, r2 (both zero outside the term's scope)."""
+    """Per-pair importance weights and the coefficients of the self-paced
+    terms: L_S1 = (1/b) sum_i w1_i*l_i + r1_i and L_S2 likewise with w2, r2
+    (both zero outside the term's scope)."""
 
     w: np.ndarray           # (b,) in [0, 1]; 0 for the noisy bucket
-    gamma_used: np.ndarray  # (b,) gamma1 for clean, gamma2 otherwise
     w1: np.ndarray
     r1: np.ndarray          # regularizer values R(w1_i, gamma1), constants
     w2: np.ndarray
@@ -99,8 +96,7 @@ def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
     clean, ambiguous, noisy = _bucket_masks(l, gamma1, gamma2)
     if merge_ambiguous:
         ambiguous, noisy = np.zeros(b, dtype=bool), ambiguous | noisy
-    part = Partition(*(np.flatnonzero(mask) for mask in (clean, ambiguous, noisy)),
-                     gamma1, gamma2)
+    part = Partition(*(np.flatnonzero(mask) for mask in (clean, ambiguous, noisy)))
     zeros = np.zeros(b)
     if weighting == "uniform":
         w = w1 = np.ones(b)
@@ -127,5 +123,4 @@ def compute_weights(l_total: np.ndarray, gamma1: float, gamma2: float,
         w = np.where(clean, w1, np.where(ambiguous, wa, 0.0))
     else:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    return part, SplWeights(w=w, gamma_used=np.where(clean, gamma1, gamma2),
-                            w1=w1, r1=r1, w2=w2, r2=r2)
+    return part, SplWeights(w=w, w1=w1, r1=r1, w2=w2, r2=r2)

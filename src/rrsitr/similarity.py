@@ -206,9 +206,13 @@ def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
 def _direct_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     """As _gram_kernel, from every M. With grad the intermediate is kept whole
     for the backward; without it, it is formed in chunks of image rows that
-    fit DIRECT_BLOCK_BYTES and no backward is returned. The result is
-    bit-identical for any chunking: each entry sums its own terms in a fixed
-    order."""
+    fit DIRECT_BLOCK_BYTES and no backward is returned. Each chunk is one
+    GEMM, and a BLAS may round a row-split GEMM otherwise than the whole one
+    (at dim 48-64, chunks of 2-13 rows move some entries by up to 3e-16). At
+    the default budget a batch of b pairs is formed whole while
+    8*d1*d2*b^2 <= DIRECT_BLOCK_BYTES (b = 100 at any d1*d2 <= 800), and the
+    larger batches it splits into chunks of hundreds of rows (b 1000-2000,
+    2x2-4x4 locals, dim 48-64) were measured bit-equal to the whole product."""
     n, d1, dim = A.shape
     m, d2, _ = B.shape
     au = A.reshape(n * d1, dim)

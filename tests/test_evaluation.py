@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsitr.data import Dataset, NoiseSpec, generate_synthetic, inject_noise
-from rrsitr import evaluation
+from rrsitr import data, evaluation
 from rrsitr.errors import ConfigError, DataError, NumericError
 from rrsitr.evaluation import (DetectionReport, RetrievalReport, _ranks, _report_from_ranks,
                                detection_metrics, evaluate, recall_at_k)
@@ -148,7 +148,6 @@ def test_evaluate_projects_chunks_as_one_block(monkeypatch):
     # project takes a float32 test set through row chunks; each chunk's rows
     # and norms come out as the trainer's whole float64 blocks give them,
     # whatever the budget
-    from rrsitr import data
     from rrsitr.data import PairBatch
     from rrsitr.trainer import forward, project
     blocks = ("image_global", "image_local", "text_global", "text_local")
@@ -213,29 +212,37 @@ def _signed_basis(rng, shape, dim):
 @pytest.mark.parametrize("n,dim,d1,d2,seed", [(40, 32, 8, 8, 0), (30, 16, 1, 1, 4),
                                               (30, 256, 36, 16, 5)])
 def test_evaluate_duplicate_rows_tie_as_the_oracle_does(alpha, block_pairs, n, dim, d1, d2,
-                                                         seed, monkeypatch):
+                                                         seed):
     # each image once per caption, as in RSITMD, and a few repeated captions,
     # with generic values: equal rows must score exactly equal wherever the
     # pair is scored, so that the index rule orders them as in the oracle.
     # (One GEMM over a row's gathered candidate texts rounds some pairs
     # otherwise than the per-pair products do, and fails these cases.)
-    if block_pairs is not None:        # several row blocks, the last one short,
-        monkeypatch.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
-        monkeypatch.setattr(evaluation, "_KEPT_PAIRS", 16)   # cut into chunks of pairs
+    # With block_pairs, the budget is that many doubles: blocks of one or two
+    # image rows of S, which split every group of equal images, kept pairs
+    # cut into chunks of 7 and one pair a window.
     ds, heads, F = _repeated_images(alpha, n, dim, d1, d2, seed)
-    assert evaluate(heads, ds, Hyper(alpha=alpha)) == _report_from_similarity(F)
+    budget = None if block_pairs is None else 8 * block_pairs
+    report, _, chunks = _scoring_calls(heads, ds, alpha, budget)
+    assert report == _report_from_similarity(F)
+    if block_pairs is not None:
+        assert {r1 - r0 for r0, r1 in _loop(chunks, (n, n))} == {block_pairs // n}
+        assert max(len(bounds) for bounds in _loops(chunks, (10,))) > 1
 
 
 def _repeated_images(alpha, n, dim, d1, d2, seed):
     """A test set with each image once per caption and three repeated
     captions, heads, and its pairwise fused scores, which tie with the match
-    in a query row and in a query column."""
+    in a query row and in a query column. The blocks are float64, which
+    project forms in one GEMM whatever the budget, so the oracle's rows are
+    evaluate's under any data._CHUNK_BYTES."""
     images = generate_synthetic(n // 5, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed)
     texts = generate_synthetic(n, 4, dim, d1, d2, intra_class_spread=0.8, seed=seed + 1)
     rep = np.repeat(np.arange(n // 5), 5)
-    tg, tl = texts.text_global.copy(), texts.text_local.copy()
+    tg, tl = texts.text_global.astype(np.float64), texts.text_local.astype(np.float64)
     tg[[9, 20, 27]], tl[[9, 20, 27]] = tg[[3, 13, 26]], tl[[3, 13, 26]]
-    ds = Dataset(images.image_global[rep], images.image_local[rep], tg, tl,
+    ds = Dataset(images.image_global[rep].astype(np.float64),
+                 images.image_local[rep].astype(np.float64), tg, tl,
                  y=np.ones(n, dtype=np.uint8))
     heads = init_heads(dim, seed=seed + 2, noise_std=0.3)
     F = _pairwise_fused(heads, ds, alpha)
@@ -266,17 +273,19 @@ def _dense_fused_parts(heads, ds):
 def test_evaluate_ties_exactly_across_row_blocks_and_gemm_tiles(n):
     # each image once per caption (groups of 5 rows) and repeated captions,
     # with generic values. Equal rows must get equal S wherever they fall:
-    # split by a row block of S (7 rows a block) or by the GEMM's tiles,
-    # whose edge tiles can round equal rows differently (with one thread,
-    # OpenBLAS's whole GEMM does so for this set's rows 490-494 at n = 500
-    # and 995-999 at n = 1005)
+    # split by a row block of S (a budget of 7 image rows of S gives blocks
+    # of 6 and 7 rows) or by the GEMM's tiles, whose edge tiles can round
+    # equal rows differently (with one thread, OpenBLAS's whole GEMM does so
+    # for this set's rows 490-494 at n = 500 and 995-999 at n = 1005). The
+    # blocks are float64, so project's rows do not depend on the budget.
     images = generate_synthetic(n // 5, 4, 32, 8, 8, intra_class_spread=0.8, seed=n)
     texts = generate_synthetic(n, 4, 32, 8, 8, intra_class_spread=0.8, seed=n + 1)
     rep = np.repeat(np.arange(n // 5), 5)
-    tg, tl = texts.text_global.copy(), texts.text_local.copy()
+    tg, tl = texts.text_global.astype(np.float64), texts.text_local.astype(np.float64)
     copies, sources = [6, 13, 262, 493, n - 3, n - 1], [1, 12, 258, 490, 491, n - 5]
     tg[copies], tl[copies] = tg[sources], tl[sources]
-    ds = Dataset(images.image_global[rep], images.image_local[rep], tg, tl,
+    ds = Dataset(images.image_global[rep].astype(np.float64),
+                 images.image_local[rep].astype(np.float64), tg, tl,
                  y=np.ones(n, dtype=np.uint8))
     heads = init_heads(32, seed=3, noise_std=0.3)
     G, Sl = _dense_fused_parts(heads, ds)
@@ -286,11 +295,10 @@ def test_evaluate_ties_exactly_across_row_blocks_and_gemm_tiles(n):
         assert ((F == d[:, None]).sum(axis=1) > 1).any()       # a query row tied with its match
         assert ((F == d[None, :]).sum(axis=0) > 1).any()       # and a query column
         want = _report_from_similarity(F)
-        for block_pairs in (None, 7 * n):
-            with pytest.MonkeyPatch.context() as m:
-                if block_pairs is not None:
-                    m.setattr(evaluation, "_BLOCK_PAIRS", block_pairs)
-                assert evaluate(heads, ds, Hyper(alpha=alpha)) == want, (alpha, block_pairs)
+        for budget in (None, 8 * 7 * n):
+            report, _, chunks = _scoring_calls(heads, ds, alpha, budget)
+            assert report == want, (alpha, budget)
+        assert {r1 - r0 for r0, r1 in _loop(chunks, (n, n))} == {6, 7}
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,7 +308,8 @@ def test_evaluate_ties_exactly_across_row_blocks_and_gemm_tiles(n):
 def test_evaluate_with_planted_duplicates_equals_pairwise_oracle(n, dim, d1, d2, alpha,
                                                                  block_rows, seed):
     # random sets where some images and some captions repeat other rows, in
-    # row blocks of block_rows rows: evaluate reports what the oracle ranks
+    # row blocks of at most block_rows rows (a budget of block_rows image
+    # rows of S): evaluate reports what the oracle ranks
     rng = np.random.default_rng(seed)
     rep_img = rng.integers(0, max(2, n // 2), size=n)
     rep_txt = np.where(rng.random(n) < 0.3, rng.integers(0, n, size=n), np.arange(n))
@@ -309,9 +318,9 @@ def test_evaluate_with_planted_duplicates_equals_pairwise_oracle(n, dim, d1, d2,
     ds = Dataset(ig, il, tg, tl, y=np.ones(n, dtype=np.uint8))
     heads = init_heads(dim, seed=seed % 1000, noise_std=0.3)
     want = _report_from_similarity(_pairwise_fused(heads, ds, alpha))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(evaluation, "_BLOCK_PAIRS", block_rows * n)
-        assert evaluate(heads, ds, Hyper(alpha=alpha)) == want
+    report, _, chunks = _scoring_calls(heads, ds, alpha, 8 * block_rows * n)
+    assert report == want
+    assert len(_loop(chunks, (n, n))) == -(-n // block_rows)
 
 
 def test_evaluate_memory_is_rows_plus_one_block():
@@ -385,24 +394,42 @@ def test_evaluate_pairs_planted_at_the_bounds():
 def _scored_pairs(heads, ds, alpha):
     """evaluate's report and the (image, text) pairs it scored beyond the
     ground truths."""
-    report, calls = _scoring_calls(heads, ds, alpha)
+    report, calls, _ = _scoring_calls(heads, ds, alpha)
     return report, {(i, j) for I, J, _ in calls for i, j in zip(I.tolist(), J.tolist())}
 
 
-def _scoring_calls(heads, ds, alpha, **knobs):
-    """evaluate's report and the (I, J, F) of each _score_windows call, with
-    the module constants in knobs set."""
-    calls, score = [], evaluation._score_windows
+def _scoring_calls(heads, ds, alpha, budget=None):
+    """evaluate's report, the (I, J, F) of each _score_windows call and the
+    (shape, bounds) of each row-chunk loop evaluation runs, in order, with
+    data._CHUNK_BYTES set to budget unless it is None."""
+    calls, chunks = [], []
+    score, row_chunks = evaluation._score_windows, evaluation._row_chunks
 
     def record(A, B, I, J, buffers):
         F = score(A, B, I, J, buffers)
         calls.append((I.copy(), J.copy(), F.copy()))
         return F
+
+    def record_chunks(shape):
+        chunks.append((shape, list(row_chunks(shape))))
+        return iter(chunks[-1][1])
     with pytest.MonkeyPatch.context() as m:
-        for name, value in knobs.items():
-            m.setattr(evaluation, name, value)
+        if budget is not None:
+            m.setattr(data, "_CHUNK_BYTES", budget)
         m.setattr(evaluation, "_score_windows", record)
-        return evaluate(heads, ds, Hyper(alpha=alpha)), calls
+        m.setattr(evaluation, "_row_chunks", record_chunks)
+        return evaluate(heads, ds, Hyper(alpha=alpha)), calls, chunks
+
+
+def _loops(chunks, row):
+    """The bounds of each recorded loop over items of this trailing shape."""
+    return [bounds for shape, bounds in chunks if tuple(shape[1:]) == row]
+
+
+def _loop(chunks, shape):
+    """The bounds of the first recorded loop over a block of this shape:
+    for (n, n), _kept_pairs' row blocks of S."""
+    return next(bounds for s, bounds in chunks if tuple(s) == shape)
 
 
 def test_evaluate_decides_pairs_planted_at_the_bound_margins():
@@ -546,9 +573,9 @@ def _stacked_sum_squares(A, B, I, J):
 
 
 def test_window_scores_equal_one_stacked_product_across_window_edges():
-    # runs of w - 28, 60 and 45 pairs in the default window of w pairs: the
-    # second image row straddles the first window edge and the last window
-    # is part full
+    # runs of w - 28, 60 and 45 pairs, w the pairs the default buffers hold:
+    # two windows of (w + 77) / 2 pairs, both part full, whose edge falls
+    # inside the first image row's run
     ds = generate_synthetic(60, 4, 32, 8, 8, intra_class_spread=0.8, seed=12)
     _, (Uil, _), _, (Utl, _) = project(init_heads(32, seed=3, noise_std=0.3), ds)
     A, B = Uil.reshape(60, 8, 32), Utl.reshape(60, 8, 32)
@@ -556,7 +583,9 @@ def test_window_scores_equal_one_stacked_product_across_window_edges():
     w = len(buffers[0])
     I = np.repeat([4, 17, 59], [w - 28, 60, 45])
     J = np.random.default_rng(5).integers(0, 60, len(I))
-    assert I[w - 1] == I[w] and len(I) % w
+    windows = list(data._row_chunks((len(I), 2 * 8 * 32 + 8 * 8)))
+    assert len(windows) == 2 and all(r1 - r0 < w for r0, r1 in windows)
+    assert I[windows[0][1] - 1] == I[windows[0][1]]
     F = evaluation._score_windows(A, B, I, J, buffers)
     assert F.tobytes() == _stacked_sum_squares(A, B, I, J).tobytes()
 
@@ -565,20 +594,26 @@ def test_window_scores_equal_one_stacked_product_across_window_edges():
 @pytest.mark.parametrize("n,dim,d1,d2", [(40, 32, 8, 8), (30, 256, 36, 16)])
 def test_evaluate_window_scores_equal_one_stacked_product(alpha, n, dim, d1, d2):
     # repeated images tie exactly, so there are candidates even at alpha 1;
-    # windows of 3 and of 8 pairs over blocks of three image rows
-    # (_BLOCK_PAIRS) put rows across window edges and end blocks in part-full
-    # windows; every score has the bits of one product over all scored pairs
+    # budgets of 3 and of 8 pairs' window bytes give windows of at most 3
+    # and 8 pairs, with image rows across window edges and, at one of the
+    # two sizes at least, part-full windows; every score has the bits of one
+    # product over all scored pairs
     ds, heads, oracle = _repeated_images(alpha, n, dim, d1, d2, seed=7)
     _, (Uil, _), _, (Utl, _) = project(heads, ds)
     A, B = Uil.reshape(n, d1, dim), Utl.reshape(n, d2, dim)
-    pair_bytes = 8 * (d1 * dim + d2 * dim + d2 * d1)
+    pair = d1 * dim + d2 * dim + d2 * d1
+    part_full = False
     for window in (3, 8):
-        report, calls = _scoring_calls(heads, ds, alpha, _WINDOW_BYTES=window * pair_bytes,
-                                       _BLOCK_PAIRS=3 * n)
+        report, calls, chunks = _scoring_calls(heads, ds, alpha, window * 8 * pair)
         assert report == _report_from_similarity(oracle)
         I, J, F = (np.concatenate(parts) for parts in zip(*calls))
         assert F.tobytes() == _stacked_sum_squares(A, B, I, J).tobytes()
-        assert any(len(F) % window for _, _, F in calls)
+        windows = [(r0, r1, I) for (I, _, _), bounds in zip(calls, _loops(chunks, (pair,)))
+                   for r0, r1 in bounds]
+        assert max(r1 - r0 for r0, r1, _ in windows) == window
+        assert any(r1 < len(I) and I[r1 - 1] == I[r1] for _, r1, I in windows)
+        part_full |= any(r1 - r0 < window for r0, r1, _ in windows)
+    assert part_full
 
 
 def test_detection_perfect():
@@ -610,7 +645,7 @@ def test_detection_accepts_partition():
     l = np.array([1.0, 10.0, 25.0])
     part = compute_weights(l, 5.0, 18.0)[0]
     y = np.array([1, 1, 0])
-    rep = detection_metrics(part, y)
+    rep = detection_metrics(part.bucket_codes(len(y)), y)
     assert rep.precision == 1.0 and rep.recall == 1.0
 
 

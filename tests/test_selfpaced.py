@@ -176,7 +176,6 @@ def test_compute_weights_bucket_rules():
     assert weights.w[0] == pytest.approx(math.cos(math.pi / 2 * 1.0 / 5.0))
     assert weights.w[1] == pytest.approx(math.cos(math.pi / 2 * 7.0 / 18.0))
     assert weights.w[2] == 0.0
-    assert weights.gamma_used.tolist() == [5.0, 18.0, 18.0]
     assert np.all(weights.w >= 0) and np.all(weights.w <= 1)
 
 
