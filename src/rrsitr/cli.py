@@ -259,6 +259,8 @@ def cmd_ablate(args) -> int:
     from .evaluation import RetrievalReport
     from .trainer import VARIANTS, save_heads
 
+    if args.all and args.variant != "full":
+        raise ConfigError(f"--all runs every variant; it takes no --variant ({args.variant!r})")
     variants = list(VARIANTS) if args.all else [args.variant]
     rows = []
     for variant, heads, log, report in _train_runs(args, variants, outputs={"variants": variants}):
@@ -275,10 +277,11 @@ def cmd_ablate(args) -> int:
             print(f"{variant}: done")
 
     results = os.path.join(args.out_dir, "results.csv")
+    no_report = "," * RetrievalReport.CSV_HEADER.count(",")   # one empty cell per column
     with open(results, "w") as f:
         f.write("variant," + RetrievalReport.CSV_HEADER + ",val_mr\n")
         for variant, report, val_mr in rows:
-            f.write(",".join((variant, report.to_csv_row() if report else ",,,,,,",
+            f.write(",".join((variant, report.to_csv_row() if report else no_report,
                               "" if val_mr is None else f"{val_mr:.4f}")) + "\n")
     print(f"wrote {results}")
     return 0

@@ -18,9 +18,10 @@ RRSE_MAGIC = b"RRSE"
 RRSE_VERSION = 1
 UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
 # The one working-set budget: every streamed loop of the data layer (the
-# generator, writer, reader and unit-norm check below), of trainer.project and
-# of evaluation.evaluate takes its bounds from _row_chunks, so none holds a
-# per-chunk temporary of more than this many float64 bytes (or one item). The
+# generator, writer and unit-norm check below), of trainer.project and of
+# evaluation.evaluate takes its bounds from _row_chunks, so none holds a
+# per-chunk temporary of more than this many float64 bytes (or one item); the
+# reader reads chunks of this many bytes. The
 # generator holds about three such temporaries at once; at 4 MiB they set the
 # peak RSS of a process that builds several desk-shape sets in turn.
 _CHUNK_BYTES = 1 << 20
@@ -455,37 +456,27 @@ class SectionReader:
                            f"at byte offset {self.pos}, got {got}")
 
     def array(self, shape: Tuple[int, ...], dtype, section: str) -> np.ndarray:
-        """The next section as an array of this shape and dtype. From a regular
-        file it is read straight into the array in row chunks of about
-        _CHUNK_BYTES. A pipe's length is unknown until it ends, so its bytes
-        are read into a buffer that grows (by realloc) one chunk of at most
-        _CHUNK_BYTES at a time, ends at exactly the section's size and then
-        becomes the array: a header claiming more bytes than the pipe holds
-        fails after the bytes that came, not on an allocation of its claimed
-        size."""
+        """The next section as an array of this shape and dtype: a view of one
+        uint8 buffer that its bytes are read into in chunks of at most
+        _CHUNK_BYTES. A regular file too short for the section fails by its
+        size, before the buffer is allocated whole. A pipe's length is unknown
+        until it ends, so its buffer grows (by realloc) one chunk at a time to
+        exactly the section's size: a header claiming more bytes than the pipe
+        holds fails after the bytes that came, not on an allocation of its
+        claimed size."""
         nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-        if self.size is None:
-            buf = np.empty(0, dtype=np.uint8)
-            while buf.size < nbytes:
-                done = buf.size
-                buf.resize(min(nbytes, done + _CHUNK_BYTES), refcheck=False)  # no views of buf live
-                got = self.f.readinto(buf[done:])
-                if got != buf.size - done:
-                    raise self._truncated(nbytes, section, done + got)
-            self.pos += nbytes
-            return buf.view(dtype).reshape(shape)
-        if self.size - self.pos < nbytes:
+        if self.size is not None and self.size - self.pos < nbytes:
             raise self._truncated(nbytes, section, self.size - self.pos)
-        out = np.empty(shape, dtype=dtype)
-        done = 0
-        for r0, r1 in _row_chunks(shape):
-            view = out[r0:r1].reshape(-1)
-            got = self.f.readinto(view)
-            done += got
-            if got != view.nbytes:
-                raise self._truncated(nbytes, section, done)
+        buf = np.empty(0 if self.size is None else nbytes, dtype=np.uint8)
+        for done in range(0, nbytes, _CHUNK_BYTES):
+            end = min(nbytes, done + _CHUNK_BYTES)
+            if buf.size < end:
+                buf.resize(end, refcheck=False)  # no views of buf live
+            got = self.f.readinto(buf[done:end])
+            if got != end - done:
+                raise self._truncated(nbytes, section, done + got)
         self.pos += nbytes
-        return out
+        return buf.view(dtype).reshape(shape)
 
     def raw(self, nbytes: int, section: str) -> bytes:
         return self.array((nbytes,), np.uint8, section).tobytes()

@@ -11,13 +11,15 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class RtlResult:
-    """Robust triplet loss value plus the mined negatives and margins used."""
+    """Robust triplet loss value plus the mined negatives and margins used, and
+    the anchors they apply to."""
 
     loss: float
     mu_hat: np.ndarray        # (b,) image->text soft margins
     zeta_hat: np.ndarray      # (b,) text->image soft margins
     hard_txt_idx: np.ndarray  # (b,) hardest text negative per image anchor
     hard_img_idx: np.ndarray  # (b,) hardest image negative per text anchor
+    include: Optional[np.ndarray] = None   # (b,) boolean anchor mask, None for all
 
 
 def infonce_per_pair(S: np.ndarray, tau: float) -> np.ndarray:
@@ -104,20 +106,20 @@ def adaptive_margins(Sg: np.ndarray, hard_txt_idx: np.ndarray, hard_img_idx: np.
     return mu_hat, zeta_hat
 
 
-def triplet_hinges(Sg: np.ndarray, rtl: RtlResult, include: Optional[np.ndarray] = None
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-anchor hinges at the margins and negatives held in rtl.
+def triplet_hinges(Sg: np.ndarray, rtl: RtlResult) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-anchor hinges of Sg at the margins, negatives and anchors frozen in rtl.
 
     h1_i = [mu_i - pos_i + Sg[i, hard_txt_i]]_+, h2_i = [zeta_i - pos_i + Sg[hard_img_i, i]]_+;
-    anchors outside the boolean mask `include` contribute zero.
+    anchors outside rtl.include contribute zero. Sg may differ from the matrix
+    rtl was mined from: the hinges move with it while the plan stays as mined.
     """
     rows = np.arange(Sg.shape[0])
     pos = Sg[rows, rows]
     h1 = np.maximum(0.0, rtl.mu_hat - pos + Sg[rows, rtl.hard_txt_idx])
     h2 = np.maximum(0.0, rtl.zeta_hat - pos + Sg[rtl.hard_img_idx, rows])
-    if include is not None:
-        h1 = h1 * include
-        h2 = h2 * include
+    if rtl.include is not None:
+        h1 = h1 * rtl.include
+        h2 = h2 * rtl.include
     return h1, h2
 
 
@@ -128,16 +130,10 @@ def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
     loss = (1/b) * sum_i [mu_i - pos_i + hard_txt_i]_+ + [zeta_i - pos_i + hard_img_i]_+
 
     With adaptive=False the margins are the constant sigma. `include` is an
-    optional boolean mask restricting which anchors contribute; the sum is
-    always normalized by the full batch size.
+    optional boolean mask restricting which anchors contribute; the result
+    keeps it, and the sum is always normalized by the full batch size.
     """
-    return _robust_triplet(np.asarray(Sg, dtype=np.float64), sigma, adaptive, include)[0]
-
-
-def _robust_triplet(Sg: np.ndarray, sigma: float, adaptive: bool,
-                    include: Optional[np.ndarray]
-                    ) -> Tuple[RtlResult, np.ndarray, np.ndarray]:
-    """robust_triplet_loss, and the hinges (h1, h2) its loss sums."""
+    Sg = np.asarray(Sg, dtype=np.float64)
     b = Sg.shape[0]
     if b < 2:
         raise ConfigError("need b >= 2")
@@ -153,6 +149,7 @@ def _robust_triplet(Sg: np.ndarray, sigma: float, adaptive: bool,
         include = np.asarray(include, dtype=bool)
         if include.shape != (b,):
             raise ConfigError("include mask must be (b,)")
-    rtl = RtlResult(loss=0.0, mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht, hard_img_idx=hi)
-    h1, h2 = triplet_hinges(Sg, rtl, include)
-    return replace(rtl, loss=float((h1 + h2).sum() / b)), h1, h2
+    rtl = RtlResult(loss=0.0, mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht,
+                    hard_img_idx=hi, include=include)
+    h1, h2 = triplet_hinges(Sg, rtl)
+    return replace(rtl, loss=float((h1 + h2).sum() / b))

@@ -5,16 +5,19 @@ warmup+cosine schedule, and the alternating training loop.
 Embedding rows become unit projections in one place, `project`, which the
 objective, `forward` and `evaluation.evaluate` all call. The objective is built
 in one place, `_objective`: projection, Sg and Sl, per-pair InfoNCE losses, the
-frozen plan (partition and weights from `selfpaced.compute_weights`, margins and
-negatives from `losses.robust_triplet_loss`), the value, and the backward. Per
-step the plan is frozen from the current losses and one gradient step is taken
-on the resulting objective. Everything is float64 and deterministic per seed.
+frozen plan (partition and weights from `selfpaced.compute_weights`, margins,
+negatives and anchors from `losses.robust_triplet_loss`), the value, and the
+backward. A frozen plan and a given one share the rest, one `triplet_hinges`
+call included. Per step the plan is frozen from the current losses and one
+gradient step is taken on the resulting objective; gamma2 is read from `Hyper`
+alone (under `pace_epochs`, `train` builds each epoch's). Everything is float64
+and deterministic per seed.
 """
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from . import selfpaced
 from .data import _BLOCKS, Dataset, PairBatch, SectionReader, _row_chunks, batch_iter
 from .errors import ConfigError, FormatError, NumericError
-from .losses import RtlResult, _infonce_pass, _robust_triplet, triplet_hinges
+from .losses import RtlResult, _infonce_pass, robust_triplet_loss, triplet_hinges
 from .selfpaced import BUCKET_NOISY, Partition, SplWeights
 from .similarity import NORM_EPS, local_similarity_units
 
@@ -237,13 +240,13 @@ def forward(heads: ProjectionHeads, batch: PairBatch) -> PairBatch:
 @dataclass(frozen=True)
 class FrozenPlan:
     """Everything held constant during the parameter-update step: the partition,
-    the per-pair weights (w1/r1, w2/r2 enter L_S1/L_S2), and the triplet margins
-    and mined negatives (None when the triplet term is off)."""
+    the per-pair weights (w1/r1, w2/r2 enter L_S1/L_S2), and in rtl the triplet
+    margins, the mined negatives and the anchors they apply to (None when the
+    triplet term is off); rtl.loss is L_soft where the plan was frozen."""
 
     partition: Partition
     weights: SplWeights
     rtl: Optional[RtlResult]
-    rtl_mask: Optional[np.ndarray]    # boolean anchor mask or None for all
 
 
 @dataclass(frozen=True)
@@ -263,19 +266,6 @@ class BatchState:
     l_g: np.ndarray
     l_l: Optional[np.ndarray]
     plan: FrozenPlan
-
-    @property
-    def partition(self) -> Partition:
-        return self.plan.partition
-
-    @property
-    def weights(self) -> SplWeights:
-        return self.plan.weights
-
-    @property
-    def rtl(self) -> Optional[RtlResult]:
-        """The plan's margins and negatives; rtl.loss is L_soft where the plan was frozen."""
-        return self.plan.rtl
 
 
 def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -299,7 +289,7 @@ def _flat_views(flat: np.ndarray, like: Dict[str, np.ndarray]) -> Dict[str, np.n
 
 def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
                variant: VariantSpec, weight_rng: Optional[np.random.Generator],
-               gamma2: Optional[float], plan: Optional[FrozenPlan], grad: bool
+               plan: Optional[FrozenPlan], grad: bool
                ) -> Tuple[Optional[Dict[str, np.ndarray]], BatchState]:
     """Per-pair losses, the plan (frozen from them unless given), the objective
     value and, if grad, its analytic gradients w.r.t. all head parameters.
@@ -322,26 +312,22 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     l_g, l_l = l[0], (l[1] if variant.use_local else None)
     l_total = l_g + l_l if variant.use_local else l_g.copy()
 
-    hinges = None
     if plan is None:
         part, weights = selfpaced.compute_weights(
-            l_total, hyper.gamma1, hyper.gamma2 if gamma2 is None else gamma2,
-            variant.weighting, variant.merge_ambiguous, hyper.spl_sum_over_all, weight_rng)
-        rtl = rtl_mask = None
+            l_total, hyper.gamma1, hyper.gamma2, variant.weighting, variant.merge_ambiguous,
+            hyper.spl_sum_over_all, weight_rng)
+        rtl = None
         if variant.use_rtl and hyper.lambda2 > 0:
-            if hyper.rtl_noisy_only:
-                rtl_mask = part.bucket_codes(b) == BUCKET_NOISY
-            rtl, *hinges = _robust_triplet(Sg, hyper.sigma, variant.adaptive_margin, rtl_mask)
-        plan = FrozenPlan(part, weights, rtl, rtl_mask)
+            mask = part.bucket_codes(b) == BUCKET_NOISY if hyper.rtl_noisy_only else None
+            rtl = robust_triplet_loss(Sg, hyper.sigma, variant.adaptive_margin, mask)
+        plan = FrozenPlan(part, weights, rtl)
     elif len(plan.weights.w) != b:
         raise ConfigError(f"plan was frozen for {len(plan.weights.w)} pairs, batch has {b}")
 
     L_S1, L_S2 = plan.weights.spl_losses(l_total)
     L_soft = 0.0
     if plan.rtl is not None:
-        if hinges is None:   # a given plan: the hinges at its margins and negatives
-            hinges = triplet_hinges(Sg, plan.rtl, plan.rtl_mask)
-        h1, h2 = hinges
+        h1, h2 = triplet_hinges(Sg, plan.rtl)
         L_soft = float((h1 + h2).sum() / b)
     total = L_S1 + hyper.lambda1 * L_S2 + hyper.lambda2 * L_soft
     if not np.isfinite(total):
@@ -392,25 +378,23 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
 def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
                     variant: VariantSpec = VARIANTS["full"],
                     weight_rng: Optional[np.random.Generator] = None,
-                    gamma2: Optional[float] = None,
                     plan: Optional[FrozenPlan] = None) -> BatchState:
     """Objective value at the current parameters. With plan (a BatchState.plan)
-    the weights, partition, margins and negatives stay frozen: that is the
+    the weights, partition, margins, negatives and anchors stay frozen: that is the
     function a gradient step descends, and what finite-difference checks perturb."""
-    return _objective(heads, batch, hyper, variant, weight_rng, gamma2, plan, grad=False)[1]
+    return _objective(heads, batch, hyper, variant, weight_rng, plan, grad=False)[1]
 
 
 def gradients(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
               variant: VariantSpec = VARIANTS["full"],
-              weight_rng: Optional[np.random.Generator] = None,
-              gamma2: Optional[float] = None
+              weight_rng: Optional[np.random.Generator] = None
               ) -> Tuple[Dict[str, np.ndarray], BatchState]:
     """Analytic gradients of the objective w.r.t. all head parameters.
 
     Weights, margins, mined negatives, and the partition are treated as
     constants (they are recomputed from the current parameters, then frozen).
     """
-    return _objective(heads, batch, hyper, variant, weight_rng, gamma2, None, grad=True)
+    return _objective(heads, batch, hyper, variant, weight_rng, None, grad=True)
 
 
 def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
@@ -576,11 +560,11 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
 
     for epoch in range(1, hyper.epochs + 1):
         t0 = time.perf_counter()
+        epoch_hyper = hyper
         if hyper.pace_epochs > 0:
             frac = min(1.0, epoch / hyper.pace_epochs)
             g2 = hyper.gamma1 + (hyper.gamma2 - hyper.gamma1) * frac
-        else:
-            g2 = hyper.gamma2
+            epoch_hyper = replace(hyper, gamma2=g2)
 
         sums = np.zeros(4)  # loss, s1, s2, soft
         margin_sum, margin_n = 0.0, 0
@@ -590,7 +574,7 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
 
         for batch in batch_iter(dataset, bs, epoch_seed=hyper.seed * 1_000_003 + epoch):
             try:
-                grads, state = gradients(heads, batch, hyper, vspec, weight_rng, gamma2=g2)
+                grads, state = gradients(heads, batch, epoch_hyper, vspec, weight_rng)
             except NumericError as e:
                 raise NumericError(
                     f"training diverged at epoch {epoch} step {step}: {e}") from e
@@ -601,15 +585,15 @@ def train(dataset: Dataset, hyper: Hyper, val_dataset: Optional[Dataset] = None,
             n_batches += 1
 
             sums += (state.loss, state.parts.L_S1, state.parts.L_S2, state.parts.L_soft)
-            part = state.partition
-            if state.rtl is not None:
-                margin_sum += float(state.rtl.mu_hat.sum() + state.rtl.zeta_hat.sum())
+            plan = state.plan
+            if plan.rtl is not None:
+                margin_sum += float(plan.rtl.mu_hat.sum() + plan.rtl.zeta_hat.sum())
                 margin_n += 2 * batch.size
             ep_ids.append(batch.indices)
             ep_y.append(batch.y)
             ep_l.append(state.l_total)
-            ep_w.append(state.weights.w)
-            ep_bucket.append(part.bucket_codes(batch.size))
+            ep_w.append(plan.weights.w)
+            ep_bucket.append(plan.partition.bucket_codes(batch.size))
 
         ids = np.concatenate(ep_ids)
         order = np.argsort(ids, kind="stable")

@@ -615,6 +615,29 @@ def test_ablate_validation_only_table(tmp_path):
     assert cells[-1] == f"{max(val_mrs):.4f}"
 
 
+def test_ablate_empty_report_cells_follow_the_header(tmp_path, monkeypatch):
+    # a report column added to RetrievalReport widens the empty cells too
+    from rrsitr.evaluation import RetrievalReport
+    monkeypatch.setattr(RetrievalReport, "CSV_HEADER", RetrievalReport.CSV_HEADER + ",extra")
+    train_file = _gen(tmp_path, n=40)
+    out_dir = tmp_path / "ab"
+    assert main(["ablate", "--data", train_file, "--out-dir", str(out_dir), "--epochs", "1",
+                 "--batch", "10", "--gamma1", "2", "--gamma2", "9", "--seed", "4"]) == 0
+    header, row = open(out_dir / "results.csv").read().splitlines()
+    assert header.split(",")[-2:] == ["extra", "val_mr"]
+    assert row.split(",") == ["full"] + [""] * (len(header.split(",")) - 1)
+
+
+def test_ablate_all_refuses_a_variant(tmp_path, capsys):
+    train_file = _gen(tmp_path, n=40)
+    out_dir = tmp_path / "ab"
+    rc = main(["ablate", "--data", train_file, "--all", "--variant", "no_rtl",
+               "--out-dir", str(out_dir), "--epochs", "1", "--batch", "10", "--seed", "4"])
+    assert rc == 2
+    assert "--all runs every variant" in capsys.readouterr().err
+    assert not out_dir.exists()  # refused before training
+
+
 def test_unknown_variant_exit_code(tmp_path):
     train_file = _gen(tmp_path, n=40)
     rc = main(["train", "--data", train_file, "--variant", "bogus",

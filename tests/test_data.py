@@ -484,8 +484,9 @@ def test_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
         read_dataset(path)
 
 
-def _read_through_pipe(blob):
-    # read_dataset on the read end of a pipe that a thread fills with blob
+def _read_through_pipe(blob, read=read_dataset):
+    # read (read_dataset by default) on the read end of a pipe that a thread
+    # fills with blob
     import os
     import threading
     r, w = os.pipe()
@@ -500,7 +501,7 @@ def _read_through_pipe(blob):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        return read_dataset(f"/dev/fd/{r}")
+        return read(f"/dev/fd/{r}")
     finally:
         os.close(r)
         writer.join()
@@ -521,6 +522,42 @@ def test_pipe_roundtrip_and_truncation_across_chunks(tmp_path, monkeypatch):
     with pytest.raises(FormatError, match=f"expected {4 * 57 * 5 * 16} bytes for section "
                                           f"'text_local' at byte offset {start}, got 1000$"):
         _read_through_pipe(blob[:start + 1000])
+
+
+def _small_rrse(path):
+    # n=3, dim=4, d1=2, d2=1 with class ids: the section sizes in file order
+    write_dataset(generate_synthetic(3, 2, 4, 2, 1, intra_class_spread=0.2, seed=1), path)
+    return read_dataset, [4, 20, 4 * 3 * 4, 4 * 3 * 2 * 4, 4 * 3 * 4, 4 * 3 * 1 * 4, 3, 1, 4 * 3]
+
+
+def _small_rrsp(path):
+    # 3x4 heads: magic, header, W_img, b_img, W_txt, b_txt
+    from rrsitr.trainer import init_heads, load_heads, save_heads
+    save_heads(init_heads(4, dim_out=3, seed=2), path)
+    return load_heads, [4, 12, 8 * 12, 8 * 3, 8 * 12, 8 * 3]
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("make", [_small_rrse, _small_rrsp], ids=["rrse", "rrsp"])
+def test_truncation_at_every_section_boundary(tmp_path, monkeypatch, make, source):
+    # a cut at each section boundary and one byte either side fails as a
+    # FormatError, from a regular file and from a pipe, and never otherwise;
+    # with 16-byte chunks each embedding or weight section takes several reads
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 16)
+    path = str(tmp_path / "whole")
+    read, sizes = make(path)
+    blob = open(path, "rb").read()
+    assert sum(sizes) == len(blob)
+    ends = np.cumsum([0] + sizes)
+    cuts = sorted({c for end in ends for c in (end - 1, end, end + 1) if 0 <= c < len(blob)})
+    for cut in cuts:
+        with pytest.raises(FormatError, match="truncated file"):
+            if source == "pipe":
+                _read_through_pipe(blob[:cut], read)
+            else:
+                with open(path, "wb") as f:
+                    f.write(blob[:cut])
+                read(path)
 
 
 @pytest.mark.parametrize("idx", [

@@ -205,15 +205,18 @@ def test_triplet_hinges_at_frozen_margins():
     Sg = rng.uniform(-1, 1, size=(6, 6))
     mask = np.array([True, False, True, True, False, True])
     res = robust_triplet_loss(Sg, sigma=0.6, include=mask)
-    h1, h2 = triplet_hinges(Sg, res, mask)
+    assert res.include.tolist() == mask.tolist()
+    h1, h2 = triplet_hinges(Sg, res)
     assert float((h1 + h2).sum() / 6) == res.loss
     assert np.all(h1[~mask] == 0.0) and np.all(h2[~mask] == 0.0)
-    # the hinges move with Sg while the margins and negatives stay as mined
+    # the hinges move with Sg while the margins, negatives and anchors stay as mined
     Sg2 = Sg + 0.01 * rng.normal(size=Sg.shape)
-    h1b, _ = triplet_hinges(Sg2, res)
+    h1b, h2b = triplet_hinges(Sg2, res)
     rows = np.arange(6)
-    want = np.maximum(0.0, res.mu_hat - Sg2[rows, rows] + Sg2[rows, res.hard_txt_idx])
-    assert np.array_equal(h1b, want)
+    want1 = np.maximum(0.0, res.mu_hat - Sg2[rows, rows] + Sg2[rows, res.hard_txt_idx]) * mask
+    want2 = np.maximum(0.0, res.zeta_hat - Sg2[rows, rows] + Sg2[res.hard_img_idx, rows]) * mask
+    assert np.array_equal(h1b, want1) and np.array_equal(h2b, want2)
+    assert (h1b[mask] > 0).any()  # the mask, not the margins, zeroes the rest
 
 
 def _loss_grad_fd_check(loss_fn, S0, h=1e-5, tol=1e-6):

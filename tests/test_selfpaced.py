@@ -199,16 +199,16 @@ def test_compute_weights_variants():
 def test_assemble_objective_composition():
     batch, heads = _batch()
     state = batch_objective(heads, batch, _hyper())
-    L_S1, L_S2 = state.weights.spl_losses(state.l_total)
+    L_S1, L_S2 = state.plan.weights.spl_losses(state.l_total)
     assert (state.parts.L_S1, state.parts.L_S2) == (L_S1, L_S2)
-    assert state.parts.L_soft == state.rtl.loss > 0.0
-    assert state.loss == pytest.approx(L_S1 + 0.8 * L_S2 + 0.9 * state.rtl.loss, abs=1e-12)
+    assert state.parts.L_soft == state.plan.rtl.loss > 0.0
+    assert state.loss == pytest.approx(L_S1 + 0.8 * L_S2 + 0.9 * state.plan.rtl.loss, abs=1e-12)
 
 
 def test_assemble_objective_degenerate_lambdas():
     batch, heads = _batch()
     state = batch_objective(heads, batch, _hyper(lambda1=0.0, lambda2=0.0))
-    assert state.parts.L_S2 > 0.0 and state.rtl is None
+    assert state.parts.L_S2 > 0.0 and state.plan.rtl is None
     assert state.loss == pytest.approx(state.parts.L_S1, abs=1e-12)
 
 
@@ -220,7 +220,7 @@ def test_assemble_objective_all_noisy():
     # tiny gammas force the whole batch into the noisy bucket; only L_soft is left
     batch, heads = _batch()
     state = batch_objective(heads, batch, _hyper(gamma1=1e-6, gamma2=2e-6))
-    assert len(state.partition.noisy_idx) == 10
+    assert len(state.plan.partition.noisy_idx) == 10
     assert state.loss == pytest.approx(0.9 * state.parts.L_soft, abs=1e-12)
 
 

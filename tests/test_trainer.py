@@ -3,6 +3,7 @@ import pytest
 
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, FormatError, NumericError
+from rrsitr.selfpaced import BUCKET_NOISY, compute_weights
 from rrsitr.similarity import _gram_chosen
 from rrsitr.trainer import (VARIANTS, Adam, Hyper, ProjectionHeads, batch_objective,
                             clip_gradients, forward, gradients, init_heads, load_heads,
@@ -92,25 +93,38 @@ def _fd_check(heads, batch, hyper, variant, n_coords=15, h=1e-5, tol=1e-6, rng_s
 # the default shape runs the direct Sl kernel, dim=6 with 4x4 locals the Gram
 # kernel in one strip, dim=40 with 9x9 locals the Gram kernel in strips of 32 and 8;
 # the last strip is square: 2 x 2 at dim=2 (generate_synthetic needs dim >= 2),
-# 1 x 1 at dim=33, 32 x 32 at dim=64
-@pytest.mark.parametrize("variant,shape,gram", [
-    *(pytest.param(v, {}, False, id=v) for v in sorted(VARIANTS)),
-    *(pytest.param(v, dict(dim=6, d1=4, d2=4), True, id=f"{v}-gram") for v in sorted(VARIANTS)),
-    *(pytest.param(v, dict(dim=40, d1=9, d2=9), True, id=f"{v}-gram-strips")
+# 1 x 1 at dim=33, 32 x 32 at dim=64. At the default shape the two objective
+# flags run too: rtl_noisy_only freezes its anchor mask in the plan's RtlResult
+@pytest.mark.parametrize("variant,shape,gram,flags", [
+    *(pytest.param(v, {}, False, {}, id=v) for v in sorted(VARIANTS)),
+    *(pytest.param(v, {}, False, {flag: True}, id=f"{v}-{flag}")
+      for flag in ("rtl_noisy_only", "spl_sum_over_all") for v in sorted(VARIANTS)),
+    *(pytest.param(v, dict(dim=6, d1=4, d2=4), True, {}, id=f"{v}-gram")
       for v in sorted(VARIANTS)),
-    *(pytest.param(v, shape, True, id=f"{v}-gram-dim{shape['dim']}")
+    *(pytest.param(v, dict(dim=40, d1=9, d2=9), True, {}, id=f"{v}-gram-strips")
+      for v in sorted(VARIANTS)),
+    *(pytest.param(v, shape, True, {}, id=f"{v}-gram-dim{shape['dim']}")
       for shape in (dict(dim=2, d1=2, d2=2), dict(dim=33, d1=9, d2=8),
                     dict(dim=64, d1=12, d2=12))
       for v in sorted(VARIANTS)),
 ])
-def test_gradients_match_finite_differences(variant, shape, gram):
+def test_gradients_match_finite_differences(variant, shape, gram, flags):
     ds = _small_problem(**shape)
-    hyper = _hyper()
+    hyper = _hyper(**flags)
     batch = next(batch_iter(ds, 10, epoch_seed=2))
     assert _gram_chosen(ds.d1, ds.d2, ds.dim) == gram
     heads = init_heads(ds.dim, seed=5, noise_std=0.05)
     state = _fd_check(heads, batch, hyper, VARIANTS[variant])
     assert np.isfinite(state.loss)
+    spec, plan = VARIANTS[variant], state.plan
+    if plan.rtl is not None and hyper.rtl_noisy_only:
+        noisy = plan.partition.bucket_codes(10) == BUCKET_NOISY
+        assert plan.rtl.include.tolist() == noisy.tolist() and 0 < noisy.sum() < 10
+        assert state.parts.L_soft > 0.0
+    elif plan.rtl is not None:
+        assert plan.rtl.include is None
+    if hyper.spl_sum_over_all and spec.weighting == "spl" and not spec.merge_ambiguous:
+        assert np.all(plan.weights.w2[plan.partition.clean_idx] > 0)
 
 
 @pytest.mark.parametrize("b,dim,d1,d2", [
@@ -192,7 +206,7 @@ def test_gradients_zero_for_all_noisy_without_rtl():
     batch = next(batch_iter(ds, 10, epoch_seed=0))
     heads = init_heads(ds.dim, seed=1)
     grads, state = gradients(heads, batch, hyper)
-    assert len(state.partition.noisy_idx) == 10
+    assert len(state.plan.partition.noisy_idx) == 10
     assert state.loss == 0.0
     for g in grads.values():
         assert np.allclose(g, 0.0, atol=1e-15)
@@ -390,9 +404,15 @@ def test_train_divergence_reports_context():
 
 
 def test_train_pace_schedule_flag():
+    # after epoch 1 of 4 the noisy threshold sits a quarter of the way from
+    # gamma1 to gamma2; at gamma2 itself the same losses fall in other buckets
     ds = _small_problem(n=30)
-    heads, log = train(ds, _hyper(epochs=2, pace_epochs=4))
-    assert log.records  # smoke: schedule path runs
+    hyper = _hyper(epochs=1, pace_epochs=4)
+    trace = train(ds, hyper)[1].final_trace
+    paced = hyper.gamma1 + (hyper.gamma2 - hyper.gamma1) / 4
+    for gamma2, same in ((paced, True), (hyper.gamma2, False)):
+        part, _ = compute_weights(trace.l_total, hyper.gamma1, gamma2)
+        assert np.array_equal(part.bucket_codes(len(trace.l_total)), trace.bucket) == same
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +452,10 @@ def test_fixed_margin_differs_only_in_margins():
     heads = init_heads(ds.dim, seed=4)
     full = batch_objective(heads, batch, hyper, VARIANTS["full"])
     fixed = batch_objective(heads, batch, hyper, VARIANTS["fixed_margin_rtl"])
-    assert np.array_equal(full.rtl.hard_txt_idx, fixed.rtl.hard_txt_idx)
-    assert np.array_equal(full.rtl.hard_img_idx, fixed.rtl.hard_img_idx)
-    assert np.all(fixed.rtl.mu_hat == hyper.sigma)
-    assert np.all(full.rtl.mu_hat >= hyper.sigma - 1e-15)
+    assert np.array_equal(full.plan.rtl.hard_txt_idx, fixed.plan.rtl.hard_txt_idx)
+    assert np.array_equal(full.plan.rtl.hard_img_idx, fixed.plan.rtl.hard_img_idx)
+    assert np.all(fixed.plan.rtl.mu_hat == hyper.sigma)
+    assert np.all(full.plan.rtl.mu_hat >= hyper.sigma - 1e-15)
     assert np.allclose(full.l_total, fixed.l_total)  # contrastive side identical
 
 
@@ -472,11 +492,11 @@ def test_hard_to_easy_reverses_ordering():
     heads = init_heads(ds.dim, seed=4)
     spl = batch_objective(heads, batch, hyper, VARIANTS["full"])
     rev = batch_objective(heads, batch, hyper, VARIANTS["spl_hard_to_easy"])
-    part = spl.partition
+    part = spl.plan.partition
     for bucket, gamma in ((part.clean_idx, hyper.gamma1), (part.ambiguous_idx, hyper.gamma2)):
         for i in bucket:
-            assert rev.weights.w[i] == pytest.approx(1.0 - spl.weights.w[i], abs=1e-12)
-    assert np.all(rev.weights.w[part.noisy_idx] == 0.0)
+            assert rev.plan.weights.w[i] == pytest.approx(1.0 - spl.plan.weights.w[i], abs=1e-12)
+    assert np.all(rev.plan.weights.w[part.noisy_idx] == 0.0)
 
 
 def test_random_weights_in_range_and_seeded():
@@ -495,11 +515,11 @@ def test_no_ambiguous_merges_into_noisy():
     batch = next(batch_iter(ds, 10, epoch_seed=0))
     heads = init_heads(ds.dim, seed=4)
     merged = batch_objective(heads, batch, hyper, VARIANTS["spl_no_ambiguous"])
-    assert len(merged.partition.ambiguous_idx) == 0
+    assert len(merged.plan.partition.ambiguous_idx) == 0
     base = batch_objective(heads, batch, hyper, VARIANTS["full"])
-    want_noisy = sorted(np.concatenate([base.partition.ambiguous_idx,
-                                        base.partition.noisy_idx]).tolist())
-    assert merged.partition.noisy_idx.tolist() == want_noisy
+    want_noisy = sorted(np.concatenate([base.plan.partition.ambiguous_idx,
+                                        base.plan.partition.noisy_idx]).tolist())
+    assert merged.plan.partition.noisy_idx.tolist() == want_noisy
     assert merged.parts.L_S2 == 0.0
 
 
@@ -532,6 +552,23 @@ def test_checkpoint_bad_magic(tmp_path):
         f.write(b"XXXX" + b"\x00" * 20)
     with pytest.raises(FormatError):
         load_heads(path)
+
+
+@pytest.mark.parametrize("dim_in,dim_out,seed,sha", [
+    (8, 6, 3, "e0e199eeeb05cfd2d657ca4527b6d60c184c9bc1184b798f9c1aa72acdb4b67a"),
+    (32, 32, 0, "a2cd844c62266c1b92024b4d6d0c826251f7293e5e084e9bf7985788952fb77c"),
+])
+def test_checkpoint_bytes_pinned(tmp_path, dim_in, dim_out, seed, sha):
+    # sha256 of save_heads(init_heads(...)), taken before the section reader
+    # read regular files and pipes in one loop; a load rewrites the same bytes
+    import hashlib
+    path, again = str(tmp_path / "p.rrsp"), str(tmp_path / "q.rrsp")
+    save_heads(init_heads(dim_in, dim_out=dim_out, seed=seed), path)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == sha
+    save_heads(load_heads(path), again)
+    with open(again, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == sha
 
 
 def test_checkpoint_truncated(tmp_path):
