@@ -275,11 +275,11 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     raw features by denoising toward the span and undoing the gap.
 
     Each embedding block is a float32 array allocated once and filled in row
-    chunks of about _CHUNK_BYTES through one reused float64 work chunk: noise
-    is drawn into it, its base rows are added, it is normalized, then rounded
-    into the block. The draws and every per-row operation are those of a
-    whole-block float64 computation, so the output is byte-identical to it
-    whatever the chunk size.
+    chunks of about _CHUNK_BYTES through two float64 chunk buffers made once
+    per call: noise is drawn into one, its base rows are added, it is
+    normalized, then rounded into the block. The draws and every per-row
+    operation are those of a whole-block float64 computation, so the output
+    is byte-identical to it whatever the chunk size.
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -315,28 +315,33 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
 
     s = COPY_NOISE_FRACTION * intra_class_spread * scale
 
-    work = np.empty(0)
+    # float64 chunk buffers, made once at the largest chunk's size: work holds the
+    # rows being drawn, spare a chunk's gathered base rows and then their squares
+    size = max(min(n_pairs, _chunk_rows(row)) * row for row in (dim, d1 * dim, d2 * dim))
+    work, spare = np.empty(size), np.empty(size)
+
+    def rows_of(buf, r0, r1, tail):
+        return buf[:(r1 - r0) * math.prod(tail)].reshape((r1 - r0,) + tail)
 
     def noisy(shape, base_rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
         # float32 unit rows of base + s * N(0, 1), chunk by chunk
-        nonlocal work
         out = np.empty(shape, dtype=np.float32)
-        row = math.prod(shape[1:])
         for r0, r1 in _row_chunks(shape):
-            if work.size < (r1 - r0) * row:
-                work = np.empty((r1 - r0) * row)
-            chunk = work[:(r1 - r0) * row].reshape((r1 - r0,) + shape[1:])
+            chunk = rows_of(work, r0, r1, shape[1:])
             rng.standard_normal(out=chunk)  # the stream and bits of rng.normal
             chunk *= s
             chunk += base_rows(r0, r1)
             # the reduction np.linalg.norm runs, so rows match _unit_rows bit for bit
-            chunk /= np.sqrt(np.add.reduce(chunk * chunk, axis=-1, keepdims=True))
+            sq = np.multiply(chunk, chunk, out=rows_of(spare, r0, r1, shape[1:]))
+            chunk /= np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True))
             out[r0:r1] = chunk  # round to float32, as astype does
         return out
 
     def sub_rows(sub, r0, r1):
-        # the pairs' class sub-centers shifted by their pair offsets
-        base = sub[cls[r0:r1]]
+        # the pairs' class sub-centers shifted by their pair offsets; cls is in
+        # range, and mode="clip" writes into spare where "raise" would buffer
+        base = np.take(sub, cls[r0:r1], axis=0, out=rows_of(spare, r0, r1, sub.shape[1:]),
+                       mode="clip")
         base += pair_offset[r0:r1, None, :]
         return base
 

@@ -9,7 +9,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 NORM_EPS = 1e-12  # guard against division by zero without disturbing unit rows
-DIRECT_BLOCK_BYTES = 64e6  # chunk budget of the direct kernel's intermediate without grad
 GRAM_BLOCK = 32  # rows per strip of the blocked Gram kernel
 
 
@@ -48,7 +47,7 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
 
     One of two kernels computes it, chosen from the local shape alone
     (_gram_chosen), with or without grad. The direct kernel forms every M,
-    d1*d2*dim multiply-adds per pair, and with grad holds all of them, an
+    d1*d2*dim multiply-adds per pair, and holds all of them in every call, an
     (n*d1, m*d2) intermediate. The Gram kernel uses the identity
     ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F over the Grams' upper block
     triangle, one strip of GRAM_BLOCK rows at a time, each adding one matmul
@@ -88,8 +87,9 @@ def _gram_chosen(d1: int, d2: int, dim: int) -> bool:
     matmuls. Neither n, m nor grad enters. With grad the Gram kernel holds
     (n+m)*dim^2/2 values of strips and the direct kernel 2*n*d1*m*d2 (its
     intermediate and a temporary), so by these counts the Gram kernel holds
-    less wherever it is picked and n = m > dim/4. Without grad each holds
-    one strip per item or one DIRECT_BLOCK_BYTES chunk at a time.
+    less wherever it is picked and n = m > dim/4. Without grad the Gram
+    kernel holds one strip per item at a time and the direct kernel the same
+    intermediate and temporary as with grad.
     """
     return 2 * dim <= d1 * d2
 
@@ -204,26 +204,15 @@ def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
 
 
 def _direct_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
-    """As _gram_kernel, from every M. With grad the intermediate is kept whole
-    for the backward; without it, it is formed in chunks of image rows that
-    fit DIRECT_BLOCK_BYTES and no backward is returned. Each chunk is one
-    GEMM, and a BLAS may round a row-split GEMM otherwise than the whole one
-    (at dim 48-64, chunks of 2-13 rows move some entries by up to 3e-16). At
-    the default budget a batch of b pairs is formed whole while
-    8*d1*d2*b^2 <= DIRECT_BLOCK_BYTES (b = 100 at any d1*d2 <= 800), and the
-    larger batches it splits into chunks of hundreds of rows (b 1000-2000,
-    2x2-4x4 locals, dim 48-64) were measured bit-equal to the whole product."""
+    """As _gram_kernel, from every M: one (n*d1, m*d2) product, which is kept
+    for the backward only with grad. The forward is the same function of the
+    inputs with or without grad."""
     n, d1, dim = A.shape
     m, d2, _ = B.shape
     au = A.reshape(n * d1, dim)
     bu = B.reshape(m * d2, dim)
-    block_rows = n if grad else max(1, int(DIRECT_BLOCK_BYTES / (8 * d1 * m * d2)))
-    norms = np.empty((n, m), dtype=np.float64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        g = au[start * d1:stop * d1] @ bu.T                   # (chunk*d1, m*d2)
-        sq = (g * g).reshape(stop - start, d1, m, d2)
-        norms[start:stop] = np.sqrt(sq.sum(axis=(1, 3)))
+    g = au @ bu.T
+    norms = np.sqrt((g * g).reshape(n, d1, m, d2).sum(axis=(1, 3)))
 
     def backward(W: np.ndarray, out=None):
         dA, dB = (None, None) if out is None else (o.reshape(-1, dim) for o in out)

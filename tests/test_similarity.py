@@ -102,21 +102,16 @@ def test_local_matches_scalar_oracle():
     assert _gram_chosen(4, 4, 5)  # the last shape runs the Gram kernel
 
 
-def test_local_blocking_bit_identical(monkeypatch):
-    # without grad the direct kernel takes DIRECT_BLOCK_BYTES / (8*d1*m*d2) image
-    # rows at a time. At this dim-6 shape every row split gives the whole
-    # product's bits; at dim 48-64 a BLAS can round a row-split GEMM in the
-    # last bits otherwise, so this holds for this shape, not for any shape
+def test_local_blocking_bit_identical():
+    # the direct kernel forms its one (n*d1, m*d2) product with or without grad,
+    # so the value-only forward gives the grad forward's bits
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(13, 3, 6))
-    b = rng.normal(size=(9, 2, 6))
-    assert not _gram_chosen(3, 2, 6)  # the chunking is the direct kernel's
-    by_rows = {}
-    for rows in (13, 1, 2, 5):
-        monkeypatch.setattr(similarity, "DIRECT_BLOCK_BYTES", rows * 8 * 3 * 9 * 2)
-        by_rows[rows] = local_similarity(a, b)
-    for rows in (1, 2, 5):
-        assert np.array_equal(by_rows[rows], by_rows[13])
+    a = _unit_rows(rng.normal(size=(13, 3, 6)))
+    b = _unit_rows(rng.normal(size=(9, 2, 6)))
+    assert not _gram_chosen(3, 2, 6)
+    value, backward = local_similarity_units(a, b, grad=False)
+    assert backward is None
+    assert value.tobytes() == local_similarity_units(a, b, grad=True)[0].tobytes()
 
 
 def test_local_role_swap_symmetry():

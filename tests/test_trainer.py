@@ -127,16 +127,18 @@ def test_gradients_match_finite_differences(variant, shape, gram, flags):
         assert np.all(plan.weights.w2[plan.partition.clean_idx] > 0)
 
 
-@pytest.mark.parametrize("b,dim,d1,d2", [
-    pytest.param(100, 32, 8, 8, id="desk"),
-    pytest.param(100, 256, 36, 16, id="paper"),
-    pytest.param(120, 256, 36, 16, id="paper-b120"),
-    pytest.param(128, 256, 36, 16, id="paper-b128"),
+@pytest.mark.parametrize("b,dim,d1,d2,gram", [
+    pytest.param(100, 32, 8, 8, True, id="desk"),
+    pytest.param(100, 256, 36, 16, True, id="paper"),
+    pytest.param(120, 256, 36, 16, True, id="paper-b120"),
+    pytest.param(128, 256, 36, 16, True, id="paper-b128"),
+    pytest.param(150, 256, 36, 12, False, id="direct-b150"),
 ])
-def test_value_only_objective_matches_gradients(b, dim, d1, d2):
+def test_value_only_objective_matches_gradients(b, dim, d1, d2, gram):
     # batch_objective keeps no Sl backward state, but it runs the same kernel
     # as gradients at every batch size, so the loss and the per-pair local
     # InfoNCE losses are bit-identical
+    assert _gram_chosen(d1, d2, dim) == gram
     ds = inject_noise(generate_synthetic(b, 20, dim, d1, d2, intra_class_spread=0.2, seed=1),
                       NoiseSpec(rho=0.4, seed=2))
     hyper = _hyper(batch_size=b)
