@@ -600,10 +600,24 @@ def test_text_local_gemm_matches_stacked_product(monkeypatch, d2, dim, chunk):
     assert got.text_local.tobytes() == want.text_local.tobytes()
 
 
+@pytest.mark.parametrize("d2,dim", [(16, 256), (5, 256), (36, 256), (10, 128), (7, 200),
+                                    (38, 32)])
+def test_one_gemm_rule_gives_stacked_bits(d2, dim):
+    # where the rule picks one reshaped GEMM, its float64 rows are the stacked
+    # product's at every chunk height
+    assert data._gap_as_one_gemm(d2, dim)
+    rng = np.random.default_rng(d2 * dim)
+    gap = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    for rows in (1, 2, 3, 17, 128):
+        base = rng.normal(size=(rows, d2, dim))
+        one = (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
+        assert np.array_equal(one, base @ gap.T), rows
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(1, 32).map(lambda k: 8 * k), extra=st.integers(0, 40),
        rows=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
-def test_one_gemm_rule_gives_stacked_bits(dim, extra, rows, seed):
+def test_one_gemm_rule_gives_stacked_bits_over_its_domain(dim, extra, rows, seed):
     # over the rule's whole domain (dim a multiple of 8 up to 256, d2*dim > 1200)
     # one reshaped GEMM gives the stacked product's float64 rows at every chunk
     # height; the float32 file pins cannot see a float64 change here
