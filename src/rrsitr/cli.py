@@ -184,7 +184,7 @@ def cmd_gen(args) -> int:
     write_manifest(args.output + ".json", args.output, rho=0.0, seed=seed,
                    extra={"generator": {"n": args.n, "classes": args.classes,
                                         "dim": args.dim, "d1": args.d1, "d2": args.d2,
-                                        "spread": args.spread}})
+                                        "spread": args.spread, "seed": seed}})
     matched, off = _mean_pair_similarities(ds.image_global, ds.text_global)
     print(f"wrote {args.output}: n={ds.n_pairs} dim={ds.dim} d1={ds.d1} d2={ds.d2}")
     print(f"matched-pair mean global similarity {matched:.4f}, unmatched {off:.4f}")

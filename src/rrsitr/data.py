@@ -8,7 +8,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -22,8 +22,8 @@ UNIT_NORM_TOL = 1e-6  # allows for rows rounded to the float32 grid
 # evaluation.evaluate takes its bounds from _row_chunks, so none holds a
 # per-chunk temporary of more than this many float64 bytes (or one item); the
 # reader reads chunks of this many bytes. The
-# generator holds about three such temporaries at once; at 4 MiB they set the
-# peak RSS of a process that builds several desk-shape sets in turn.
+# generator holds two such chunk buffers at once; at 4 MiB they set the peak
+# RSS of a process that builds several desk-shape sets in turn.
 _CHUNK_BYTES = 1 << 20
 _BLOCKS = ("image_global", "image_local", "text_global", "text_local")
 
@@ -245,20 +245,6 @@ def _plane_rotation(dim: int, theta: float, rng: np.random.Generator) -> np.ndar
     return q @ g @ q.T
 
 
-def _gap_as_one_gemm(d2: int, dim: int) -> bool:
-    """Whether one (rows*d2, dim) @ (dim, dim) GEMM gives the text-local base
-    the bits of the stacked product, one (d2, dim) @ (dim, dim) GEMM per pair.
-
-    Measured on OpenBLAS 0.3.31 (x86-64, AVX-512 kernels) at 1 and 2 threads
-    for chunks of 2-128 pairs: the two agree bit for bit when dim is a
-    multiple of 8 up to 256 and d2 * dim > 1200, so both run the blocked
-    kernel. Below that bound the per-pair product (M * N <= 1200) runs
-    OpenBLAS's small-matrix kernel, at d2 = 1 numpy runs it as a gemv, and
-    other dims sum in another order; there the stacked product stays.
-    """
-    return dim % 8 == 0 and dim <= 256 and d2 * dim > 1200
-
-
 def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
                        intra_class_spread: float, seed: int) -> Dataset:
     """Generate unit-norm paired embeddings with latent class/pair structure.
@@ -274,12 +260,19 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
     side is rotated by a fixed modality gap, so trained heads can beat the
     raw features by denoising toward the span and undoing the gap.
 
-    Each embedding block is a float32 array allocated once and filled in row
-    chunks of about _CHUNK_BYTES through two float64 chunk buffers made once
-    per call: noise is drawn into one, its base rows are added, it is
-    normalized, then rounded into the block. The draws and every per-row
-    operation are those of a whole-block float64 computation, so the output
-    is byte-identical to it whatever the chunk size.
+    All four blocks have one base-row form: a pair's row of a class table
+    (the centers for a global block, the sub-centers for a local one) plus
+    its pair offset. The gap is linear, so the text side rotates its two
+    tables and the pair offsets once, up front, and then gathers and offsets
+    as the image side does.
+
+    Each block is a float32 array allocated once and filled in row chunks of
+    about _CHUNK_BYTES through two float64 chunk buffers made once per call:
+    noise is drawn into one, the chunk's base rows are gathered into the
+    other and added, the rows are normalized, then rounded into the block.
+    The draws and every per-row operation are those of a whole-block float64
+    computation, so the output is byte-identical to it whatever the chunk
+    size.
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -309,55 +302,41 @@ def generate_synthetic(n_pairs: int, n_classes: int, dim: int, d1: int, d2: int,
 
     cls = rng.integers(0, n_classes, size=n_pairs)
     pair_offset = intra_class_spread * scale * span_points(n_pairs)
-    core = centers[cls] + pair_offset
-    # whole, because a row-chunked dgemm need not round like the whole product
-    core_gap = core @ gap.T
-
     s = COPY_NOISE_FRACTION * intra_class_spread * scale
 
     # float64 chunk buffers, made once at the largest chunk's size: work holds the
-    # rows being drawn, spare a chunk's gathered base rows and then their squares
+    # rows being drawn, spare a chunk's base rows and then their squares
     size = max(min(n_pairs, _chunk_rows(row)) * row for row in (dim, d1 * dim, d2 * dim))
     work, spare = np.empty(size), np.empty(size)
 
     def rows_of(buf, r0, r1, tail):
         return buf[:(r1 - r0) * math.prod(tail)].reshape((r1 - r0,) + tail)
 
-    def noisy(shape, base_rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-        # float32 unit rows of base + s * N(0, 1), chunk by chunk
+    def noisy(table: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        # float32 unit rows of table[cls] + offset + s * N(0, 1), chunk by chunk
+        shape = (n_pairs,) + table.shape[1:]
+        offset = offset.reshape((n_pairs,) + (1,) * (table.ndim - 2) + (dim,))
         out = np.empty(shape, dtype=np.float32)
         for r0, r1 in _row_chunks(shape):
             chunk = rows_of(work, r0, r1, shape[1:])
             rng.standard_normal(out=chunk)  # the stream and bits of rng.normal
             chunk *= s
-            chunk += base_rows(r0, r1)
+            # cls is in range, and mode="clip" writes into spare where "raise" would buffer
+            base = np.take(table, cls[r0:r1], axis=0, out=rows_of(spare, r0, r1, shape[1:]),
+                           mode="clip")
+            base += offset[r0:r1]
+            chunk += base
             # the reduction np.linalg.norm runs, so rows match _unit_rows bit for bit
-            sq = np.multiply(chunk, chunk, out=rows_of(spare, r0, r1, shape[1:]))
+            sq = np.multiply(chunk, chunk, out=base)
             chunk /= np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True))
             out[r0:r1] = chunk  # round to float32, as astype does
         return out
 
-    def sub_rows(sub, r0, r1):
-        # the pairs' class sub-centers shifted by their pair offsets; cls is in
-        # range, and mode="clip" writes into spare where "raise" would buffer
-        base = np.take(sub, cls[r0:r1], axis=0, out=rows_of(spare, r0, r1, sub.shape[1:]),
-                       mode="clip")
-        base += pair_offset[r0:r1, None, :]
-        return base
-
-    image_global = noisy((n_pairs, dim), lambda r0, r1: core[r0:r1])
-    image_local = noisy((n_pairs, d1, dim), lambda r0, r1: sub_rows(img_sub, r0, r1))
-    text_global = noisy((n_pairs, dim), lambda r0, r1: core_gap[r0:r1])
-    del core, core_gap
-    def text_sub_rows(r0, r1):
-        # a stacked matmul runs one product per pair, so chunking it rounds the
-        # same; where _gap_as_one_gemm holds, one GEMM per chunk gives its bits
-        base = sub_rows(txt_sub, r0, r1)
-        if _gap_as_one_gemm(d2, dim):
-            return (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
-        return base @ gap.T
-
-    text_local = noisy((n_pairs, d2, dim), text_sub_rows)
+    image_global = noisy(centers, pair_offset)
+    image_local = noisy(img_sub, pair_offset)
+    pair_offset = pair_offset @ gap.T
+    text_global = noisy(centers @ gap.T, pair_offset)
+    text_local = noisy(txt_sub @ gap.T, pair_offset)
     return Dataset._from_unit_rows(image_global=image_global, image_local=image_local,
                                    text_global=text_global, text_local=text_local,
                                    y=np.ones(n_pairs, dtype=np.uint8),

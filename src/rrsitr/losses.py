@@ -1,7 +1,7 @@
 """Symmetric InfoNCE contrastive losses and the adaptive-margin robust triplet loss."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -11,10 +11,9 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class RtlResult:
-    """Robust triplet loss value plus the mined negatives and margins used, and
-    the anchors they apply to."""
+    """The robust triplet loss's plan: the mined negatives, the margins, and
+    the anchors they apply to. triplet_hinges forms the loss from it."""
 
-    loss: float
     mu_hat: np.ndarray        # (b,) image->text soft margins
     zeta_hat: np.ndarray      # (b,) text->image soft margins
     hard_txt_idx: np.ndarray  # (b,) hardest text negative per image anchor
@@ -125,13 +124,14 @@ def triplet_hinges(Sg: np.ndarray, rtl: RtlResult) -> Tuple[np.ndarray, np.ndarr
 
 def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
                         include: Optional[np.ndarray] = None) -> RtlResult:
-    """Hinge loss against the hardest in-batch negatives with soft margins.
+    """The soft margins, hardest in-batch negatives and anchors of the hinge loss
 
-    loss = (1/b) * sum_i [mu_i - pos_i + hard_txt_i]_+ + [zeta_i - pos_i + hard_img_i]_+
+    loss = (1/b) * sum_i [mu_i - pos_i + hard_txt_i]_+ + [zeta_i - pos_i + hard_img_i]_+,
 
-    With adaptive=False the margins are the constant sigma. `include` is an
-    optional boolean mask restricting which anchors contribute; the result
-    keeps it, and the sum is always normalized by the full batch size.
+    whose per-anchor hinges triplet_hinges(Sg, result) forms; the sum is
+    always normalized by the full batch size. With adaptive=False the margins
+    are the constant sigma. `include` is an optional boolean mask restricting
+    which anchors contribute; the result keeps it.
     """
     Sg = np.asarray(Sg, dtype=np.float64)
     b = Sg.shape[0]
@@ -149,7 +149,5 @@ def robust_triplet_loss(Sg: np.ndarray, sigma: float, adaptive: bool = True,
         include = np.asarray(include, dtype=bool)
         if include.shape != (b,):
             raise ConfigError("include mask must be (b,)")
-    rtl = RtlResult(loss=0.0, mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht,
-                    hard_img_idx=hi, include=include)
-    h1, h2 = triplet_hinges(Sg, rtl)
-    return replace(rtl, loss=float((h1 + h2).sum() / b))
+    return RtlResult(mu_hat=mu_hat, zeta_hat=zeta_hat, hard_txt_idx=ht, hard_img_idx=hi,
+                     include=include)

@@ -242,7 +242,7 @@ class FrozenPlan:
     """Everything held constant during the parameter-update step: the partition,
     the per-pair weights (w1/r1, w2/r2 enter L_S1/L_S2), and in rtl the triplet
     margins, the mined negatives and the anchors they apply to (None when the
-    triplet term is off); rtl.loss is L_soft where the plan was frozen."""
+    triplet term is off); _objective forms L_soft from rtl by triplet_hinges."""
 
     partition: Partition
     weights: SplWeights

@@ -794,6 +794,7 @@ def test_inject_sidecar_keeps_source_and_generator(tmp_path, monkeypatch, given)
     assert main(["gen", "--n", "40", "--classes", "4", "--dim", "8", "--d1", "2", "--d2", "2",
                  "--seed", "1", "-o", "sub/c.rrse"]) == 0
     generator = json.load(open("sub/c.rrse.json"))["generator"]
+    assert generator["seed"] == 1
     assert main(["inject", given, "--rho", "0.4", "--seed", "2", "-o", "sub/y.rrse"]) == 0
     assert json.load(open("sub/y.rrse.json")) == {
         "file": "y.rrse", "noise": {"rho": 0.4, "seed": 2}, "source": "c.rrse",

@@ -2,8 +2,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rrsitr import data
 from rrsitr.data import (Dataset, NoiseSpec, batch_iter, dataset_manifest, generate_synthetic,
@@ -587,55 +585,17 @@ def test_subset_selects_rows(idx):
         assert got.base is None and not np.shares_memory(got, parent), name
 
 
-@pytest.mark.parametrize("chunk", ["default", "single-pair"])
-@pytest.mark.parametrize("dim", [32, 256])
+@pytest.mark.parametrize("dim", [32, 200, 255, 256])
 @pytest.mark.parametrize("d2", [1, 2, 3, 4, 16])
-def test_text_local_gemm_matches_stacked_product(monkeypatch, d2, dim, chunk):
+def test_every_block_same_bytes_at_one_pair_chunks(monkeypatch, d2, dim):
+    # one chunk per block at the default budget, one pair per chunk at the
+    # least: every block is a gather and an add per row, so its bytes match
     shape = dict(n_pairs=24, n_classes=4, dim=dim, d1=2, d2=d2, intra_class_spread=0.1, seed=3)
-    if chunk == "single-pair":
-        monkeypatch.setattr(data, "_CHUNK_BYTES", 8 * d2 * dim)  # M = d2 per product
-    got = generate_synthetic(**shape)
-    monkeypatch.setattr(data, "_gap_as_one_gemm", lambda d2, dim: False)
-    want = generate_synthetic(**shape)
-    assert got.text_local.tobytes() == want.text_local.tobytes()
-
-
-@pytest.mark.parametrize("d2,dim", [(16, 256), (5, 256), (36, 256), (10, 128), (7, 200),
-                                    (38, 32)])
-def test_one_gemm_rule_gives_stacked_bits(d2, dim):
-    # where the rule picks one reshaped GEMM, its float64 rows are the stacked
-    # product's at every chunk height
-    assert data._gap_as_one_gemm(d2, dim)
-    rng = np.random.default_rng(d2 * dim)
-    gap = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-    for rows in (1, 2, 3, 17, 128):
-        base = rng.normal(size=(rows, d2, dim))
-        one = (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
-        assert np.array_equal(one, base @ gap.T), rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, 32).map(lambda k: 8 * k), extra=st.integers(0, 40),
-       rows=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
-def test_one_gemm_rule_gives_stacked_bits_over_its_domain(dim, extra, rows, seed):
-    # over the rule's whole domain (dim a multiple of 8 up to 256, d2*dim > 1200)
-    # one reshaped GEMM gives the stacked product's float64 rows at every chunk
-    # height; the float32 file pins cannot see a float64 change here
-    d2 = 1200 // dim + 1 + extra
-    assert data._gap_as_one_gemm(d2, dim)
-    rng = np.random.default_rng(seed)
-    gap = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-    base = rng.normal(size=(rows, d2, dim))
-    one = (base.reshape(-1, dim) @ gap.T).reshape(base.shape)
-    assert np.array_equal(one, base @ gap.T)
-
-
-@pytest.mark.parametrize("d2,dim", [(1, 256), (2, 256), (4, 256), (8, 32), (16, 32),
-                                    (8, 128), (16, 300), (16, 255)])
-def test_one_gemm_rule_keeps_stacked_product(d2, dim):
-    # one GEMM rounds these differently from the per-pair products on OpenBLAS:
-    # gemv at d2 = 1, the small-matrix kernel (desk shapes), other K tails
-    assert not data._gap_as_one_gemm(d2, dim)
+    whole = generate_synthetic(**shape)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 1)
+    by_pair = generate_synthetic(**shape)
+    for name in ("image_global", "image_local", "text_global", "text_local"):
+        assert getattr(by_pair, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_data_layer_memory_bounded(tmp_path, monkeypatch):

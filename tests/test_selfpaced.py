@@ -7,7 +7,8 @@ from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.selfpaced import (BUCKET_AMBIGUOUS, BUCKET_CLEAN, BUCKET_NOISY,
                               compute_weights, optimal_weight)
-from rrsitr.trainer import Hyper, batch_objective, init_heads
+from rrsitr.losses import triplet_hinges
+from rrsitr.trainer import Hyper, batch_objective, forward, init_heads
 
 
 def regularizer(w, gamma: float, l):
@@ -201,8 +202,11 @@ def test_assemble_objective_composition():
     state = batch_objective(heads, batch, _hyper())
     L_S1, L_S2 = state.plan.weights.spl_losses(state.l_total)
     assert (state.parts.L_S1, state.parts.L_S2) == (L_S1, L_S2)
-    assert state.parts.L_soft == state.plan.rtl.loss > 0.0
-    assert state.loss == pytest.approx(L_S1 + 0.8 * L_S2 + 0.9 * state.plan.rtl.loss, abs=1e-12)
+    fw = forward(heads, batch)
+    h1, h2 = triplet_hinges(fw.image_global @ fw.text_global.T, state.plan.rtl)
+    L_soft = float((h1 + h2).sum() / batch.size)
+    assert state.parts.L_soft == pytest.approx(L_soft, abs=1e-12) and L_soft > 0.0
+    assert state.loss == pytest.approx(L_S1 + 0.8 * L_S2 + 0.9 * L_soft, abs=1e-12)
 
 
 def test_assemble_objective_degenerate_lambdas():
