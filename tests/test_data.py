@@ -585,17 +585,22 @@ def test_subset_selects_rows(idx):
         assert got.base is None and not np.shares_memory(got, parent), name
 
 
+@pytest.mark.parametrize("chunk", ["default", "single-pair"])
 @pytest.mark.parametrize("dim", [32, 200, 255, 256])
 @pytest.mark.parametrize("d2", [1, 2, 3, 4, 16])
-def test_every_block_same_bytes_at_one_pair_chunks(monkeypatch, d2, dim):
-    # one chunk per block at the default budget, one pair per chunk at the
-    # least: every block is a gather and an add per row, so its bytes match
+def test_text_local_gemm_matches_stacked_product(monkeypatch, d2, dim, chunk):
+    # the text side's gap is one stacked product over the class tables, made
+    # before any chunk, and every block is then a gather and an add per row:
+    # at the default budget and at one pair per chunk, all four blocks have
+    # the bytes of one whole-block chunk
     shape = dict(n_pairs=24, n_classes=4, dim=dim, d1=2, d2=d2, intra_class_spread=0.1, seed=3)
+    budget = {"default": data._CHUNK_BYTES, "single-pair": 1}[chunk]
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 8 * 24 * max(2, d2) * dim)
     whole = generate_synthetic(**shape)
-    monkeypatch.setattr(data, "_CHUNK_BYTES", 1)
-    by_pair = generate_synthetic(**shape)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", budget)
+    got = generate_synthetic(**shape)
     for name in ("image_global", "image_local", "text_global", "text_local"):
-        assert getattr(by_pair, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert getattr(got, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_data_layer_memory_bounded(tmp_path, monkeypatch):
