@@ -6,8 +6,10 @@ and a deterministic float64 trainer over synthetic or precomputed paired
 embeddings.
 
 Import the submodules (rrsitr.data, rrsitr.trainer, ...) directly. The
-package itself loads nothing, so `rrsitr --threads` can cap the BLAS pool
-before numpy starts it.
+package itself loads nothing, so the rrsitr command can pin BLAS to one thread
+before numpy starts it. The cores are used by rrsitr.pool's worker threads
+instead, whose count `rrsitr --threads` sets; every output has the same bits
+at any count.
 """
 
 __version__ = "0.1.0"

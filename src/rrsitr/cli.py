@@ -17,15 +17,14 @@ import subprocess
 import sys
 from dataclasses import fields
 
+from . import pool
 from .errors import ConfigError, RrsitrError
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3       # glibc <malloc.h> mallopt params
 
 
 def _thread_count(value: str) -> int:
-    """--threads' type. OpenBLAS reads a count of 0 or below as "all cores", so
-    only a positive count is taken."""
+    """--threads' type, a worker count of at least one."""
     try:
         n = int(value)
     except ValueError:
@@ -104,8 +103,9 @@ def _run_flags() -> argparse.ArgumentParser:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=None,
-                   help="BLAS thread cap (1 for bitwise-reproducible runs); it takes effect "
-                        "only if this process has not loaded numpy yet")
+                   help="worker threads for large shapes, by default every core this process "
+                        "may run on; every output has the same bits at any count, and BLAS "
+                        "runs at one thread")
 
 
 def _hyper_from_args(args) -> "Hyper":
@@ -147,7 +147,8 @@ def _write_run_manifest(out_dir, command, variant, hyper, data_path, outputs=Non
         "git": _git_describe(),
         "outputs": outputs or {},
         "blas": _blas(),
-        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "threads": {var: os.environ.get(var) for var in pool.BLAS_THREAD_VARS},
+        "workers": pool.workers(),
         "cpu_count": os.cpu_count(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
@@ -312,13 +313,7 @@ def _parse_epoch_list(spec: str | None) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rrsitr",
-        description="Noise-robust image-text retrieval experiments on paired embeddings")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic paired-embedding dataset")
+def _gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="number of pairs")
     p.add_argument("--classes", type=int, default=20)
     p.add_argument("--dim", type=int, default=32)
@@ -327,30 +322,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", type=float, default=1.0, help="intra-class noise scale")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("inject", help="shuffle texts of a fraction of pairs")
+
+def _inject_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help=".rrse file or dataset manifest")
     p.add_argument("--rho", type=float, required=True, help="noise rate in [0, 1]")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_inject)
 
-    run_flags = _run_flags()
-    p = sub.add_parser("train", help="train projection heads", parents=[run_flags])
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-epochs",
                    help="comma-separated epochs, e.g. 1,50, whose per-pair weight traces "
                         "are written as train.trace_epoch_<e>.csv")
     p.add_argument("--out-dir", default="runs/train")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="run objective-substitution variants", parents=[run_flags])
+
+def _ablate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test", help="clean test set for the results table")
     p.add_argument("--all", action="store_true", help="run every variant plus full")
     p.add_argument("--out-dir", default="runs/ablate")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("eval", help="retrieval report for a checkpoint on a clean set")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True, help=".rrsp head parameters")
     p.add_argument("--data", required=True, help="clean test .rrse file or manifest")
     p.add_argument("-o", "--output", help="write the JSON report here")
@@ -359,8 +353,32 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint does not record the alpha its heads were trained "
                         "with: pass that value")
     _add_threads_flag(p)
-    p.set_defaults(func=cmd_eval)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rrsitr parser: every command with its arguments, or, given a
+    command's name, that command alone. Building them all costs about a
+    millisecond, which main, running one command, skips; the usage line names
+    every command either way."""
+    # name: (help, handler, adds its own arguments, takes the training flags first)
+    commands = {
+        "gen": ("generate a synthetic paired-embedding dataset", cmd_gen, _gen_flags, False),
+        "inject": ("shuffle texts of a fraction of pairs", cmd_inject, _inject_flags, False),
+        "train": ("train projection heads", cmd_train, _train_flags, True),
+        "ablate": ("run objective-substitution variants", cmd_ablate, _ablate_flags, True),
+        "eval": ("retrieval report for a checkpoint on a clean set", cmd_eval, _eval_flags,
+                 False),
+    }
+    parser = argparse.ArgumentParser(
+        prog="rrsitr", usage="%(prog)s [-h] {" + ",".join(commands) + "} ...",
+        description="Noise-robust image-text retrieval experiments on paired embeddings")
+    sub = parser.add_subparsers(dest="command", required=True, prog="rrsitr")
+    for name, (help_, func, add_flags, trains) in commands.items():
+        if command in commands and name != command:
+            continue
+        p = sub.add_parser(name, help=help_, parents=[_run_flags()] if trains else [])
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -384,18 +402,22 @@ def _keep_freed_heap() -> None:
 def main(argv=None) -> int:
     """Run one command. With no argv this is the program itself (the rrsitr
     script, python -m rrsitr), which alone tunes the process's allocator; a
-    call with an argv list runs inside its caller's process and leaves it as
-    it is."""
+    call with an argv list runs inside its caller's process and leaves the
+    allocator as it is. --threads sizes the worker pool (rrsitr.pool) for
+    this command alone."""
     if argv is None:
         _keep_freed_heap()
-    args = build_parser().parse_args(argv)
-    # --threads caps BLAS only before numpy loads its thread pool. Once numpy is
-    # loaded the thread variables are left as they are for the rest of the
-    # process and its children.
-    if getattr(args, "threads", None) and "numpy" not in sys.modules:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # One BLAS thread sums each GEMM in one order; the worker pool, not BLAS,
+    # uses the other cores. BLAS reads its thread count when numpy loads, so
+    # once numpy is loaded the thread variables are left as they are for the
+    # rest of the process and its children.
+    if "numpy" not in sys.modules:
+        for var in pool.BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+    threads = getattr(args, "threads", None)
+    previous = pool.set_workers(threads) if threads else None
     try:
         return args.func(args)
     except RrsitrError as e:
@@ -404,6 +426,9 @@ def main(argv=None) -> int:
     except OSError as e:            # a missing file, a directory, no permission
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if threads:
+            pool.set_workers(previous)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ from typing import Tuple
 
 import numpy as np
 
+from . import pool
+from .data import _row_chunks
 from .errors import ConfigError, NumericError
 
 NORM_EPS = 1e-12  # guard against division by zero without disturbing unit rows
@@ -55,6 +57,13 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     holds every item's strips. The two agree to rounding, except that near
     Sl = 0 the Gram form's cancelled sum leaves an error of order sqrt(eps).
 
+    Above pool.PARALLEL_WORK the Gram kernel splits its work into tasks on
+    the worker pool (_gram_kernel). Each task makes the BLAS calls of the
+    serial loop, with the same operands, shapes and strides, and the caller
+    sums the tasks' parts in a fixed order, so Sl and its backward have the
+    same bits at every pool size. The direct kernel runs on the calling
+    thread.
+
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B; backward(Gl, out=(dA, dB)) writes them into
     the given C-contiguous arrays. The rows are taken as given, not
@@ -88,8 +97,9 @@ def _gram_chosen(d1: int, d2: int, dim: int) -> bool:
     (n+m)*dim^2/2 values of strips and the direct kernel 2*n*d1*m*d2 (its
     intermediate and a temporary), so by these counts the Gram kernel holds
     less wherever it is picked and n = m > dim/4. Without grad the Gram
-    kernel holds one strip per item at a time and the direct kernel the same
-    intermediate and temporary as with grad.
+    kernel holds one strip per item at a time (on the worker pool, one per
+    task running, and every strip's (n, m) part) and the direct kernel the
+    same intermediate and temporary as with grad.
     """
     return 2 * dim <= d1 * d2
 
@@ -128,11 +138,20 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     _packed_triangle's `full` map. The backward halves every doubled column
     again (exact). The forward is the same function of the inputs with or
     without grad.
+
+    Above pool.PARALLEL_WORK (about dim^2/2 multiply-adds per pair) the work
+    runs on the worker pool: in the forward one task per strip, whose parts
+    are added in strip order here; in the backward, per strip, the two K
+    products as two tasks and then _strip_backward over the fixed item ranges
+    of data._row_chunks on both sides. Each task makes the calls the serial
+    loop makes, on the same operands, and no GEMM is split by rows, so the
+    result has the serial loop's bits at every pool size.
     """
     n, _, dim = A.shape
     m = B.shape[0]
-    kept = []
-    for s in range(0, dim, GRAM_BLOCK):
+    on_pool = pool.parallel(n * m * dim * dim // 2)
+
+    def strip(s):
         e = min(s + GRAM_BLOCK, dim)
         # one side's strip at a time, so each replaces the last one's buffer
         PA = _gram_strip(A, s, e)
@@ -144,10 +163,13 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
             PA = PA.reshape(n, -1).take(upper, axis=1)
             PA *= double
             PB = PB.reshape(m, -1).take(upper, axis=1)
+        return (s, e, PA, PB) if grad else None, PA.reshape(n, -1) @ PB.reshape(m, -1).T
+
+    kept, sq = [], None
+    for strip_kept, part in pool.run(strip, ((s,) for s in range(0, dim, GRAM_BLOCK)), on_pool):
         if grad:
-            kept.append((s, e, PA, PB))
-        part = PA.reshape(n, -1) @ PB.reshape(m, -1).T
-        if s == 0:
+            kept.append(strip_kept)
+        if sq is None:
             sq = part
         else:
             sq += part
@@ -156,22 +178,47 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     def backward(W: np.ndarray, out=None):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
         dA, dB = (None, None) if out is None else out
+        if on_pool:
+            dA = np.empty(A.shape) if dA is None else dA
+            dB = np.empty(B.shape) if dB is None else dB
         for s, e, PA, PB in kept:
+            if on_pool:
+                KA, KB = pool.run(_strip_k, ((W, PB, s, e, dim, False),
+                                             (W.T, PA, s, e, dim, True)), True)
+                list(pool.run(_strip_backward, ((X[r0:r1], K[r0:r1], s, e, dX[r0:r1])
+                                                for X, K, dX in ((A, KA, dA), (B, KB, dB))
+                                                for r0, r1 in _row_chunks(X.shape)), True))
+                continue
             KA, KB = W @ PB.reshape(m, -1), W.T @ PA.reshape(n, -1)
-            if e < dim:
-                KA = KA.reshape(n, e - s, dim - s)
-                KB = KB.reshape(m, e - s, dim - s)
-                KB[:, :, e - s:] *= 0.5
-            else:
-                _, double, full = _packed_triangle(e - s)
-                KB /= double
-                KA = KA.take(full, axis=1).reshape(n, e - s, e - s)
-                KB = KB.take(full, axis=1).reshape(m, e - s, e - s)
+            # KB first, while the product just formed is in cache
+            KB = _shaped_k(KB, s, e, dim, True)
+            KA = _shaped_k(KA, s, e, dim, False)
             dA = _strip_backward(A, KA, s, e, dA)
             dB = _strip_backward(B, KB, s, e, dB)
         return dA, dB
 
     return norms, (backward if grad else None)
+
+
+def _strip_k(W: np.ndarray, P: np.ndarray, s: int, e: int, dim: int, b_side: bool):
+    """One side's K for strip s:e, W @ P over the other side's strip P: an
+    A-side K takes W and PB, a B-side K takes W^T and PA (_shaped_k)."""
+    return _shaped_k(W @ P.reshape(len(P), -1), s, e, dim, b_side)
+
+
+def _shaped_k(K: np.ndarray, s: int, e: int, dim: int, b_side: bool) -> np.ndarray:
+    """A K product of strip s:e shaped for _strip_backward, (items, e-s, dim-s)
+    or, for the packed last strip, gathered back to (items, e-s, e-s). A
+    B-side K halves the columns doubled in PA."""
+    if e < dim:
+        K = K.reshape(len(K), e - s, dim - s)
+        if b_side:
+            K[:, :, e - s:] *= 0.5
+        return K
+    _, double, full = _packed_triangle(e - s)
+    if b_side:
+        K /= double
+    return K.take(full, axis=1).reshape(len(K), e - s, e - s)
 
 
 def _gram_strip(X: np.ndarray, s: int, e: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import selfpaced
+from . import pool, selfpaced
 from .data import _BLOCKS, Dataset, PairBatch, SectionReader, _row_chunks, batch_iter
 from .errors import ConfigError, FormatError, NumericError
 from .losses import RtlResult, _infonce_pass, robust_triplet_loss, triplet_hinges
@@ -192,39 +192,65 @@ def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, 
 
     A float64 block is projected whole by one GEMM into its part of U, with no
     copy. A float32 block is upcast and projected in row chunks of about
-    data._CHUNK_BYTES through one reused float64 buffer, so no float64 copy of
+    data._CHUNK_BYTES, each through a float64 buffer, so no float64 copy of
     the whole block is made. The bias, norms and division then run over U in
     row chunks of the same size, once per modality at batch sizes. Every row
     comes out as a whole-block projection gives it.
+
+    Above pool.PARALLEL_WORK multiply-adds each of those chunks is one task on
+    the worker pool, a float32 chunk with its own upcast buffer: first both
+    modalities' projections, then both modalities' bias and norm chunks. The
+    serial loop takes one modality after the other and reuses one buffer.
+    Either way each chunk is the same GEMM on the same operands, so the rows
+    have the same bits at every pool size.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
-    buf = np.empty((0, dim))
-    out = []
+    on_pool = pool.parallel(sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
+    # the serial loop upcasts every float32 chunk into one buffer
+    buf = None if on_pool else np.empty((0, dim))
+    out, steps = [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
                         (heads.W_txt, heads.b_txt, _BLOCKS[2:])):
         X_global, X_local = (getattr(rows, name).reshape(-1, dim) for name in names)
         U = np.empty((len(X_global) + len(X_local), heads.dim_out))
+        r = np.empty((len(U), 1))
+        projections = []
         for X, at in ((X_global, 0), (X_local, len(X_global))):
             if X.dtype == np.float64:
-                np.matmul(X, W.T, out=U[at:at + len(X)])
+                projections.append((X, W, U[at:at + len(X)], None))
                 continue
             for r0, r1 in _row_chunks(X.shape):
-                if len(buf) < r1 - r0:
+                if buf is not None and len(buf) < r1 - r0:
                     buf = np.empty((r1 - r0, dim))
-                x = buf[:r1 - r0]
-                x[...] = X[r0:r1]
-                np.matmul(x, W.T, out=U[at + r0:at + r1])
-        r = np.empty((len(U), 1))
-        for r0, r1 in _row_chunks(U.shape):
-            Z = U[r0:r1]
-            Z += b
-            # the reduction np.linalg.norm runs, without its copy of Z
-            norm = np.sqrt(np.add.reduce(Z * Z, axis=1, keepdims=True), out=r[r0:r1])
-            Z /= np.maximum(norm, NORM_EPS, out=norm)
+                projections.append((X[r0:r1], W, U[at + r0:at + r1], buf))
+        steps.append((projections, [(U[r0:r1], r[r0:r1], b) for r0, r1 in _row_chunks(U.shape)]))
         out.append((U, r, len(X_global)))
+    if on_pool:     # both modalities' projections, then both modalities' norms
+        steps = [tuple(sum(tasks, []) for tasks in zip(*steps))]
+    for projections, normalisations in steps:
+        list(pool.run(_project_rows, projections, on_pool))
+        list(pool.run(_unit_rows_in_place, normalisations, on_pool))
     return out
+
+
+def _project_rows(X: np.ndarray, W: np.ndarray, out: np.ndarray, buf: Optional[np.ndarray]):
+    """out = X @ W.T. A float32 X is upcast first, into buf's leading rows or,
+    without buf, into a buffer of its own."""
+    if X.dtype != np.float64:
+        x = np.empty(X.shape) if buf is None else buf[:len(X)]
+        x[...] = X
+        X = x
+    np.matmul(X, W.T, out=out)
+
+
+def _unit_rows_in_place(Z: np.ndarray, norm: np.ndarray, b: np.ndarray):
+    """Z += b, then the rows of Z divided by their norms, which go to norm."""
+    Z += b
+    # the reduction np.linalg.norm runs, without its copy of Z
+    np.sqrt(np.add.reduce(Z * Z, axis=1, keepdims=True), out=norm)
+    Z /= np.maximum(norm, NORM_EPS, out=norm)
 
 
 def forward(heads: ProjectionHeads, batch: PairBatch) -> PairBatch:
@@ -362,17 +388,26 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         dUi[b:] = 0.0
         dUt[b:] = 0.0
 
+    # the image and the text side are two tasks above pool.PARALLEL_WORK
+    sides = [(dU, U, r, *(getattr(batch, name) for name in names))
+             for dU, (U, r, _), names in zip((dUi, dUt), modalities, (_BLOCKS[:2], _BLOCKS[2:]))]
+    on_pool = pool.parallel((Ui.size + Ut.size) * heads.dim_in)
     grads = {}
-    for side, dU, (U, r, _), names in zip(("img", "txt"), (dUi, dUt), modalities,
-                                          (_BLOCKS[:2], _BLOCKS[2:])):
-        dZ = _renorm_backward(dU, U, r)
-        X_global, X_local = (getattr(batch, name) for name in names)
-        gW = dZ[:b].T @ X_global
-        gW += dZ[b:].T @ X_local.reshape(len(dZ) - b, -1)
-        gb = dZ[:b].sum(axis=0)
-        gb += dZ[b:].sum(axis=0)
+    for side, (gW, gb) in zip(("img", "txt"), pool.run(_weight_grads, sides, on_pool)):
         grads["W_" + side], grads["b_" + side] = gW, gb
     return grads, state
+
+
+def _weight_grads(dU, U, r, X_global, X_local):
+    """One head's (dW, db) from dLoss/dU of its unit rows U (global rows
+    first) and the embedding rows they were projected from."""
+    b = len(X_global)
+    dZ = _renorm_backward(dU, U, r)
+    gW = dZ[:b].T @ X_global
+    gW += dZ[b:].T @ X_local.reshape(len(dZ) - b, -1)
+    gb = dZ[:b].sum(axis=0)
+    gb += dZ[b:].sum(axis=0)
+    return gW, gb
 
 
 def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,

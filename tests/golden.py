@@ -14,9 +14,13 @@ digested on one batch; one more case digests three Adam steps. Floats go
 to JSON by repr and arrays by their bytes, so a digest moves with any bit of
 any float64.
 
-BLAS runs at one thread, so each GEMM sums in one order. Run it as
+BLAS runs at one thread, so each GEMM sums in one order. --workers sets the
+worker pool's size (rrsitr.pool), and --force-parallel sets its work
+threshold to 0, so that every call that can run on the pool does, even at
+these small shapes; the digests must not move with either. Run it as
 
     PYTHONPATH=src python tests/golden.py            # print the digests as JSON
+    PYTHONPATH=src python tests/golden.py --workers 2 --force-parallel
     PYTHONPATH=src python tests/golden.py --write    # rewrite golden_digests.json
 """
 import os
@@ -25,6 +29,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -32,6 +37,7 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from rrsitr import pool  # noqa: E402
 from rrsitr.cli import _blas  # noqa: E402
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise  # noqa: E402
 from rrsitr.evaluation import evaluate  # noqa: E402
@@ -122,12 +128,19 @@ def digests() -> dict:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="digest the program's outputs")
+    parser.add_argument("--workers", type=int, help="worker pool size (default: every core)")
+    parser.add_argument("--force-parallel", action="store_true",
+                        help="run every call that can use the pool on it, whatever its size")
+    parser.add_argument("--write", action="store_true", help="rewrite golden_digests.json")
+    args = parser.parse_args()
+    pool.set_workers(args.workers)
+    if args.force_parallel:
+        pool.PARALLEL_WORK = 0
     doc = digests()
-    if sys.argv[1:] == ["--write"]:
+    if args.write:
         with open(PATH, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
-    elif sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--write]")
     else:
         json.dump(doc, sys.stdout)

@@ -245,6 +245,54 @@ def test_threads_of_one_still_sets_the_variables():
     assert proc.stdout.decode().split() == ["3", "1", "1", "1"]
 
 
+def test_train_and_eval_same_bytes_at_one_and_two_workers(tmp_path):
+    # with the pool's work threshold forced to 0, --threads 2 splits every
+    # pool-capable call into tasks even at this small shape (the Gram kernel,
+    # two strips): heads, log records and eval report must keep --threads 1's
+    # bytes
+    world = _gen(tmp_path, "world.rrse", n=160, extra=("--dim", "40", "--d1", "10", "--d2", "8"))
+    noised = str(tmp_path / "noised.rrse")
+    assert main(["inject", world, "--rho", "0.4", "--seed", "2", "-o", noised]) == 0
+    code = ("import sys\n"
+            "from rrsitr import pool\n"
+            "pool.PARALLEL_WORK = 0\n"
+            "from rrsitr.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    outputs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        proc = _run_python(["-c", code, "train", "--data", noised, "--val", world, "--out-dir",
+                            str(run), "--epochs", "2", "--batch", "40", "--threads", threads])
+        assert proc.returncode == 0, proc.stderr
+        proc = _run_python(["-c", code, "eval", "--checkpoint", str(run / "train.rrsp"),
+                            "--data", world, "-o", str(run / "eval.json"), "--threads", threads])
+        assert proc.returncode == 0, proc.stderr
+        assert json.load(open(run / "manifest.json"))["workers"] == int(threads)
+        records = [{k: v for k, v in json.loads(line).items() if k != "wall_clock_sec"}
+                   for line in open(run / "train.log.jsonl")]
+        outputs[threads] = ((run / "train.rrsp").read_bytes(), records,
+                            (run / "eval.json").read_bytes())
+    assert len(outputs["1"][1]) == 2
+    assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["gen", "-h"], ["inject", "-h"], ["train", "-h"],
+                                  ["ablate", "-h"], ["eval", "-h"], [], ["trace"],
+                                  ["train", "--data", "d", "extra"], ["eval", "--bogus"],
+                                  ["-x", "train"], ["gen", "--n"]])
+def test_main_parses_as_the_parser_of_every_command(argv, capsys, monkeypatch):
+    # main adds only the chosen command's arguments; its help and usage errors
+    # must be the bytes the parser of every command prints
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][1 if argv[-1:] == ["-h"] else 2].startswith("usage: rrsitr")
+
+
 def test_manifest_records_blas_and_threads(tmp_path):
     data = _gen(tmp_path, n=20)
     out_dir = tmp_path / "run"
@@ -258,6 +306,7 @@ def test_manifest_records_blas_and_threads(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.load(open(out_dir / "manifest.json"))
     assert manifest["threads"] == {v: "1" for v in names}
+    assert manifest["workers"] == 1
     assert manifest["blas"]["name"] and manifest["blas"]["version"]
     assert manifest["cpu_count"] == os.cpu_count()
 
@@ -809,7 +858,8 @@ def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():
     proc = _run_python(["-m", "rrsitr", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().startswith("usage: rrsitr")
-    # --threads reaches the thread variables, so numpy was not loaded first
+    # BLAS is pinned to one thread whatever --threads says, which reaches the
+    # thread variables only because numpy was not loaded first
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     code = ("import os, runpy, sys\n"
             f"for v in {names!r}: os.environ.pop(v, None)\n"
@@ -821,7 +871,7 @@ def test_python_m_rrsitr_runs_the_cli_before_numpy_loads():
             f"    print(e.code, [os.environ.get(v) for v in {names!r}])\n")
     proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().strip() == "3 ['2', '2', '2']"
+    assert proc.stdout.decode().strip() == "3 ['1', '1', '1']"
 
 
 class _FakeLibc:

@@ -13,10 +13,20 @@ def test_outputs_match_golden_digests():
     # fixed small runs, computed in a fresh process at one BLAS thread, against
     # the digests pinned in golden_digests.json (rewrite it with
     # `python tests/golden.py --write` and name every moved case)
+    _check_digests(["--workers", "1"])
+
+
+def test_outputs_match_golden_digests_on_two_workers():
+    # the same digests with every pool-capable call split into tasks on two
+    # worker threads, however small its shape
+    _check_digests(["--workers", "2", "--force-parallel"])
+
+
+def _check_digests(args):
     src = os.path.dirname(os.path.dirname(rrsitr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, os.path.join(HERE, "golden.py")],
+    proc = subprocess.run([sys.executable, os.path.join(HERE, "golden.py"), *args],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     got = json.loads(proc.stdout)
