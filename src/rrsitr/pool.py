@@ -9,8 +9,9 @@ order on their own thread. So every output has the same bits at any pool size.
 
 A caller takes the parallel path only when parallel(work) holds: its work, in
 multiply-adds counted from its shapes, is above PARALLEL_WORK and the pool has
-more than one worker. Below that it runs the serial loop and the pool is never
-made. Tasks must not call run themselves.
+more than one worker. Below that it runs its tasks in order on its own thread
+and the pool is never made. Tasks must not call run themselves. The pool has
+at most cores() workers: more threads than cores would only take turns.
 
 The pool is for a BLAS that runs at one thread, as the rrsitr command pins it
 before numpy loads. A BLAS left at several threads already uses the cores, and
@@ -36,30 +37,34 @@ _executor = None                   # a ThreadPoolExecutor of workers() - 1 threa
 _lock = threading.Lock()           # guards _workers and _executor
 
 
-def workers() -> int:
-    """The pool size: set_workers' count or by default, where the thread
-    variables that are set all read 1, the cores this process may run on;
-    otherwise 1."""
-    if _workers is not None:
-        return _workers
-    counts = [os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)]
-    if not counts or any(c != "1" for c in counts):
-        return 1
+def cores() -> int:
+    """The cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:            # no sched_getaffinity on this platform
         return os.cpu_count() or 1
 
 
+def workers() -> int:
+    """The pool size: set_workers' count or by default, where the thread
+    variables that are set all read 1, cores(); otherwise 1."""
+    if _workers is not None:
+        return _workers
+    counts = [os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)]
+    if not counts or any(c != "1" for c in counts):
+        return 1
+    return cores()
+
+
 def set_workers(n: Optional[int]) -> Optional[int]:
-    """Set the pool size (None: the default) and return the previous setting.
-    A running pool of another size is shut down; the next parallel call makes
-    a new one."""
+    """Set the pool size to n, at most cores() (None: the default), and return
+    the previous setting. A running pool of another size is shut down; the
+    next parallel call makes a new one."""
     global _workers, _executor
     if n is not None and n < 1:
         raise ValueError(f"worker count must be >= 1, got {n}")
     with _lock:
-        size, previous, _workers = workers(), _workers, n
+        size, previous, _workers = workers(), _workers, None if n is None else min(n, cores())
         if _executor is not None and workers() != size:
             _executor.shutdown()
             _executor = None
@@ -76,9 +81,9 @@ def run(fn: Callable, args: Iterable[tuple], on_pool: bool) -> Iterator:
 
     With on_pool false this is itertools.starmap: each task runs on the
     calling thread when its result is taken. With on_pool true the calling
-    thread and the pool's other workers - 1 threads take the tasks in args'
-    order, one at a time, and the call returns once every task taken has
-    finished. After a task raises no further task is taken, and the error of
+    thread and up to workers() - 1 pool threads (no more than a sized args
+    has tasks beside the caller's) take the tasks in args' order, one at a
+    time, and the call returns once every task taken has finished. After a task raises no further task is taken, and the error of
     the first failed task in args' order re-raises here, so no task is still
     running when an error propagates.
     """
@@ -88,10 +93,11 @@ def run(fn: Callable, args: Iterable[tuple], on_pool: bool) -> Iterator:
 
     global _executor
     with _lock:
-        helpers = workers() - 1
-        if _executor is None and helpers:
-            _executor = ThreadPoolExecutor(helpers, thread_name_prefix="rrsitr")
+        size = workers() - 1
+        if _executor is None and size:
+            _executor = ThreadPoolExecutor(size, thread_name_prefix="rrsitr")
         executor = _executor
+    helpers = min(size, len(args) - 1) if hasattr(args, "__len__") else size
     tasks = enumerate(args)
     results, errors = {}, {}
     taking = threading.Lock()

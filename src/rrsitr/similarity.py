@@ -139,13 +139,14 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     again (exact). The forward is the same function of the inputs with or
     without grad.
 
-    Above pool.PARALLEL_WORK (about dim^2/2 multiply-adds per pair) the work
-    runs on the worker pool: in the forward one task per strip, whose parts
+    The work is split into tasks: in the forward one per strip, whose parts
     are added in strip order here; in the backward, per strip, the two K
-    products as two tasks and then _strip_backward over the fixed item ranges
-    of data._row_chunks on both sides. Each task makes the calls the serial
-    loop makes, on the same operands, and no GEMM is split by rows, so the
-    result has the serial loop's bits at every pool size.
+    products (_strip_k) and then _strip_backward over the fixed item ranges
+    of data._row_chunks on both sides. Above pool.PARALLEL_WORK (about dim^2/2
+    multiply-adds per pair) they run on the worker pool, below it in order on
+    the calling thread. A task's calls and operands do not depend on the
+    thread that runs it, and no GEMM is split by rows, so the result has the
+    same bits at every pool size.
     """
     n, _, dim = A.shape
     m = B.shape[0]
@@ -177,39 +178,25 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
 
     def backward(W: np.ndarray, out=None):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
-        dA, dB = (None, None) if out is None else out
-        if on_pool:
-            dA = np.empty(A.shape) if dA is None else dA
-            dB = np.empty(B.shape) if dB is None else dB
+        dA, dB = (np.empty(A.shape), np.empty(B.shape)) if out is None else out
         for s, e, PA, PB in kept:
-            if on_pool:
-                KA, KB = pool.run(_strip_k, ((W, PB, s, e, dim, False),
-                                             (W.T, PA, s, e, dim, True)), True)
-                list(pool.run(_strip_backward, ((X[r0:r1], K[r0:r1], s, e, dX[r0:r1])
-                                                for X, K, dX in ((A, KA, dA), (B, KB, dB))
-                                                for r0, r1 in _row_chunks(X.shape)), True))
-                continue
-            KA, KB = W @ PB.reshape(m, -1), W.T @ PA.reshape(n, -1)
-            # KB first, while the product just formed is in cache
-            KB = _shaped_k(KB, s, e, dim, True)
-            KA = _shaped_k(KA, s, e, dim, False)
-            dA = _strip_backward(A, KA, s, e, dA)
-            dB = _strip_backward(B, KB, s, e, dB)
+            KB, KA = pool.run(_strip_k, ((W.T, PA, s, e, dim, True),
+                                         (W, PB, s, e, dim, False)), on_pool)
+            list(pool.run(_strip_backward, ((X[r0:r1], K[r0:r1], s, e, dX[r0:r1])
+                                            for X, K, dX in ((A, KA, dA), (B, KB, dB))
+                                            for r0, r1 in _row_chunks(X.shape)), on_pool))
         return dA, dB
 
     return norms, (backward if grad else None)
 
 
 def _strip_k(W: np.ndarray, P: np.ndarray, s: int, e: int, dim: int, b_side: bool):
-    """One side's K for strip s:e, W @ P over the other side's strip P: an
-    A-side K takes W and PB, a B-side K takes W^T and PA (_shaped_k)."""
-    return _shaped_k(W @ P.reshape(len(P), -1), s, e, dim, b_side)
-
-
-def _shaped_k(K: np.ndarray, s: int, e: int, dim: int, b_side: bool) -> np.ndarray:
-    """A K product of strip s:e shaped for _strip_backward, (items, e-s, dim-s)
-    or, for the packed last strip, gathered back to (items, e-s, e-s). A
-    B-side K halves the columns doubled in PA."""
+    """One side's K for strip s:e, W @ P over the other side's strip P (an
+    A-side K takes W and PB, a B-side K takes W^T and PA), shaped for
+    _strip_backward: (items, e-s, dim-s) or, for the packed last strip,
+    gathered back to (items, e-s, e-s). A B-side K halves the columns doubled
+    in PA."""
+    K = W @ P.reshape(len(P), -1)
     if e < dim:
         K = K.reshape(len(K), e - s, dim - s)
         if b_side:
@@ -240,9 +227,9 @@ def _clamped_sqrt(sq: np.ndarray) -> np.ndarray:
 def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
     """Add X_i K_i to dX for the rows s:e, columns s: strip K of symmetric K_i:
     the strip acts on columns s: and its mirror image on columns s:e. The first
-    strip (s = 0) covers every column and starts dX (a new array if None)."""
+    strip (s = 0) covers every column and overwrites dX."""
     if s == 0:
-        dX = np.matmul(X[:, :, s:e], K, out=dX)
+        np.matmul(X[:, :, s:e], K, out=dX)
     else:
         dX[:, :, s:] += np.matmul(X[:, :, s:e], K)
     if e < X.shape[2]:

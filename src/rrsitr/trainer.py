@@ -197,26 +197,25 @@ def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, 
     row chunks of the same size, once per modality at batch sizes. Every row
     comes out as a whole-block projection gives it.
 
-    Above pool.PARALLEL_WORK multiply-adds each of those chunks is one task on
-    the worker pool, a float32 chunk with its own upcast buffer: first both
-    modalities' projections, then both modalities' bias and norm chunks. The
-    serial loop takes one modality after the other and reuses one buffer.
-    Either way each chunk is the same GEMM on the same operands, so the rows
-    have the same bits at every pool size.
+    Each of those chunks is one task: first both modalities' projections,
+    then both modalities' bias and norm chunks. Above pool.PARALLEL_WORK
+    multiply-adds they run on the worker pool, a float32 chunk with its own
+    upcast buffer; below it they run in order on the calling thread, which
+    upcasts every float32 chunk into one reused buffer. Either way each chunk
+    is the same GEMM on the same operands, so the rows have the same bits at
+    every pool size.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
     on_pool = pool.parallel(sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
-    # the serial loop upcasts every float32 chunk into one buffer
     buf = None if on_pool else np.empty((0, dim))
-    out, steps = [], []
+    out, projections, normalisations = [], [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
                         (heads.W_txt, heads.b_txt, _BLOCKS[2:])):
         X_global, X_local = (getattr(rows, name).reshape(-1, dim) for name in names)
         U = np.empty((len(X_global) + len(X_local), heads.dim_out))
         r = np.empty((len(U), 1))
-        projections = []
         for X, at in ((X_global, 0), (X_local, len(X_global))):
             if X.dtype == np.float64:
                 projections.append((X, W, U[at:at + len(X)], None))
@@ -225,13 +224,10 @@ def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, 
                 if buf is not None and len(buf) < r1 - r0:
                     buf = np.empty((r1 - r0, dim))
                 projections.append((X[r0:r1], W, U[at + r0:at + r1], buf))
-        steps.append((projections, [(U[r0:r1], r[r0:r1], b) for r0, r1 in _row_chunks(U.shape)]))
+        normalisations += [(U[r0:r1], r[r0:r1], b) for r0, r1 in _row_chunks(U.shape)]
         out.append((U, r, len(X_global)))
-    if on_pool:     # both modalities' projections, then both modalities' norms
-        steps = [tuple(sum(tasks, []) for tasks in zip(*steps))]
-    for projections, normalisations in steps:
-        list(pool.run(_project_rows, projections, on_pool))
-        list(pool.run(_unit_rows_in_place, normalisations, on_pool))
+    list(pool.run(_project_rows, projections, on_pool))
+    list(pool.run(_unit_rows_in_place, normalisations, on_pool))
     return out
 
 

@@ -267,13 +267,28 @@ def test_train_and_eval_same_bytes_at_one_and_two_workers(tmp_path):
         proc = _run_python(["-c", code, "eval", "--checkpoint", str(run / "train.rrsp"),
                             "--data", world, "-o", str(run / "eval.json"), "--threads", threads])
         assert proc.returncode == 0, proc.stderr
-        assert json.load(open(run / "manifest.json"))["workers"] == int(threads)
+        assert (json.load(open(run / "manifest.json"))["workers"]
+                == min(int(threads), len(os.sched_getaffinity(0))))
         records = [{k: v for k, v in json.loads(line).items() if k != "wall_clock_sec"}
                    for line in open(run / "train.log.jsonl")]
         outputs[threads] = ((run / "train.rrsp").read_bytes(), records,
                             (run / "eval.json").read_bytes())
     assert len(outputs["1"][1]) == 2
     assert outputs["1"] == outputs["2"]
+
+
+def test_threads_above_the_cores_is_capped_and_starts_no_thread(tmp_path):
+    # the pool never outgrows the cores, so a huge --threads cannot ask the
+    # system for that many threads; at this shape no call reaches the pool
+    import threading
+
+    data = _gen(tmp_path, n=20)
+    running = threading.active_count()
+    assert main(["train", "--data", data, "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                 "--batch", "10", "--threads", "100000"]) == 0
+    assert threading.active_count() == running
+    manifest = json.load(open(tmp_path / "run" / "manifest.json"))
+    assert manifest["workers"] == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["gen", "-h"], ["inject", "-h"], ["train", "-h"],

@@ -13,8 +13,11 @@ from rrsitr.trainer import Hyper, gradients, init_heads, project
 
 
 @pytest.fixture
-def workers():
-    """Set the pool size for one test and restore the previous setting."""
+def workers(monkeypatch):
+    """Set the pool size for one test and restore the previous setting. The
+    host is taken to have 8 cores, so a test can size the pool past this
+    host's and keep the threads it asks for."""
+    monkeypatch.setattr(pool, "cores", lambda: 8)
     previous = []
 
     def set_to(n):
@@ -40,11 +43,29 @@ def test_default_size_is_every_core_only_under_a_one_thread_blas(workers, monkey
         monkeypatch.delenv(var, raising=False)
     assert pool.workers() == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert pool.workers() == len(os.sched_getaffinity(0))
+    assert pool.workers() == pool.cores() == 8
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert pool.workers() == 1
     workers(3)
     assert pool.workers() == 3
+
+
+def test_size_is_capped_at_the_cores_and_starts_no_thread():
+    running = threading.active_count()
+    previous = pool.set_workers(10 ** 5)
+    try:
+        assert pool.workers() == len(os.sched_getaffinity(0))
+        assert threading.active_count() == running
+    finally:
+        pool.set_workers(previous)
+
+
+def test_a_call_wakes_no_more_helpers_than_it_has_tasks(workers):
+    workers(1)
+    workers(8)      # a new pool, which has started no thread yet
+    running = threading.active_count()
+    assert list(pool.run(lambda i: i, [(0,), (1,)], True)) == [0, 1]
+    assert threading.active_count() <= running + 1
 
 
 def test_error_in_a_task_propagates_after_every_sibling_finished(workers):
