@@ -126,7 +126,13 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     ranks by another fusion and reports another mR without any error.
     The rows go through trainer.project, the projection the trainer uses;
     heads whose projection is not finite raise NumericError, since every
-    comparison with NaN is false and would rank every item first.
+    comparison with NaN is false and would rank every item first. evaluate
+    runs on the calling thread alone, the projection too: split over the
+    worker pool, that one short stretch ran at one to two cores' speed from
+    call to call whenever another process ran on the host (two workers
+    on 2 vCPUs beside one busy process, 300 pairs at dim 256 and 36x16
+    locals: median 47 ms, interquartile range 19 ms; on one thread 60 and
+    1.2 ms), so evaluate's time tracked the host's load.
 
     Only the pairs that can change a rank get an Sl. With c = 1 - alpha,
     S_ij = alpha * (Uig_i . Utg_j), and F = S + c*Sl computed in floating
@@ -233,7 +239,7 @@ def evaluate(heads, test_dataset: Dataset, hyper) -> RetrievalReport:
     """
     check_test_set(test_dataset)
     n = test_dataset.n_pairs
-    projected = project(heads, test_dataset)
+    projected = project(heads, test_dataset, parallel=False)
     if not all(np.isfinite(r).all() for _, r in projected):
         raise NumericError("the heads project the test set to non-finite values")
     (Uig, _), (Uil, _), (Utg, _), (Utl, _) = projected

@@ -27,7 +27,7 @@ import threading
 from typing import Callable, Iterable, Iterator, Optional
 
 # multiply-adds above which a call is split into tasks; a desk-shape step
-# (b = 100, dim 32, 8x8 locals) and evaluate on 1000 desk pairs stay below it
+# (b = 100, dim 32, 8x8 locals) stays below it
 PARALLEL_WORK = 1 << 26
 # the variables OpenBLAS, MKL and OpenMP read their thread counts from at load
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

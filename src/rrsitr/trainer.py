@@ -169,7 +169,8 @@ def resolve_variant(name: str) -> VariantSpec:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]:
+def project(heads: ProjectionHeads, rows,
+            parallel: bool = True) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The one projection of embedding rows through the heads, for training
     batches and evaluation sets alike.
 
@@ -177,15 +178,17 @@ def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]
     block, in data._BLOCKS order, returns (U, r): its float64 unit rows
     flattened to (rows, dout) and their norms before normalisation, (rows, 1).
     Each modality's two blocks are views into one buffer, global rows first
-    (_project_modalities).
+    (_project_modalities). With parallel false it runs on the calling thread
+    at any size; the rows have the same bits either way.
     """
     out = []
-    for U, r, n_global in _project_modalities(heads, rows):
+    for U, r, n_global in _project_modalities(heads, rows, parallel):
         out += [(U[:n_global], r[:n_global]), (U[n_global:], r[n_global:])]
     return out
 
 
-def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+def _project_modalities(heads: ProjectionHeads, rows,
+                        parallel: bool = True) -> List[Tuple[np.ndarray, np.ndarray, int]]:
     """(U, r, n_global) per modality, image then text: the unit rows of its
     global block and then of its local block in one (rows, dout) buffer U, their
     norms before normalisation r, (rows, 1), and the global block's row count.
@@ -199,16 +202,17 @@ def _project_modalities(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, 
 
     Each of those chunks is one task: first both modalities' projections,
     then both modalities' bias and norm chunks. Above pool.PARALLEL_WORK
-    multiply-adds they run on the worker pool, a float32 chunk with its own
-    upcast buffer; below it they run in order on the calling thread, which
-    upcasts every float32 chunk into one reused buffer. Either way each chunk
-    is the same GEMM on the same operands, so the rows have the same bits at
-    every pool size.
+    multiply-adds, unless parallel is false, they run on the worker pool, a
+    float32 chunk with its own upcast buffer; otherwise they run in order on
+    the calling thread, which upcasts every float32 chunk into one reused
+    buffer. Either way each chunk is the same GEMM on the same operands, so
+    the rows have the same bits at every pool size.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
-    on_pool = pool.parallel(sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
+    on_pool = parallel and pool.parallel(
+        sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
     buf = None if on_pool else np.empty((0, dim))
     out, projections, normalisations = [], [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),

@@ -109,6 +109,25 @@ def test_first_failing_task_in_order_is_the_one_raised(workers):
         pool.run(task, [(i,) for i in range(4)], True)
 
 
+def test_evaluate_runs_nothing_on_the_pool(workers, monkeypatch):
+    # a training step's projection splits into pool tasks at this size;
+    # evaluate's stays on the calling thread at any size
+    from rrsitr.evaluation import evaluate
+
+    world = generate_synthetic(40, 4, 16, 6, 4, 0.3, seed=5)
+    heads = init_heads(16, seed=2, noise_std=0.1)
+    monkeypatch.setattr(pool, "PARALLEL_WORK", 0)
+    workers(2)
+    on_pool = []
+    run = pool.run
+    monkeypatch.setattr(pool, "run", lambda fn, args, on: on_pool.append(on) or run(fn, args, on))
+    project(heads, world)
+    assert on_pool and all(on_pool)
+    on_pool.clear()
+    evaluate(heads, world, Hyper())
+    assert on_pool and not any(on_pool)
+
+
 def test_results_come_in_argument_order(workers):
     workers(3)
     got = pool.run(lambda i: (time.sleep(0.01 * (5 - i)), i)[1], [(i,) for i in range(6)], True)
