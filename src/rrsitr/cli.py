@@ -104,8 +104,8 @@ def _run_flags() -> argparse.ArgumentParser:
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="worker threads for large shapes, at most and by default every core "
-                        "this process may run on; every output has the same bits at any count, and BLAS "
-                        "runs at one thread")
+                        "this process may run on; every output has the same bits at any count, "
+                        "and BLAS runs at one thread")
 
 
 def _hyper_from_args(args) -> "Hyper":

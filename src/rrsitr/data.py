@@ -216,13 +216,14 @@ def _chunk_rows(row_size: int) -> int:
     return max(1, _CHUNK_BYTES // max(1, 8 * row_size))
 
 
-def _row_chunks(shape: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
+def _row_chunks(shape: Tuple[int, ...], min_rows: int = 1) -> Iterator[Tuple[int, int]]:
     """(r0, r1) bounds of consecutive first-axis chunks of a block of this shape,
-    each of at most _chunk_rows rows and of near-equal size. No chunk is a
-    sliver of a few rows: a GEMM over one to three rows can round differently
-    from the same rows inside a larger product."""
+    each of at most _chunk_rows rows and of near-equal size, but fewer and
+    larger chunks where that would leave one under min_rows rows. No chunk is
+    a sliver of a few rows: a GEMM over one to three rows can round
+    differently from the same rows inside a larger product."""
     n = shape[0]
-    count = -(-n // _chunk_rows(math.prod(shape[1:])))
+    count = min(-(-n // _chunk_rows(math.prod(shape[1:]))), max(1, n // min_rows))
     for k in range(count):
         yield n * k // count, n * (k + 1) // count
 

@@ -13,6 +13,19 @@ more than one worker. Below that it runs its tasks in order on its own thread
 and the pool is never made. Tasks must not call run themselves. The pool has
 at most cores() workers: more threads than cores would only take turns.
 
+Each call returns only when its slowest task has finished, so a call site
+cuts its work into tasks of near-equal size, several per worker, and a step
+makes few calls. A Gram-kernel training step makes len(strips) + 6 calls, 14
+at the paper shape (dim 256, eight strips): two for the projection and its
+normalisation, in row chunks of each block (trainer._project_modalities); one
+for the Sl forward, a task per strip, and len(strips) + 1 for its pipelined
+backward, where call t forms strip t's two K products beside strip t-1's
+row-chunk backward (similarity._gram_kernel); then one for the
+renormalisation backward in row chunks, and one for both heads' weight
+gradients in pieces of output rows (trainer._objective). The task lists come
+from the shapes and data._CHUNK_BYTES alone, and the serial path runs the
+same lists in order.
+
 The pool is for a BLAS that runs at one thread, as the rrsitr command pins it
 before numpy loads. A BLAS left at several threads already uses the cores, and
 pool threads calling it at once contend with its own threads (a paper-shape
@@ -83,9 +96,10 @@ def run(fn: Callable, args: Iterable[tuple], on_pool: bool) -> Iterator:
     calling thread when its result is taken. With on_pool true the calling
     thread and up to workers() - 1 pool threads (no more than a sized args
     has tasks beside the caller's) take the tasks in args' order, one at a
-    time, and the call returns once every task taken has finished. After a task raises no further task is taken, and the error of
-    the first failed task in args' order re-raises here, so no task is still
-    running when an error propagates.
+    time, and the call returns once every task taken has finished. After a
+    task raises no further task is taken, and the error of the first failed
+    task in args' order re-raises here, so no task is still running when an
+    error propagates.
     """
     if not on_pool:
         return itertools.starmap(fn, args)

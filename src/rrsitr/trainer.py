@@ -2,16 +2,18 @@
 L = L_S1 + lambda1*L_S2 + lambda2*L_soft with its analytic gradients, Adam with a
 warmup+cosine schedule, and the alternating training loop.
 
-Embedding rows become unit projections in one place, `project`, which the
-objective, `forward` and `evaluation.evaluate` all call. The objective is built
-in one place, `_objective`: projection, Sg and Sl, per-pair InfoNCE losses, the
-frozen plan (partition and weights from `selfpaced.compute_weights`, margins,
-negatives and anchors from `losses.robust_triplet_loss`), the value, and the
-backward. A frozen plan and a given one share the rest, one `triplet_hinges`
-call included. Per step the plan is frozen from the current losses and one
-gradient step is taken on the resulting objective; gamma2 is read from `Hyper`
-alone (under `pace_epochs`, `train` builds each epoch's). Everything is float64
-and deterministic per seed.
+Embedding rows become unit projections in one place, `_project_modalities`,
+which the objective calls; `project`, which `forward` and
+`evaluation.evaluate` call, gives its rows block by block. The objective is
+built in one place, `_objective`: projection, Sg and Sl, per-pair InfoNCE
+losses, the frozen plan (partition and weights from
+`selfpaced.compute_weights`, margins, negatives and anchors from
+`losses.robust_triplet_loss`), the value, and the backward. A frozen plan
+and a given one share the rest, one `triplet_hinges` call included. Per step
+the plan is frozen from the current losses and one gradient step is taken on
+the resulting objective; gamma2 is read from `Hyper` alone (under
+`pace_epochs`, `train` builds each epoch's). Everything is float64 and
+deterministic per seed.
 """
 from __future__ import annotations
 
@@ -32,6 +34,18 @@ from .similarity import NORM_EPS, local_similarity_units
 RRSP_MAGIC = b"RRSP"
 RRSP_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# the fewest outputs of a projection chunk. At one BLAS thread a projection
+# GEMM of one row, or of up to about 1200 outputs (rows * dim_out) at dim_in >=
+# 32, takes another kernel than the whole block's and can round differently
+_MIN_CHUNK_OUTPUTS = 2048
+# the fewest output rows of a weight-gradient piece. Every piece repacks all of
+# its head's embedding rows: at the paper batch (3700 and 1700 rows, dim 256,
+# one BLAS thread) pieces of 32 and 64 output rows took 1.64x the time of one
+# product per head, and pieces of 128 rows 1.10x. A piece of one or two rows
+# can also round differently from the same rows of the whole product (numpy
+# or the BLAS takes another kernel for it).
+_MIN_PIECE_ROWS = 128
 
 
 @dataclass
@@ -193,15 +207,19 @@ def _project_modalities(heads: ProjectionHeads, rows,
     global block and then of its local block in one (rows, dout) buffer U, their
     norms before normalisation r, (rows, 1), and the global block's row count.
 
-    A float64 block is projected whole by one GEMM into its part of U, with no
-    copy. A float32 block is upcast and projected in row chunks of about
-    data._CHUNK_BYTES, each through a float64 buffer, so no float64 copy of
-    the whole block is made. The bias, norms and division then run over U in
-    row chunks of the same size, once per modality at batch sizes. Every row
-    comes out as a whole-block projection gives it.
+    Every block is projected in the row chunks of data._row_chunks, none of
+    fewer than _MIN_CHUNK_OUTPUTS outputs (or two rows), each one GEMM into
+    its part of U: a float64 chunk straight from the block, a float32 chunk
+    through a float64 upcast buffer, so no float64 copy of a whole float32
+    block is made. The bias, norms and division then run over U in row
+    chunks of the same size. At batch sizes below about data._CHUNK_BYTES per
+    block (the desk shape) that is one chunk per block and one per modality;
+    at the paper batch (100 pairs, 36 + 16 locals, dim 256) it is 14
+    projection and 12 normalisation chunks. Every row comes out as a
+    whole-block projection gives it.
 
-    Each of those chunks is one task: first both modalities' projections,
-    then both modalities' bias and norm chunks. Above pool.PARALLEL_WORK
+    Each chunk is one task, in two calls: both modalities' projections, then
+    both modalities' bias and norm chunks. Above pool.PARALLEL_WORK
     multiply-adds, unless parallel is false, they run on the worker pool, a
     float32 chunk with its own upcast buffer; otherwise they run in order on
     the calling thread, which upcasts every float32 chunk into one reused
@@ -214,6 +232,7 @@ def _project_modalities(heads: ProjectionHeads, rows,
     on_pool = parallel and pool.parallel(
         sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
     buf = None if on_pool else np.empty((0, dim))
+    min_rows = max(2, -(-_MIN_CHUNK_OUTPUTS // heads.dim_out))
     out, projections, normalisations = [], [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
                         (heads.W_txt, heads.b_txt, _BLOCKS[2:])):
@@ -221,11 +240,9 @@ def _project_modalities(heads: ProjectionHeads, rows,
         U = np.empty((len(X_global) + len(X_local), heads.dim_out))
         r = np.empty((len(U), 1))
         for X, at in ((X_global, 0), (X_local, len(X_global))):
-            if X.dtype == np.float64:
-                projections.append((X, W, U[at:at + len(X)], None))
-                continue
-            for r0, r1 in _row_chunks(X.shape):
-                if buf is not None and len(buf) < r1 - r0:
+            upcast = buf is not None and X.dtype != np.float64
+            for r0, r1 in _row_chunks(X.shape, min_rows):
+                if upcast and len(buf) < r1 - r0:
                     buf = np.empty((r1 - r0, dim))
                 projections.append((X[r0:r1], W, U[at + r0:at + r1], buf))
         normalisations += [(U[r0:r1], r[r0:r1], b) for r0, r1 in _row_chunks(U.shape)]
@@ -296,7 +313,8 @@ class BatchState:
 
 def _renorm_backward(dU: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
     """U = Z / r with r = max(||Z||, eps): dZ = (dU - (dU . U) U) / r, formed in
-    dU's memory with one temporary."""
+    dU's memory with one temporary. Each row's result depends on that row
+    alone, so a block gives the same bits whole or in row chunks."""
     t = dU * U
     np.multiply(np.add.reduce(t, axis=1, keepdims=True), U, out=t)
     dU -= t
@@ -321,9 +339,16 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     value and, if grad, its analytic gradients w.r.t. all head parameters.
 
     Each modality's global and local unit rows share one buffer, so the
-    renormalisation backward runs once per modality. The per-pair InfoNCE of
-    Sg and Sl is one pass over their stack, whose kept softmax terms give its
-    backward.
+    renormalisation backward runs over one (rows, dout) block per modality.
+    The per-pair InfoNCE of Sg and Sl is one pass over their stack, whose kept
+    softmax terms give its backward.
+
+    After Sl's backward the gradient takes two calls of tasks, both on the
+    worker pool above pool.PARALLEL_WORK and in order on the calling thread
+    below it: the renormalisation backward over the data._row_chunks of both
+    modalities' blocks (row-local, so exact), then both heads' (dW, db) in
+    pieces of output rows (_weight_grads). At the desk batch each list has
+    one task per modality.
     """
     (Ui, ri, b), (Ut, rt, _) = modalities = _project_modalities(heads, batch)
     d1, d2 = batch.image_local.shape[1], batch.text_local.shape[1]
@@ -388,26 +413,45 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         dUi[b:] = 0.0
         dUt[b:] = 0.0
 
-    # the image and the text side are two tasks above pool.PARALLEL_WORK
-    sides = [(dU, U, r, *(getattr(batch, name) for name in names))
-             for dU, (U, r, _), names in zip((dUi, dUt), modalities, (_BLOCKS[:2], _BLOCKS[2:]))]
+    # the renormalisation backward by row chunks, then each head's (dW, db) by
+    # pieces of output rows (_weight_grads): two calls, on the pool above
+    # pool.PARALLEL_WORK
     on_pool = pool.parallel((Ui.size + Ut.size) * heads.dim_in)
-    grads = {}
-    for side, (gW, gb) in zip(("img", "txt"), pool.run(_weight_grads, sides, on_pool)):
-        grads["W_" + side], grads["b_" + side] = gW, gb
+    list(pool.run(_renorm_backward, [(dU[r0:r1], U[r0:r1], r[r0:r1])
+                                     for dU, (U, r, _) in zip((dUi, dUt), modalities)
+                                     for r0, r1 in _row_chunks(U.shape)], on_pool))
+    grads, pieces = {}, []
+    for side, dZ, names in zip(("img", "txt"), (dUi, dUt), (_BLOCKS[:2], _BLOCKS[2:])):
+        X_global, X_local = (getattr(batch, name) for name in names)
+        X_local = X_local.reshape(len(dZ) - b, -1)
+        gW = grads["W_" + side] = np.empty((heads.dim_out, heads.dim_in))
+        gb = grads["b_" + side] = np.empty(heads.dim_out)
+        pieces += [(dZ[:, o0:o1], X_global, X_local, gW[o0:o1], gb[o0:o1])
+                   for o0, o1 in _row_chunks((heads.dim_out, len(dZ)), _MIN_PIECE_ROWS)]
+    list(pool.run(_weight_grads, pieces, on_pool))
     return grads, state
 
 
-def _weight_grads(dU, U, r, X_global, X_local):
-    """One head's (dW, db) from dLoss/dU of its unit rows U (global rows
-    first) and the embedding rows they were projected from."""
+def _weight_grads(dZ, X_global, X_local, gW, gb):
+    """Output rows o0:o1 of one head's (dW, db), written into gW and gb, from
+    the columns o0:o1 of dLoss/dZ (global rows first) and the embedding rows
+    projected, X_local flattened to (rows, dim_in). Each output element sums
+    over the rows in the order the whole product does.
+
+    A head's pieces are the data._row_chunks of dZ's columns, none under
+    _MIN_PIECE_ROWS rows: a head whose dZ is within data._CHUNK_BYTES is one
+    piece, and a larger one is cut into as many near-equal pieces as the
+    budget asks, at most dout // _MIN_PIECE_ROWS. At the paper batch (3700
+    and 1700 rows, dout 256) that is two pieces of 128 rows per head, four
+    tasks of which the two image pieces come first, so two workers each take
+    one image and one text piece; at the desk batch it is one piece per head.
+    The pieces come from the shapes alone, so the serial and the pool path
+    run the same products."""
     b = len(X_global)
-    dZ = _renorm_backward(dU, U, r)
-    gW = dZ[:b].T @ X_global
-    gW += dZ[b:].T @ X_local.reshape(len(dZ) - b, -1)
-    gb = dZ[:b].sum(axis=0)
+    np.matmul(dZ[:b].T, X_global, out=gW)
+    gW += dZ[b:].T @ X_local
+    np.sum(dZ[:b], axis=0, out=gb)
     gb += dZ[b:].sum(axis=0)
-    return gW, gb
 
 
 def batch_objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,

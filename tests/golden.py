@@ -10,9 +10,14 @@ A training case trains heads on a noised world and digests:
 The cases are the nine variants under four settings (default,
 rtl_noisy_only, pace_epochs, spl_sum_over_all), then the full method at one
 shape of each Sl kernel, where batch_objective and gradients are also
-digested on one batch; one more case digests three Adam steps. Floats go
-to JSON by repr and arrays by their bytes, so a digest moves with any bit of
-any float64.
+digested on one batch. The full/gram/chunked case trains the Gram shape again
+under a data._CHUNK_BYTES of CHUNKED_BYTES and weight-gradient pieces of at
+least CHUNKED_PIECE_ROWS rows, where every task list of a training step cuts
+each local block into two or more chunks or pieces, on the serial path too;
+its digests were computed by a tree that formed every training projection and
+weight gradient as one whole-block product, and equal full/gram's. One more
+case digests three Adam steps. Floats go to JSON by repr and arrays by their
+bytes, so a digest moves with any bit of any float64.
 
 BLAS runs at one thread, so each GEMM sums in one order. --workers sets the
 worker pool's size (rrsitr.pool), and --force-parallel sets its work
@@ -37,7 +42,7 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from rrsitr import pool  # noqa: E402
+from rrsitr import data, pool, trainer  # noqa: E402
 from rrsitr.cli import _blas  # noqa: E402
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise  # noqa: E402
 from rrsitr.evaluation import evaluate  # noqa: E402
@@ -51,6 +56,10 @@ SETTINGS = {"default": {}, "rtl_noisy_only": {"rtl_noisy_only": True},
 # (n_train, dim, d1, d2) of the one shape per Sl kernel; the Gram one spans
 # two strips (dim > GRAM_BLOCK)
 KERNEL_SHAPES = {"direct": (120, 64, 4, 4), "gram": (120, 40, 10, 8)}
+# at the Gram shape these cut the training step's local blocks into 4 row
+# chunks each, its (440, 40) and (360, 40) unit rows into 5 and 4, the weight
+# gradients into 5 and 4 pieces and each Sl backward strip into 4 + 4 chunks
+CHUNKED_BYTES, CHUNKED_PIECE_ROWS = 32 << 10, 8
 
 
 def _sha(*parts) -> str:
@@ -123,6 +132,12 @@ def digests() -> dict:
         noised, test = _world(n, dim, d1, d2)
         cases[f"full/{kernel}"] = _train_case(noised, test, replace(hyper, epochs=2), "full")
         cases.update(_objective_cases(noised, kernel))
+    budgets = data._CHUNK_BYTES, trainer._MIN_PIECE_ROWS
+    data._CHUNK_BYTES, trainer._MIN_PIECE_ROWS = CHUNKED_BYTES, CHUNKED_PIECE_ROWS
+    try:
+        cases["full/gram/chunked"] = _train_case(noised, test, replace(hyper, epochs=2), "full")
+    finally:
+        data._CHUNK_BYTES, trainer._MIN_PIECE_ROWS = budgets
     cases["adam"] = _adam_case()
     return {"numpy": np.__version__, "blas": _blas(), "cases": cases}
 

@@ -585,6 +585,20 @@ def test_subset_selects_rows(idx):
         assert got.base is None and not np.shares_memory(got, parent), name
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 17, 40, 256])
+def test_row_chunks_are_near_equal_and_no_smaller_than_min_rows(monkeypatch, n):
+    # at one row per chunk of budget, min_rows merges chunks so that none is
+    # smaller than it (or than the block); the bounds still tile the rows
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 8)
+    for min_rows in (1, 8):
+        chunks = list(data._row_chunks((n, 1), min_rows))
+        assert [r0 for r0, _ in chunks] == [0] + [r1 for _, r1 in chunks[:-1]]
+        assert chunks[-1][1] == n
+        sizes = [r1 - r0 for r0, r1 in chunks]
+        assert min(sizes) >= min(n, min_rows) and max(sizes) - min(sizes) <= 1
+        assert len(chunks) == (n if min_rows == 1 else max(1, n // min_rows))
+
+
 @pytest.mark.parametrize("chunk", ["default", "single-pair"])
 @pytest.mark.parametrize("dim", [32, 200, 255, 256])
 @pytest.mark.parametrize("d2", [1, 2, 3, 4, 16])

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from rrsitr import pool
+from rrsitr import data, pool, trainer
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.similarity import local_similarity_units
 from rrsitr.trainer import Hyper, gradients, init_heads, project
@@ -134,10 +134,15 @@ def test_results_come_in_argument_order(workers):
     assert list(got) == list(range(6))
 
 
-def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch):
+@pytest.mark.parametrize("budget", ["default", "small"])
+def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch, budget):
     # every pool-capable call of a training step and of project split into
     # tasks on more threads than there are cores, under frequent thread
-    # switches: each output must keep the serial loop's bits
+    # switches: each output must keep the serial loop's bits. The small
+    # budgets cut every local block at this shape into several tasks.
+    if budget == "small":
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 32 << 10)
+        monkeypatch.setattr(trainer, "_MIN_PIECE_ROWS", 8)
     world = generate_synthetic(140, 4, 40, 10, 8, 0.3, seed=5)   # Gram kernel, two strips
     train = inject_noise(world.subset(np.arange(100)), NoiseSpec(rho=0.4, seed=6))
     batch = next(batch_iter(train, 50, epoch_seed=1))
@@ -155,6 +160,15 @@ def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch):
     workers(1)
     serial = outputs()
     monkeypatch.setattr(pool, "PARALLEL_WORK", 0)
+    tasks = {}     # task counts of each pool call, by task function
+    run = pool.run
+
+    def counted(fn, args, on_pool):
+        args = list(args)
+        tasks.setdefault(fn.__name__, []).append(len(args))
+        return run(fn, args, on_pool)
+
+    monkeypatch.setattr(pool, "run", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -164,3 +178,8 @@ def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch):
             assert all(np.array_equal(x, y) for x, y in zip(serial, got))
     finally:
         sys.setswitchinterval(interval)
+    if budget == "small":
+        # projection, renormalisation, weight gradients and the pipelined
+        # strips (_call: a strip's K products, the last strip's chunks or both)
+        for name in ("_project_rows", "_renorm_backward", "_weight_grads", "_call"):
+            assert min(tasks[name]) >= 2 and max(tasks[name]) >= 8, (name, tasks[name])
