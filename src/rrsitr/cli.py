@@ -97,15 +97,11 @@ def _run_flags() -> argparse.ArgumentParser:
                    help=">0: grow gamma2 linearly over this many epochs")
     g.add_argument("--spl-sum-over-all", action="store_true",
                    help="L_S2 sums over all pairs below gamma2 instead of the ambiguous bucket")
-    _add_threads_flag(p)
-    return p
-
-
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="worker threads for large shapes, at most and by default every core "
                         "this process may run on; every output has the same bits at any count, "
                         "and BLAS runs at one thread")
+    return p
 
 
 def _hyper_from_args(args) -> "Hyper":
@@ -352,7 +348,9 @@ def _eval_flags(p: argparse.ArgumentParser) -> None:
                    help="global/local fusion weight, by default train's default. The "
                         "checkpoint does not record the alpha its heads were trained "
                         "with: pass that value")
-    _add_threads_flag(p)
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help="accepted as train and ablate take it, and changes nothing: eval "
+                        "runs on the calling thread at any count")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

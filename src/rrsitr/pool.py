@@ -15,16 +15,15 @@ at most cores() workers: more threads than cores would only take turns.
 
 Each call returns only when its slowest task has finished, so a call site
 cuts its work into tasks of near-equal size, several per worker, and a step
-makes few calls. A Gram-kernel training step makes len(strips) + 6 calls, 14
-at the paper shape (dim 256, eight strips): two for the projection and its
-normalisation, in row chunks of each block (trainer._project_modalities); one
-for the Sl forward, a task per strip, and len(strips) + 1 for its pipelined
-backward, where call t forms strip t's two K products beside strip t-1's
-row-chunk backward (similarity._gram_kernel); then one for the
-renormalisation backward in row chunks, and one for both heads' weight
-gradients in pieces of output rows (trainer._objective). The task lists come
-from the shapes and data._CHUNK_BYTES alone, and the serial path runs the
-same lists in order.
+makes few calls. A Gram-kernel training step makes 8 calls at every dim: one
+for the projection, where each row chunk of each block is projected and
+normalised (trainer._project_modalities); one for the Sl forward, a task per
+strip, and four for its backward, two per side: the side's K products, a
+task per strip, then its row-chunk backward over every strip
+(similarity._gram_kernel); then one for the renormalisation backward in row
+chunks, and one for both heads' weight gradients in pieces of output rows
+(trainer._objective). The task lists come from the shapes and
+data._CHUNK_BYTES alone, and the serial path runs the same lists in order.
 
 The pool is for a BLAS that runs at one thread, as the rrsitr command pins it
 before numpy loads. A BLAS left at several threads already uses the cores, and
@@ -37,7 +36,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, List, Optional
 
 # multiply-adds above which a call is split into tasks; a desk-shape step
 # (b = 100, dim 32, 8x8 locals) stays below it
@@ -89,17 +88,17 @@ def parallel(work: int) -> bool:
     return work > PARALLEL_WORK and workers() > 1
 
 
-def run(fn: Callable, args: Iterable[tuple], on_pool: bool) -> Iterator:
+def run(fn: Callable, args: List[tuple], on_pool: bool) -> Iterator:
     """fn(*a) for each a in args, results in args' order.
 
     With on_pool false this is itertools.starmap: each task runs on the
     calling thread when its result is taken. With on_pool true the calling
-    thread and up to workers() - 1 pool threads (no more than a sized args
-    has tasks beside the caller's) take the tasks in args' order, one at a
-    time, and the call returns once every task taken has finished. After a
-    task raises no further task is taken, and the error of the first failed
-    task in args' order re-raises here, so no task is still running when an
-    error propagates.
+    thread and up to workers() - 1 pool threads (no more than args has tasks
+    beside the caller's) take the tasks in args' order, one at a time, and
+    the call returns once every task taken has finished. After a task raises
+    no further task is taken, and the error of the first failed task in
+    args' order re-raises here, so no task is still running when an error
+    propagates.
     """
     if not on_pool:
         return itertools.starmap(fn, args)
@@ -111,7 +110,7 @@ def run(fn: Callable, args: Iterable[tuple], on_pool: bool) -> Iterator:
         if _executor is None and size:
             _executor = ThreadPoolExecutor(size, thread_name_prefix="rrsitr")
         executor = _executor
-    helpers = min(size, len(args) - 1) if hasattr(args, "__len__") else size
+    helpers = min(size, len(args) - 1)
     tasks = enumerate(args)
     results, errors = {}, {}
     taking = threading.Lock()

@@ -59,12 +59,12 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
 
     Above pool.PARALLEL_WORK the Gram kernel runs its tasks on the worker
     pool (_gram_kernel): the forward in one call of a task per strip, the
-    backward in one more call than it has strips, each forming one strip's K
-    products beside the last strip's row-chunk backward. Each task makes the
-    BLAS calls of the serial loop, with the same operands, shapes and
-    strides, and the caller sums the tasks' parts in a fixed order, so Sl and
-    its backward have the same bits at every pool size. The direct kernel
-    runs on the calling thread.
+    backward in four calls, two per side: that side's K products, a task per
+    strip, then its backward over every strip, a task per item chunk. Each
+    task makes the BLAS calls of the serial loop, with the same operands,
+    shapes and strides, and the caller sums the tasks' parts in a fixed
+    order, so Sl and its backward have the same bits at every pool size. The
+    direct kernel runs on the calling thread.
 
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B; backward(Gl, out=(dA, dB)) writes them into
@@ -141,20 +141,18 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     again (exact). The forward is the same function of the inputs with or
     without grad.
 
-    The work is split into tasks. The forward is one call of a task per
-    strip, whose parts are added in strip order here. The backward is
-    software-pipelined over strips 0..S-1 in S + 1 calls: call t holds strip
-    t's two K products (_strip_k), the largest tasks, first, and then strip
-    t-1's _strip_backward over the fixed item ranges of data._row_chunks on
-    both sides, which read the K products of the call before. So no task
-    waits on another, each strip's backward still adds into dA and dB after
-    the strip before it, and at most two strips' K products are alive at a
-    time. One strip (dim <= GRAM_BLOCK, the desk shape) makes the K call and
-    the backward call of the unpipelined loop. Above pool.PARALLEL_WORK
-    (about dim^2/2 multiply-adds per pair) the calls run on the worker pool,
-    below it in order on the calling thread. A task's calls and operands do
-    not depend on the thread that runs it, and no 2-D GEMM is split by rows,
-    so the result has the same bits at every pool size.
+    The work is split into tasks, in a fixed set of calls at every dim. The
+    forward is one call of a task per strip, whose parts are added in strip
+    order here. The backward runs one side at a time in two calls: the side's
+    K products, one _strip_k task per strip, then its _strips_backward over
+    the item ranges of data._row_chunks, each adding every strip into its
+    rows in strip order. The side's K products are dropped before the other
+    side's are formed, so at most one side's are alive. Above
+    pool.PARALLEL_WORK (about dim^2/2 multiply-adds per pair) the calls run
+    on the worker pool, below it in order on the calling thread. A task's
+    calls and operands do not depend on the thread that runs it, and no 2-D
+    GEMM is split by rows, so the result has the same bits at every pool
+    size.
     """
     n, _, dim = A.shape
     m = B.shape[0]
@@ -175,7 +173,7 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
         return (s, e, PA, PB) if grad else None, PA.reshape(n, -1) @ PB.reshape(m, -1).T
 
     kept, sq = [], None
-    for strip_kept, part in pool.run(strip, ((s,) for s in range(0, dim, GRAM_BLOCK)), on_pool):
+    for strip_kept, part in pool.run(strip, [(s,) for s in range(0, dim, GRAM_BLOCK)], on_pool):
         if grad:
             kept.append(strip_kept)
         if sq is None:
@@ -187,27 +185,16 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     def backward(W: np.ndarray, out=None):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
         dA, dB = (np.empty(A.shape), np.empty(B.shape)) if out is None else out
-        ready = None     # the last strip's (s, e, KB, KA)
-        for t in range(len(kept) + 1):
-            tasks = []
-            if t < len(kept):
-                s, e, PA, PB = kept[t]
-                tasks += [(_strip_k, W.T, PA, s, e, dim, True), (_strip_k, W, PB, s, e, dim, False)]
-            if ready is not None:
-                s0, e0, KB, KA = ready
-                tasks += [(_strip_backward, X[r0:r1], K[r0:r1], s0, e0, dX[r0:r1])
-                          for X, K, dX in ((A, KA, dA), (B, KB, dB))
-                          for r0, r1 in _row_chunks(X.shape)]
-            done = list(pool.run(_call, tasks, on_pool))
-            ready = (s, e, *done[:2]) if t < len(kept) else None
+        strips = [(s, e) for s, e, _, _ in kept]
+        for X, dX, k_tasks in ((A, dA, [(W, PB, s, e, dim, False) for s, e, _, PB in kept]),
+                               (B, dB, [(W.T, PA, s, e, dim, True) for s, e, PA, _ in kept])):
+            Ks = list(pool.run(_strip_k, k_tasks, on_pool))
+            list(pool.run(_strips_backward, [(X[r0:r1], [K[r0:r1] for K in Ks], strips, dX[r0:r1])
+                                             for r0, r1 in _row_chunks(X.shape)], on_pool))
+            del Ks
         return dA, dB
 
     return norms, (backward if grad else None)
-
-
-def _call(fn, *args):
-    """fn(*args): a task of a pool call that mixes functions."""
-    return fn(*args)
 
 
 def _strip_k(W: np.ndarray, P: np.ndarray, s: int, e: int, dim: int, b_side: bool):
@@ -244,6 +231,12 @@ def _clamped_sqrt(sq: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _strips_backward(X: np.ndarray, Ks, strips, dX):
+    """Every strip's _strip_backward for items X into dX, in strip order."""
+    for K, (s, e) in zip(Ks, strips):
+        _strip_backward(X, K, s, e, dX)
+
+
 def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
     """Add X_i K_i to dX for the rows s:e, columns s: strip K of symmetric K_i:
     the strip acts on columns s: and its mirror image on columns s:e. The first
@@ -254,7 +247,6 @@ def _strip_backward(X: np.ndarray, K: np.ndarray, s: int, e: int, dX):
         dX[:, :, s:] += np.matmul(X[:, :, s:e], K)
     if e < X.shape[2]:
         dX[:, :, s:e] += np.matmul(X[:, :, e:], K[:, :, e - s:].transpose(0, 2, 1))
-    return dX
 
 
 def _direct_kernel(A: np.ndarray, B: np.ndarray, grad: bool):

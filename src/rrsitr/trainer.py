@@ -208,58 +208,48 @@ def _project_modalities(heads: ProjectionHeads, rows,
     norms before normalisation r, (rows, 1), and the global block's row count.
 
     Every block is projected in the row chunks of data._row_chunks, none of
-    fewer than _MIN_CHUNK_OUTPUTS outputs (or two rows), each one GEMM into
-    its part of U: a float64 chunk straight from the block, a float32 chunk
-    through a float64 upcast buffer, so no float64 copy of a whole float32
-    block is made. The bias, norms and division then run over U in row
-    chunks of the same size. At batch sizes below about data._CHUNK_BYTES per
-    block (the desk shape) that is one chunk per block and one per modality;
-    at the paper batch (100 pairs, 36 + 16 locals, dim 256) it is 14
-    projection and 12 normalisation chunks. Every row comes out as a
-    whole-block projection gives it.
+    fewer than _MIN_CHUNK_OUTPUTS outputs (or two rows). Each chunk is one
+    task (_project_rows): one GEMM into its part of U, a float32 chunk
+    through a float64 upcast of its own, so no float64 copy of a whole
+    float32 block is made, then the bias, norms and division over those rows.
+    At batch sizes below about data._CHUNK_BYTES per block (the desk shape)
+    that is one chunk per block; at the paper batch (100 pairs, 36 + 16
+    locals, dim 256) it is 14 chunks. Every row comes out as a whole-block
+    projection gives it.
 
-    Each chunk is one task, in two calls: both modalities' projections, then
-    both modalities' bias and norm chunks. Above pool.PARALLEL_WORK
-    multiply-adds, unless parallel is false, they run on the worker pool, a
-    float32 chunk with its own upcast buffer; otherwise they run in order on
-    the calling thread, which upcasts every float32 chunk into one reused
-    buffer. Either way each chunk is the same GEMM on the same operands, so
-    the rows have the same bits at every pool size.
+    All chunks of both modalities are one call. Above pool.PARALLEL_WORK
+    multiply-adds, unless parallel is false, it runs on the worker pool;
+    otherwise its tasks run in order on the calling thread. Either way each
+    chunk is the same GEMM on the same operands, and the rest is row by row,
+    so the rows have the same bits at every pool size.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
     on_pool = parallel and pool.parallel(
         sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
-    buf = None if on_pool else np.empty((0, dim))
     min_rows = max(2, -(-_MIN_CHUNK_OUTPUTS // heads.dim_out))
-    out, projections, normalisations = [], [], []
+    out, tasks = [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
                         (heads.W_txt, heads.b_txt, _BLOCKS[2:])):
         X_global, X_local = (getattr(rows, name).reshape(-1, dim) for name in names)
         U = np.empty((len(X_global) + len(X_local), heads.dim_out))
         r = np.empty((len(U), 1))
         for X, at in ((X_global, 0), (X_local, len(X_global))):
-            upcast = buf is not None and X.dtype != np.float64
-            for r0, r1 in _row_chunks(X.shape, min_rows):
-                if upcast and len(buf) < r1 - r0:
-                    buf = np.empty((r1 - r0, dim))
-                projections.append((X[r0:r1], W, U[at + r0:at + r1], buf))
-        normalisations += [(U[r0:r1], r[r0:r1], b) for r0, r1 in _row_chunks(U.shape)]
+            tasks += [(X[r0:r1], W, b, U[at + r0:at + r1], r[at + r0:at + r1])
+                      for r0, r1 in _row_chunks(X.shape, min_rows)]
         out.append((U, r, len(X_global)))
-    list(pool.run(_project_rows, projections, on_pool))
-    list(pool.run(_unit_rows_in_place, normalisations, on_pool))
+    list(pool.run(_project_rows, tasks, on_pool))
     return out
 
 
-def _project_rows(X: np.ndarray, W: np.ndarray, out: np.ndarray, buf: Optional[np.ndarray]):
-    """out = X @ W.T. A float32 X is upcast first, into buf's leading rows or,
-    without buf, into a buffer of its own."""
-    if X.dtype != np.float64:
-        x = np.empty(X.shape) if buf is None else buf[:len(X)]
-        x[...] = X
-        X = x
-    np.matmul(X, W.T, out=out)
+def _project_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  norm: np.ndarray):
+    """out = X @ W.T + b, then its rows divided by their norms, which go to
+    norm. A float32 X is upcast first, into a buffer of its own that is freed
+    before the normalisation."""
+    np.matmul(X if X.dtype == np.float64 else X.astype(np.float64, order="C"), W.T, out=out)
+    _unit_rows_in_place(out, norm, b)
 
 
 def _unit_rows_in_place(Z: np.ndarray, norm: np.ndarray, b: np.ndarray):

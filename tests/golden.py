@@ -15,9 +15,13 @@ under a data._CHUNK_BYTES of CHUNKED_BYTES and weight-gradient pieces of at
 least CHUNKED_PIECE_ROWS rows, where every task list of a training step cuts
 each local block into two or more chunks or pieces, on the serial path too;
 its digests were computed by a tree that formed every training projection and
-weight gradient as one whole-block product, and equal full/gram's. One more
-case digests three Adam steps. Floats go to JSON by repr and arrays by their
-bytes, so a digest moves with any bit of any float64.
+weight gradient as one whole-block product, and equal full/gram's. The
+full/gram/strips case trains the full method at STRIPS_SHAPE, a Gram shape of
+three strips, so its digests pin the order in which each row's Sl backward
+adds up the strips; they were computed by a tree whose backward pipelined the
+strips across pool calls. One more case digests three Adam steps. Floats go
+to JSON by repr and arrays by their bytes, so a digest moves with any bit of
+any float64.
 
 BLAS runs at one thread, so each GEMM sums in one order. --workers sets the
 worker pool's size (rrsitr.pool), and --force-parallel sets its work
@@ -56,9 +60,13 @@ SETTINGS = {"default": {}, "rtl_noisy_only": {"rtl_noisy_only": True},
 # (n_train, dim, d1, d2) of the one shape per Sl kernel; the Gram one spans
 # two strips (dim > GRAM_BLOCK)
 KERNEL_SHAPES = {"direct": (120, 64, 4, 4), "gram": (120, 40, 10, 8)}
+# a Gram shape of three strips, where each row's backward adds up across
+# strips; its one full-method run is the full/gram/strips case
+STRIPS_SHAPE = (120, 72, 12, 12)
 # at the Gram shape these cut the training step's local blocks into 4 row
-# chunks each, its (440, 40) and (360, 40) unit rows into 5 and 4, the weight
-# gradients into 5 and 4 pieces and each Sl backward strip into 4 + 4 chunks
+# chunks each for the projection, its (440, 40) and (360, 40) unit rows into 5
+# and 4 for the renormalisation backward, the weight gradients into 5 and 4
+# pieces and each side's Sl backward into 4 item chunks, each over both strips
 CHUNKED_BYTES, CHUNKED_PIECE_ROWS = 32 << 10, 8
 
 
@@ -138,6 +146,10 @@ def digests() -> dict:
         cases["full/gram/chunked"] = _train_case(noised, test, replace(hyper, epochs=2), "full")
     finally:
         data._CHUNK_BYTES, trainer._MIN_PIECE_ROWS = budgets
+    n, dim, d1, d2 = STRIPS_SHAPE
+    assert _gram_chosen(d1, d2, dim)
+    cases["full/gram/strips"] = _train_case(*_world(n, dim, d1, d2), replace(hyper, epochs=2),
+                                            "full")
     cases["adam"] = _adam_case()
     return {"numpy": np.__version__, "blas": _blas(), "cases": cases}
 

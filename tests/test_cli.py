@@ -308,6 +308,16 @@ def test_main_parses_as_the_parser_of_every_command(argv, capsys, monkeypatch):
     assert printed[0][1 if argv[-1:] == ["-h"] else 2].startswith("usage: rrsitr")
 
 
+def test_eval_help_says_its_threads_flag_changes_nothing(capsys, monkeypatch):
+    # evaluate runs on the calling thread, so eval accepts --threads and ignores it
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["eval", "-h"])
+    help_ = capsys.readouterr().out
+    assert "changes nothing: eval runs on the calling thread at any count" in help_
+    assert "worker threads for large shapes" not in help_
+
+
 def test_manifest_records_blas_and_threads(tmp_path):
     data = _gen(tmp_path, n=20)
     out_dir = tmp_path / "run"

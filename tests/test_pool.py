@@ -8,7 +8,7 @@ import pytest
 
 from rrsitr import data, pool, trainer
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
-from rrsitr.similarity import local_similarity_units
+from rrsitr.similarity import _gram_chosen, local_similarity_units
 from rrsitr.trainer import Hyper, gradients, init_heads, project
 
 
@@ -164,7 +164,6 @@ def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch, budg
     run = pool.run
 
     def counted(fn, args, on_pool):
-        args = list(args)
         tasks.setdefault(fn.__name__, []).append(len(args))
         return run(fn, args, on_pool)
 
@@ -179,7 +178,27 @@ def test_more_workers_than_cores_give_the_serial_bits(workers, monkeypatch, budg
     finally:
         sys.setswitchinterval(interval)
     if budget == "small":
-        # projection, renormalisation, weight gradients and the pipelined
-        # strips (_call: a strip's K products, the last strip's chunks or both)
-        for name in ("_project_rows", "_renorm_backward", "_weight_grads", "_call"):
+        # projection, renormalisation, weight gradients and each side's Sl
+        # backward over both strips, in item chunks
+        for name in ("_project_rows", "_renorm_backward", "_weight_grads", "_strips_backward"):
             assert min(tasks[name]) >= 2 and max(tasks[name]) >= 8, (name, tasks[name])
+        # a side's K products: one task per strip
+        assert set(tasks["_strip_k"]) == {2}, tasks["_strip_k"]
+
+
+@pytest.mark.parametrize("n, dim, d1, d2", [(24, 72, 12, 12), (8, 256, 36, 16)])
+def test_a_gram_step_makes_eight_pool_calls_at_any_strip_count(workers, monkeypatch,
+                                                                  n, dim, d1, d2):
+    # three strips and eight: the projection, the Sl forward, two calls per
+    # side of its backward, the renormalisation backward and the weight
+    # gradients, each once
+    assert _gram_chosen(d1, d2, dim)
+    world = generate_synthetic(n, 4, dim, d1, d2, 0.3, seed=5)
+    batch = next(batch_iter(world, n, epoch_seed=1))
+    monkeypatch.setattr(pool, "PARALLEL_WORK", 0)
+    workers(2)
+    on_pool = []
+    run = pool.run
+    monkeypatch.setattr(pool, "run", lambda fn, args, on: on_pool.append(on) or run(fn, args, on))
+    gradients(init_heads(dim, seed=2, noise_std=0.1), batch, Hyper())
+    assert len(on_pool) == 8 and all(on_pool), on_pool
