@@ -75,6 +75,8 @@ class Dataset:
         return ds
 
     def _check_structure(self) -> None:
+        if self.image_global.ndim != 2:
+            raise ConfigError("image_global must be (n, dim)")
         n, dim = self.image_global.shape
         if dim < 2:
             raise ConfigError(f"dim must be >= 2, got {dim}")

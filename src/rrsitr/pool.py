@@ -7,11 +7,14 @@ callers hand it tasks that make the same calls, on the same operands, shapes
 and strides, as their serial loops, and they combine the results in a fixed
 order on their own thread. So every output has the same bits at any pool size.
 
-A caller takes the parallel path only when parallel(work) holds: its work, in
-multiply-adds counted from its shapes, is above PARALLEL_WORK and the pool has
-more than one worker. Below that it runs its tasks in order on its own thread
-and the pool is never made. Tasks must not call run themselves. The pool has
-at most cores() workers: more threads than cores would only take turns.
+Tasks run on the pool only when their caller's parallel(work) holds: the
+work, in multiply-adds counted from its shapes, is above PARALLEL_WORK and
+the pool has more than one worker. trainer._objective decides once for the
+training step, similarity._gram_kernel once for the Sl kernel. Otherwise
+the tasks run in order on the calling thread and the pool is never made.
+run returns the list of results either way. Tasks must not call run
+themselves. The pool has at most cores() workers: more threads than cores
+would only take turns.
 
 Each call returns only when its slowest task has finished, so a call site
 cuts its work into tasks of near-equal size, several per worker, and a step
@@ -33,10 +36,9 @@ on 2 vCPUs), so the pool's default size is then 1.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 # multiply-adds above which a call is split into tasks; a desk-shape step
 # (b = 100, dim 32, 8x8 locals) stays below it
@@ -88,20 +90,20 @@ def parallel(work: int) -> bool:
     return work > PARALLEL_WORK and workers() > 1
 
 
-def run(fn: Callable, args: List[tuple], on_pool: bool) -> Iterator:
-    """fn(*a) for each a in args, results in args' order.
+def run(fn: Callable, args: List[tuple], on_pool: bool) -> list:
+    """The list of fn(*a) for each a in args, in args' order; every task has
+    run when it returns.
 
-    With on_pool false this is itertools.starmap: each task runs on the
-    calling thread when its result is taken. With on_pool true the calling
-    thread and up to workers() - 1 pool threads (no more than args has tasks
-    beside the caller's) take the tasks in args' order, one at a time, and
-    the call returns once every task taken has finished. After a task raises
-    no further task is taken, and the error of the first failed task in
-    args' order re-raises here, so no task is still running when an error
-    propagates.
+    With on_pool false the tasks run in args' order on the calling thread.
+    With on_pool true the calling thread and up to workers() - 1 pool
+    threads (no more than args has tasks beside the caller's) take the tasks
+    in args' order, one at a time, and the call returns once every task taken
+    has finished. After a task raises no further task is taken, and the error
+    of the first failed task in args' order re-raises here, so no task is
+    still running when an error propagates.
     """
     if not on_pool:
-        return itertools.starmap(fn, args)
+        return [fn(*a) for a in args]
     from concurrent.futures import ThreadPoolExecutor, wait
 
     global _executor
@@ -140,7 +142,7 @@ def run(fn: Callable, args: List[tuple], on_pool: bool) -> Iterator:
         f.result()
     if errors:
         raise errors[min(errors)]
-    return iter([results[i] for i in range(len(results))])
+    return [results[i] for i in range(len(results))]
 
 
 def _forget_pool() -> None:

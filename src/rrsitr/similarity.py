@@ -57,14 +57,9 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     holds every item's strips. The two agree to rounding, except that near
     Sl = 0 the Gram form's cancelled sum leaves an error of order sqrt(eps).
 
-    Above pool.PARALLEL_WORK the Gram kernel runs its tasks on the worker
-    pool (_gram_kernel): the forward in one call of a task per strip, the
-    backward in four calls, two per side: that side's K products, a task per
-    strip, then its backward over every strip, a task per item chunk. Each
-    task makes the BLAS calls of the serial loop, with the same operands,
-    shapes and strides, and the caller sums the tasks' parts in a fixed
-    order, so Sl and its backward have the same bits at every pool size. The
-    direct kernel runs on the calling thread.
+    The Gram kernel runs its tasks on the worker pool above
+    pool.PARALLEL_WORK (_gram_kernel), and Sl and its backward have the same
+    bits at every pool size. The direct kernel runs on the calling thread.
 
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B; backward(Gl, out=(dA, dB)) writes them into
@@ -99,8 +94,8 @@ def _gram_chosen(d1: int, d2: int, dim: int) -> bool:
     (n+m)*dim^2/2 values of strips and the direct kernel 2*n*d1*m*d2 (its
     intermediate and a temporary), so by these counts the Gram kernel holds
     less wherever it is picked and n = m > dim/4. Without grad the Gram
-    kernel holds one strip per item at a time (on the worker pool, one per
-    task running, and every strip's (n, m) part) and the direct kernel the
+    kernel holds one strip per item per task running (one at a time on the
+    calling thread) and every strip's (n, m) part, and the direct kernel the
     same intermediate and temporary as with grad.
     """
     return 2 * dim <= d1 * d2
@@ -188,9 +183,9 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
         strips = [(s, e) for s, e, _, _ in kept]
         for X, dX, k_tasks in ((A, dA, [(W, PB, s, e, dim, False) for s, e, _, PB in kept]),
                                (B, dB, [(W.T, PA, s, e, dim, True) for s, e, PA, _ in kept])):
-            Ks = list(pool.run(_strip_k, k_tasks, on_pool))
-            list(pool.run(_strips_backward, [(X[r0:r1], [K[r0:r1] for K in Ks], strips, dX[r0:r1])
-                                             for r0, r1 in _row_chunks(X.shape)], on_pool))
+            Ks = pool.run(_strip_k, k_tasks, on_pool)
+            pool.run(_strips_backward, [(X[r0:r1], [K[r0:r1] for K in Ks], strips, dX[r0:r1])
+                                        for r0, r1 in _row_chunks(X.shape)], on_pool)
             del Ks
         return dA, dB
 

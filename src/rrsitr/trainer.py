@@ -4,9 +4,9 @@ warmup+cosine schedule, and the alternating training loop.
 
 Embedding rows become unit projections in one place, `_project_modalities`,
 which the objective calls; `project`, which `forward` and
-`evaluation.evaluate` call, gives its rows block by block. The objective is
-built in one place, `_objective`: projection, Sg and Sl, per-pair InfoNCE
-losses, the frozen plan (partition and weights from
+`evaluation.evaluate` call, gives its rows block by block on the calling
+thread. The objective is built in one place, `_objective`: projection, Sg and
+Sl, per-pair InfoNCE losses, the frozen plan (partition and weights from
 `selfpaced.compute_weights`, margins, negatives and anchors from
 `losses.robust_triplet_loss`), the value, and the backward. A frozen plan
 and a given one share the rest, one `triplet_hinges` call included. Per step
@@ -183,8 +183,7 @@ def resolve_variant(name: str) -> VariantSpec:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def project(heads: ProjectionHeads, rows,
-            parallel: bool = True) -> List[Tuple[np.ndarray, np.ndarray]]:
+def project(heads: ProjectionHeads, rows) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The one projection of embedding rows through the heads, for training
     batches and evaluation sets alike.
 
@@ -192,17 +191,21 @@ def project(heads: ProjectionHeads, rows,
     block, in data._BLOCKS order, returns (U, r): its float64 unit rows
     flattened to (rows, dout) and their norms before normalisation, (rows, 1).
     Each modality's two blocks are views into one buffer, global rows first
-    (_project_modalities). With parallel false it runs on the calling thread
-    at any size; the rows have the same bits either way.
+    (_project_modalities). It runs on the calling thread at any size: split
+    over the worker pool, this short stretch of evaluate ran at one to two
+    cores' speed from call to call whenever another process ran on the host
+    (two workers on 2 vCPUs beside one busy process, 300 pairs at dim 256 and
+    36x16 locals: median 47 ms, interquartile range 19 ms; on one thread 60
+    and 1.2 ms), so evaluate's time tracked the host's load.
     """
     out = []
-    for U, r, n_global in _project_modalities(heads, rows, parallel):
+    for U, r, n_global in _project_modalities(heads, rows, on_pool=False):
         out += [(U[:n_global], r[:n_global]), (U[n_global:], r[n_global:])]
     return out
 
 
 def _project_modalities(heads: ProjectionHeads, rows,
-                        parallel: bool = True) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+                        on_pool: bool) -> List[Tuple[np.ndarray, np.ndarray, int]]:
     """(U, r, n_global) per modality, image then text: the unit rows of its
     global block and then of its local block in one (rows, dout) buffer U, their
     norms before normalisation r, (rows, 1), and the global block's row count.
@@ -217,17 +220,15 @@ def _project_modalities(heads: ProjectionHeads, rows,
     locals, dim 256) it is 14 chunks. Every row comes out as a whole-block
     projection gives it.
 
-    All chunks of both modalities are one call. Above pool.PARALLEL_WORK
-    multiply-adds, unless parallel is false, it runs on the worker pool;
-    otherwise its tasks run in order on the calling thread. Either way each
-    chunk is the same GEMM on the same operands, and the rest is row by row,
-    so the rows have the same bits at every pool size.
+    All chunks of both modalities are one call, on the worker pool if
+    on_pool (the decision is _objective's; project passes false) and
+    otherwise in order on the calling thread. Each chunk is the same GEMM on
+    the same operands either way, and the rest is row by row, so the rows
+    have the same bits at every pool size.
     """
     dim = rows.image_global.shape[1]
     if dim != heads.dim_in:
         raise ConfigError(f"dataset dim {dim} does not match heads dim_in {heads.dim_in}")
-    on_pool = parallel and pool.parallel(
-        sum(getattr(rows, name).size for name in _BLOCKS) * heads.dim_out)
     min_rows = max(2, -(-_MIN_CHUNK_OUTPUTS // heads.dim_out))
     out, tasks = [], []
     for W, b, names in ((heads.W_img, heads.b_img, _BLOCKS[:2]),
@@ -239,7 +240,7 @@ def _project_modalities(heads: ProjectionHeads, rows,
             tasks += [(X[r0:r1], W, b, U[at + r0:at + r1], r[at + r0:at + r1])
                       for r0, r1 in _row_chunks(X.shape, min_rows)]
         out.append((U, r, len(X_global)))
-    list(pool.run(_project_rows, tasks, on_pool))
+    pool.run(_project_rows, tasks, on_pool)
     return out
 
 
@@ -333,14 +334,17 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
     The per-pair InfoNCE of Sg and Sl is one pass over their stack, whose kept
     softmax terms give its backward.
 
-    After Sl's backward the gradient takes two calls of tasks, both on the
-    worker pool above pool.PARALLEL_WORK and in order on the calling thread
-    below it: the renormalisation backward over the data._row_chunks of both
-    modalities' blocks (row-local, so exact), then both heads' (dW, db) in
-    pieces of output rows (_weight_grads). At the desk batch each list has
-    one task per modality.
+    The step's pool decision is made here, once, from the projection's
+    multiply-adds, rows * dim_in * dim_out, which the weight gradients make
+    too (the Sl kernel makes its own). Above pool.PARALLEL_WORK the
+    projection and the two calls after Sl's backward run on the worker pool,
+    below it in order on the calling thread: the renormalisation backward
+    over the data._row_chunks of both modalities' blocks (row-local, so
+    exact), then both heads' (dW, db) in pieces of output rows
+    (_weight_grads). At the desk batch each list has one task per modality.
     """
-    (Ui, ri, b), (Ut, rt, _) = modalities = _project_modalities(heads, batch)
+    on_pool = pool.parallel(sum(getattr(batch, k).size for k in _BLOCKS) * heads.dim_out)
+    (Ui, ri, b), (Ut, rt, _) = modalities = _project_modalities(heads, batch, on_pool)
     d1, d2 = batch.image_local.shape[1], batch.text_local.shape[1]
     Uig, Utg = Ui[:b], Ut[:b]
     Sg = Uig @ Utg.T
@@ -404,12 +408,10 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         dUt[b:] = 0.0
 
     # the renormalisation backward by row chunks, then each head's (dW, db) by
-    # pieces of output rows (_weight_grads): two calls, on the pool above
-    # pool.PARALLEL_WORK
-    on_pool = pool.parallel((Ui.size + Ut.size) * heads.dim_in)
-    list(pool.run(_renorm_backward, [(dU[r0:r1], U[r0:r1], r[r0:r1])
-                                     for dU, (U, r, _) in zip((dUi, dUt), modalities)
-                                     for r0, r1 in _row_chunks(U.shape)], on_pool))
+    # pieces of output rows (_weight_grads): two calls
+    pool.run(_renorm_backward, [(dU[r0:r1], U[r0:r1], r[r0:r1])
+                                for dU, (U, r, _) in zip((dUi, dUt), modalities)
+                                for r0, r1 in _row_chunks(U.shape)], on_pool)
     grads, pieces = {}, []
     for side, dZ, names in zip(("img", "txt"), (dUi, dUt), (_BLOCKS[:2], _BLOCKS[2:])):
         X_global, X_local = (getattr(batch, name) for name in names)
@@ -418,7 +420,7 @@ def _objective(heads: ProjectionHeads, batch: PairBatch, hyper: Hyper,
         gb = grads["b_" + side] = np.empty(heads.dim_out)
         pieces += [(dZ[:, o0:o1], X_global, X_local, gW[o0:o1], gb[o0:o1])
                    for o0, o1 in _row_chunks((heads.dim_out, len(dZ)), _MIN_PIECE_ROWS)]
-    list(pool.run(_weight_grads, pieces, on_pool))
+    pool.run(_weight_grads, pieces, on_pool)
     return grads, state
 
 

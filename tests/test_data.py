@@ -258,6 +258,15 @@ def test_dataset_rejects_other_dtypes(dtype, field):
         Dataset(y=ds.y, **blocks)
 
 
+@pytest.mark.parametrize("shape", [(6 * 4,), (6, 1, 4)], ids=["1-d", "3-d"])
+def test_dataset_rejects_image_global_that_is_not_2d(shape):
+    ds = generate_synthetic(6, 2, 4, 2, 2, intra_class_spread=0.1, seed=0)
+    bad = ds.image_global.reshape(shape)
+    with pytest.raises(ConfigError, match=r"image_global must be \(n, dim\)") as e:
+        Dataset(bad, ds.image_local, ds.text_global, ds.text_local, ds.y)
+    assert e.value.exit_code == 2
+
+
 def test_dataset_rejects_labels_outside_0_1():
     ds = generate_synthetic(6, 2, 4, 1, 1, intra_class_spread=0.1, seed=0)
     y = ds.y.copy()

@@ -9,7 +9,7 @@ import pytest
 from rrsitr import data, pool, trainer
 from rrsitr.data import NoiseSpec, batch_iter, generate_synthetic, inject_noise
 from rrsitr.similarity import _gram_chosen, local_similarity_units
-from rrsitr.trainer import Hyper, gradients, init_heads, project
+from rrsitr.trainer import Hyper, forward, gradients, init_heads, project
 
 
 @pytest.fixture
@@ -109,23 +109,38 @@ def test_first_failing_task_in_order_is_the_one_raised(workers):
         pool.run(task, [(i,) for i in range(4)], True)
 
 
-def test_evaluate_runs_nothing_on_the_pool(workers, monkeypatch):
-    # a training step's projection splits into pool tasks at this size;
-    # evaluate's stays on the calling thread at any size
+def test_only_the_training_step_runs_on_the_pool(workers, monkeypatch):
+    # at a size where every pool-capable call would split, project, forward
+    # and evaluate keep all their tasks on the calling thread, while a Gram
+    # training step makes its eight pool calls
     from rrsitr.evaluation import evaluate
 
-    world = generate_synthetic(40, 4, 16, 6, 4, 0.3, seed=5)
+    world = generate_synthetic(40, 4, 16, 6, 6, 0.3, seed=5)   # Gram kernel
+    batch = next(batch_iter(world, 20, epoch_seed=1))
     heads = init_heads(16, seed=2, noise_std=0.1)
     monkeypatch.setattr(pool, "PARALLEL_WORK", 0)
     workers(2)
     on_pool = []
     run = pool.run
     monkeypatch.setattr(pool, "run", lambda fn, args, on: on_pool.append(on) or run(fn, args, on))
-    project(heads, world)
-    assert on_pool and all(on_pool)
+    for call in (lambda: project(heads, world), lambda: forward(heads, batch),
+                 lambda: evaluate(heads, world, Hyper())):
+        on_pool.clear()
+        call()
+        assert on_pool and not any(on_pool), on_pool
     on_pool.clear()
-    evaluate(heads, world, Hyper())
-    assert on_pool and not any(on_pool)
+    gradients(heads, batch, Hyper())
+    assert len(on_pool) == 8 and all(on_pool), on_pool
+
+
+@pytest.mark.parametrize("on_pool", [False, True])
+def test_run_returns_a_list_after_every_task_has_run(workers, on_pool):
+    # a caller that drops the result still gets every task's writes
+    workers(2)
+    done = []
+    got = pool.run(lambda i: done.append(i) or i * i, [(i,) for i in range(6)], on_pool)
+    assert sorted(done) == list(range(6))
+    assert type(got) is list and got == [i * i for i in range(6)]
 
 
 def test_results_come_in_argument_order(workers):
