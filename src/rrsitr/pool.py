@@ -22,11 +22,12 @@ makes few calls. A Gram-kernel training step makes 8 calls at every dim: one
 for the projection, where each row chunk of each block is projected and
 normalised (trainer._project_modalities); one for the Sl forward, a task per
 strip, and four for its backward, two per side: the side's K products, a
-task per strip, then its row-chunk backward over every strip
-(similarity._gram_kernel); then one for the renormalisation backward in row
-chunks, and one for both heads' weight gradients in pieces of output rows
-(trainer._objective). The task lists come from the shapes and
-data._CHUNK_BYTES alone, and the serial path runs the same lists in order.
+task per strip that forms the other side's strip again, then its row-chunk
+backward over every strip (similarity._gram_kernel); then one for the
+renormalisation backward in row chunks, and one for both heads' weight
+gradients in pieces of output rows (trainer._objective). The task lists
+come from the shapes and data._CHUNK_BYTES alone, and the serial path runs
+the same lists in order.
 
 The pool is for a BLAS that runs at one thread, as the rrsitr command pins it
 before numpy loads. A BLAS left at several threads already uses the cores, and

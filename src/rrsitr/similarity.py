@@ -53,13 +53,15 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     (n*d1, m*d2) intermediate. The Gram kernel uses the identity
     ||A_i B_j^T||_F^2 = <A_i^T A_i, B_j^T B_j>_F over the Grams' upper block
     triangle, one strip of GRAM_BLOCK rows at a time, each adding one matmul
-    over all pairs: about dim^2/2 multiply-adds per pair, and with grad it
-    holds every item's strips. The two agree to rounding, except that near
-    Sl = 0 the Gram form's cancelled sum leaves an error of order sqrt(eps).
+    over all pairs: about dim^2/2 multiply-adds per pair. It keeps only A, B
+    and the norms for the backward, which forms the strips again. The two
+    agree to rounding, except that near Sl = 0 the Gram form's cancelled sum
+    leaves an error of order sqrt(eps).
 
     The Gram kernel runs its tasks on the worker pool above
-    pool.PARALLEL_WORK (_gram_kernel), and Sl and its backward have the same
-    bits at every pool size. The direct kernel runs on the calling thread.
+    pool.PARALLEL_WORK (pool's docstring gives its calls), and Sl and its
+    backward have the same bits at every pool size. The direct kernel runs
+    on the calling thread.
 
     Returns (Sl, backward). backward(Gl) maps dLoss/dSl, shaped (n, m), to
     (dA, dB) shaped like A and B; backward(Gl, out=(dA, dB)) writes them into
@@ -71,7 +73,7 @@ def local_similarity_units(A: np.ndarray, B: np.ndarray, grad: bool = True):
     m, d2, _ = B.shape
     scale = np.sqrt(d1 * d2)
     if _gram_chosen(d1, d2, dim):
-        norms, kernel_backward = _gram_kernel(A, B, grad)
+        norms, kernel_backward = _gram_kernel(A, B)
     else:
         norms, kernel_backward = _direct_kernel(A, B, grad)
 
@@ -89,14 +91,15 @@ def _gram_chosen(d1: int, d2: int, dim: int) -> bool:
     """Gram kernel when it does less arithmetic: 2*dim <= d1*d2.
 
     Per pair the direct kernel does d1*d2*dim multiply-adds and the blocked
-    Gram kernel about dim^2/2, plus every item's Gram and small batched
-    matmuls. Neither n, m nor grad enters. With grad the Gram kernel holds
-    (n+m)*dim^2/2 values of strips and the direct kernel 2*n*d1*m*d2 (its
-    intermediate and a temporary), so by these counts the Gram kernel holds
-    less wherever it is picked and n = m > dim/4. Without grad the Gram
-    kernel holds one strip per item per task running (one at a time on the
-    calling thread) and every strip's (n, m) part, and the direct kernel the
-    same intermediate and temporary as with grad.
+    Gram kernel about dim^2/2, plus every item's Gram strips, formed once in
+    the forward and again in the backward, and small batched matmuls.
+    Neither n, m nor grad enters. The direct kernel holds 2*n*d1*m*d2 values
+    (its intermediate and a temporary) in every call. The Gram kernel holds
+    no strips between forward and backward. Its forward holds one strip per
+    item per task running and every strip's (n, m) part. Its backward holds
+    one side's K products, n*dim^2/2 or m*dim^2/2 values, plus one strip of
+    the other side per task running. So by these counts, with n = m, the
+    Gram kernel holds less wherever it is picked and n > dim/8.
     """
     return 2 * dim <= d1 * d2
 
@@ -119,9 +122,9 @@ def _packed_triangle(w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, double, full.reshape(-1)
 
 
-def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
+def _gram_kernel(A: np.ndarray, B: np.ndarray):
     """||A_i B_j^T||_F for all pairs from the Grams A_i^T A_i and B_j^T B_j, and
-    (with grad) a backward mapping W = dLoss/d||M||_F / ||M||_F to (dA, dB).
+    a backward mapping W = dLoss/d||M||_F / ||M||_F to (dA, dB).
 
     The Grams are symmetric, so only their upper block triangle is formed, in
     strips of GRAM_BLOCK rows: strip s:e holds rows s:e, columns s: of every
@@ -130,84 +133,68 @@ def _gram_kernel(A: np.ndarray, B: np.ndarray, grad: bool):
     inner products sum to <A_i^T A_i, B_j^T B_j>_F. The last strip is the
     square diagonal block, the whole Gram when dim <= GRAM_BLOCK: it is packed
     to its upper triangle, w(w+1)/2 of its w^2 entries, with the off-diagonal
-    ones doubled on the A side, and kept packed for the backward, whose K
-    products take the packed columns and gather K back through
-    _packed_triangle's `full` map. The backward halves every doubled column
-    again (exact). The forward is the same function of the inputs with or
-    without grad.
+    ones weighted by _packed_triangle's `double` on the A side.
 
-    The work is split into tasks, in a fixed set of calls at every dim. The
-    forward is one call of a task per strip, whose parts are added in strip
-    order here. The backward runs one side at a time in two calls: the side's
-    K products, one _strip_k task per strip, then its _strips_backward over
-    the item ranges of data._row_chunks, each adding every strip into its
-    rows in strip order. The side's K products are dropped before the other
-    side's are formed, so at most one side's are alive. Above
-    pool.PARALLEL_WORK (about dim^2/2 multiply-adds per pair) the calls run
-    on the worker pool, below it in order on the calling thread. A task's
-    calls and operands do not depend on the thread that runs it, and no 2-D
-    GEMM is split by rows, so the result has the same bits at every pool
-    size.
+    Nothing but A, B and the norms is kept for the backward: each of its K
+    products forms the other side's strip again, undoubled (_strip_k), and
+    gathers the packed last strip's K back to full through _packed_triangle's
+    `full` map. The forward adds the strips' parts in strip order here, and
+    each _strips_backward task adds every strip into its rows in strip order;
+    pool's docstring lists the calls, and a side's K products are dropped
+    before the other side's are formed. Above pool.PARALLEL_WORK (about
+    dim^2/2 multiply-adds per pair) the calls run on the worker pool, below it
+    in order on the calling thread. A task's calls and operands do not depend
+    on the thread that runs it, and no 2-D GEMM is split by rows, so the
+    result has the same bits at every pool size.
     """
     n, _, dim = A.shape
     m = B.shape[0]
     on_pool = pool.parallel(n * m * dim * dim // 2)
+    strips = [(s, min(s + GRAM_BLOCK, dim)) for s in range(0, dim, GRAM_BLOCK)]
 
-    def strip(s):
-        e = min(s + GRAM_BLOCK, dim)
-        # one side's strip at a time, so each replaces the last one's buffer
-        PA = _gram_strip(A, s, e)
-        PB = _gram_strip(B, s, e)
+    def strip(s, e):
+        PA = _flat_strip(A, s, e)
         if e < dim:
-            PA[:, :, e - s:] *= 2.0
+            PA.reshape(n, e - s, dim - s)[:, :, e - s:] *= 2.0
         else:
-            upper, double, _ = _packed_triangle(e - s)
-            PA = PA.reshape(n, -1).take(upper, axis=1)
-            PA *= double
-            PB = PB.reshape(m, -1).take(upper, axis=1)
-        return (s, e, PA, PB) if grad else None, PA.reshape(n, -1) @ PB.reshape(m, -1).T
+            PA *= _packed_triangle(e - s)[1]
+        return PA @ _flat_strip(B, s, e).T
 
-    kept, sq = [], None
-    for strip_kept, part in pool.run(strip, [(s,) for s in range(0, dim, GRAM_BLOCK)], on_pool):
-        if grad:
-            kept.append(strip_kept)
-        if sq is None:
-            sq = part
-        else:
-            sq += part
+    sq, *rest = pool.run(strip, strips, on_pool)
+    for part in rest:
+        sq += part
     norms = _clamped_sqrt(sq)
 
     def backward(W: np.ndarray, out=None):
         # d||M||^2/dA_i = 2 A_i sum_j W_ij B_j^T B_j; the 2 cancels d sqrt's 1/2
         dA, dB = (np.empty(A.shape), np.empty(B.shape)) if out is None else out
-        strips = [(s, e) for s, e, _, _ in kept]
-        for X, dX, k_tasks in ((A, dA, [(W, PB, s, e, dim, False) for s, e, _, PB in kept]),
-                               (B, dB, [(W.T, PA, s, e, dim, True) for s, e, PA, _ in kept])):
-            Ks = pool.run(_strip_k, k_tasks, on_pool)
+        for X, dX, WY in ((A, dA, (W, B)), (B, dB, (W.T, A))):
+            Ks = pool.run(_strip_k, [WY + se for se in strips], on_pool)
             pool.run(_strips_backward, [(X[r0:r1], [K[r0:r1] for K in Ks], strips, dX[r0:r1])
                                         for r0, r1 in _row_chunks(X.shape)], on_pool)
             del Ks
         return dA, dB
 
-    return norms, (backward if grad else None)
+    return norms, backward
 
 
-def _strip_k(W: np.ndarray, P: np.ndarray, s: int, e: int, dim: int, b_side: bool):
-    """One side's K for strip s:e, W @ P over the other side's strip P (an
-    A-side K takes W and PB, a B-side K takes W^T and PA), shaped for
-    _strip_backward: (items, e-s, dim-s) or, for the packed last strip,
-    gathered back to (items, e-s, e-s). A B-side K halves the columns doubled
-    in PA."""
-    K = W @ P.reshape(len(P), -1)
+def _strip_k(W: np.ndarray, Y: np.ndarray, s: int, e: int):
+    """One side's K for strip s:e, W @ the other side's strip, formed here from
+    its items Y (an A-side K takes W and B, a B-side K takes W^T and A),
+    shaped for _strip_backward: (items, e-s, dim-s) or, for the packed last
+    strip, gathered back to (items, e-s, e-s)."""
+    K = W @ _flat_strip(Y, s, e)
+    dim = Y.shape[2]
     if e < dim:
-        K = K.reshape(len(K), e - s, dim - s)
-        if b_side:
-            K[:, :, e - s:] *= 0.5
-        return K
-    _, double, full = _packed_triangle(e - s)
-    if b_side:
-        K /= double
-    return K.take(full, axis=1).reshape(len(K), e - s, e - s)
+        return K.reshape(len(K), e - s, dim - s)
+    return K.take(_packed_triangle(e - s)[2], axis=1).reshape(len(K), e - s, e - s)
+
+
+def _flat_strip(X: np.ndarray, s: int, e: int) -> np.ndarray:
+    """_gram_strip(X, s, e) flattened to (items, (e-s)*(dim-s)), or for the
+    last strip packed to its upper triangle, (items, w(w+1)/2)."""
+    P = _gram_strip(X, s, e).reshape(len(X), -1)
+    return P if e < X.shape[2] else P.take(_packed_triangle(e - s)[0], axis=1)
 
 
 def _gram_strip(X: np.ndarray, s: int, e: int) -> np.ndarray:

@@ -77,8 +77,12 @@ class Hyper:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         if not (0 < self.gamma1 < self.gamma2):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrsitr import similarity
+from rrsitr import pool, similarity
 from rrsitr.errors import ConfigError, NumericError
 from rrsitr.similarity import (GRAM_BLOCK, _direct_kernel, _gram_chosen, _gram_kernel,
                                _packed_triangle, fused_similarity, global_similarity,
@@ -142,7 +142,7 @@ def test_local_kernels_agree_forward_and_backward(n, m, d1, d2, dim):
     rng = np.random.default_rng(7)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     W = rng.normal(size=(n, m))
-    norms_g, back_g = _gram_kernel(A, B, grad=True)
+    norms_g, back_g = _gram_kernel(A, B)
     norms_d, back_d = _direct_kernel(A, B, grad=True)
     assert np.max(np.abs(norms_g - norms_d)) <= 1e-12
     for got, want in zip(back_g(W), back_d(W)):
@@ -164,7 +164,7 @@ def test_local_dispatch_by_shape(monkeypatch):
     ran = []
 
     def spy(name):
-        def kernel(A, B, grad):
+        def kernel(A, B, *grad):
             ran.append(name)
             return np.ones((len(A), len(B))), None
         return kernel
@@ -190,6 +190,29 @@ def test_local_paper_b128_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 130 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_gram_backward_keeps_no_strips(monkeypatch, n_workers):
+    # forward plus backward at (128, 36x16, 256), at 2 workers on the pool:
+    # nothing but A, B and the norms lives between them, so the backward
+    # holds one side's K products and a strip per task (every strip kept for
+    # the backward peaked at 121 MiB)
+    rng = np.random.default_rng(5)
+    A, B = _unit_blocks(rng, 128, 36, 256), _unit_blocks(rng, 128, 16, 256)
+    W = rng.normal(size=(128, 128))
+    monkeypatch.setattr(pool, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(pool, "cores", lambda: 8)
+    previous = pool.set_workers(n_workers)
+    tracemalloc.start()
+    try:
+        _, backward = local_similarity_units(A, B)
+        backward(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pool.set_workers(previous)
+    assert peak <= 64 * 2**20, peak / 2**20
 
 
 GRAM_NEAR_ZERO_TOL = 1e-7  # |Sl_gram - Sl_direct| where rounding leaves sqrt(eps)-sized terms
@@ -226,7 +249,7 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
     rng = np.random.default_rng(seed)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
     scale = np.sqrt(d1 * d2)
-    S_gram = _gram_kernel(A, B, grad=False)[0] / scale
+    S_gram = _gram_kernel(A, B)[0] / scale
     S_direct = _direct_kernel(A, B, grad=False)[0] / scale
     # the Gram form is exact to rounding in Sl^2; its sqrt magnifies that near 0
     assert np.max(np.abs(S_gram ** 2 - S_direct ** 2)) <= 1e-12
@@ -240,12 +263,13 @@ def test_local_kernels_property(n, m, d1, d2, dim, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(1, 6),
        st.integers(1, 72), st.integers(0, 2**32 - 1))
-def test_gram_kernel_grad_and_no_grad_sl_bit_identical(n, m, d1, d2, dim, seed):
-    # dims 1-72 take one to three strips, the last one square and packed
+def test_local_units_grad_and_no_grad_sl_bit_identical(n, m, d1, d2, dim, seed):
+    # both kernels: the direct one where 2*dim > d1*d2, which keeps its product
+    # only with grad, the Gram one in one to three strips, the last one packed
     rng = np.random.default_rng(seed)
     A, B = _unit_blocks(rng, n, d1, dim), _unit_blocks(rng, m, d2, dim)
-    with_grad = _gram_kernel(A, B, grad=True)[0]
-    assert np.array_equal(_gram_kernel(A, B, grad=False)[0], with_grad)
+    with_grad = local_similarity_units(A, B, grad=True)[0]
+    assert np.array_equal(local_similarity_units(A, B, grad=False)[0], with_grad)
 
 
 @pytest.mark.parametrize("dim,d", [(6, 4), (20, 7), (32, 8), (40, 9), (70, 12)])

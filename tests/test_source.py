@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 
@@ -35,3 +36,21 @@ def test_no_source_wraps_pool_run_in_list():
              for path, text in _sources(ROOT)
              for m in re.finditer(r"list\(\s*pool\.run\(", text)]
     assert not found, "\n".join(found)
+
+
+MODULES = ("data", "similarity", "trainer", "pool", "evaluation", "losses", "selfpaced",
+           "cli", "errors")
+
+
+def test_src_names_only_existing_attributes():
+    # a module-qualified name in the package's code, comments or docstrings,
+    # such as pool.PARALLEL_WORK, names something that module has: a rename or
+    # a deletion must take its mentions along. "data.py" names a file.
+    pattern = re.compile(r"(?<![\w.])(%s)\.([A-Za-z_]\w*)" % "|".join(MODULES))
+    stale = [f"{os.path.relpath(path, ROOT)}:{text.count(chr(10), 0, m.start()) + 1} "
+             f"{m.group(0)}"
+             for path, text in _sources(ROOT)
+             for m in pattern.finditer(text)
+             if m.group(2) != "py"
+             and not hasattr(importlib.import_module(f"rrsitr.{m.group(1)}"), m.group(2))]
+    assert not stale, "\n".join(stale)

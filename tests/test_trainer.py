@@ -604,3 +604,14 @@ def test_hyper_validation():
         Hyper(batch_size=1)
     with pytest.raises(ConfigError):
         Hyper(lr=0.0)
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "warmup_steps",
+                                   "pace_epochs"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
+def test_hyper_refuses_a_float_or_bool_in_an_int_field(field, value):
+    # a float epoch count or batch size used to pass here and end in a bare
+    # TypeError inside train; a float warmup_steps was taken silently
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        Hyper(**{field: value})
+    assert getattr(Hyper(**{field: np.int64(2)}), field) == 2
